@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/pricegen"
 	"github.com/drafts-go/drafts/internal/spot"
 )
 
-func persistTestPredictor(t *testing.T, n int) *Predictor {
+// persistTestPredictor returns a predictor that observed an n-point series
+// with a window of maxHistory points, and the series itself.
+func persistTestPredictor(t *testing.T, n, maxHistory int) (*Predictor, *history.Series) {
 	t.Helper()
 	start := time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
 	ser, err := pricegen.Generator{Seed: 7}.Series(
@@ -17,23 +21,30 @@ func persistTestPredictor(t *testing.T, n int) *Predictor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPredictor(Params{Probability: 0.95, MaxHistory: n}, start)
+	p, err := NewPredictor(Params{Probability: 0.95, MaxHistory: maxHistory}, start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.ObserveSeries(ser)
-	return p
+	return p, ser
 }
 
 func TestPredictorSaveLoadRoundTrip(t *testing.T) {
-	p := persistTestPredictor(t, 2000)
+	p, ser := persistTestPredictor(t, 2000, 2000)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	q, err := LoadPredictor(bytes.NewReader(buf.Bytes()))
+	q, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser)
 	if err != nil {
 		t.Fatalf("LoadPredictor: %v", err)
+	}
+	var again bytes.Buffer
+	if err := q.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Errorf("restored predictor saves different bytes:\n%s\n%s", buf.Bytes(), again.Bytes())
 	}
 
 	if !q.Now().Equal(p.Now()) {
@@ -91,7 +102,9 @@ func TestPredictorSaveLoadContinuesIdentically(t *testing.T) {
 	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()))
+	// The restore re-slices the window from the longer series, as a
+	// service restore does from a WAL that kept growing after the snapshot.
+	restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +129,9 @@ func TestPredictorSaveLoadContinuesIdentically(t *testing.T) {
 }
 
 func TestLoadPredictorRejectsDefects(t *testing.T) {
-	p := persistTestPredictor(t, 500)
+	// The window is the last 300 of 500 points, so the series has ticks
+	// on both sides of what the restore re-slices.
+	p, ser := persistTestPredictor(t, 500, 300)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -126,14 +141,51 @@ func TestLoadPredictorRejectsDefects(t *testing.T) {
 		"garbage":     "not json",
 		"bad-version": `{"version":99}`,
 		"empty":       `{}`,
+		"v1":          `{"version":1,"params":{"Probability":0.95},"step_ns":300000000000,"count":2,"prices":[0.1,0.1]}`,
 	}
 	for name, in := range cases {
-		if _, err := LoadPredictor(bytes.NewReader([]byte(in))); err == nil {
+		if _, err := LoadPredictor(bytes.NewReader([]byte(in)), ser); err == nil {
 			t.Errorf("LoadPredictor accepted %s", name)
 		}
 	}
-	// Sanity: the untampered state still loads.
-	if _, err := LoadPredictor(bytes.NewReader([]byte(good))); err != nil {
+
+	altered := func(i int) *history.Series {
+		cp := ser.Clone()
+		cp.Prices[i] += spot.PriceTick
+		return cp
+	}
+	offGrid := ser.Clone()
+	offGrid.Start = offGrid.Start.Add(time.Minute)
+	coarse := ser.Clone()
+	coarse.Step = 2 * ser.Step
+	for name, tc := range map[string]struct {
+		series *history.Series
+		want   string
+	}{
+		"no-series":           {nil, "no history series"},
+		"shorter-than-window": {ser.Slice(300, ser.Len()), "window points"},
+		"ends-before-clock":   {ser.Slice(0, 499), "before predictor clock"},
+		"off-grid-clock":      {offGrid, "not on the series grid"},
+		"other-step":          {coarse, "step"},
+		"altered-price":       {altered(350), "checksum"},
+		"altered-last-price":  {altered(499), "checksum"},
+	} {
+		_, err := LoadPredictor(strings.NewReader(good), tc.series)
+		if err == nil {
+			t.Errorf("LoadPredictor accepted %s", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
+		}
+	}
+
+	// Sanity: the untampered state still loads, also from a series whose
+	// ticks outside the window differ.
+	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), ser); err != nil {
 		t.Errorf("LoadPredictor rejected valid state: %v", err)
+	}
+	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), altered(150)); err != nil {
+		t.Errorf("LoadPredictor rejected a change outside the window: %v", err)
 	}
 }

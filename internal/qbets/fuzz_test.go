@@ -89,11 +89,13 @@ func FuzzFenwickQuantile(f *testing.F) {
 }
 
 // FuzzPersistRoundTrip feeds arbitrary bytes to the predictor state
-// decoder: it must never panic, and any state it accepts must re-encode
-// to a byte-identical document after a Save/Load/Save cycle — the
-// property that makes service restarts resume exactly where they stopped.
+// decoder, with a history window of fuzzed length: it must never panic,
+// and any state it accepts must re-encode to a byte-identical document
+// after a Save/Load/Save cycle against the same window — the property that
+// makes service restarts resume exactly where they stopped.
 func FuzzPersistRoundTrip(f *testing.F) {
-	// Seed with genuine saved states across config variants.
+	// Seed with genuine saved states across config variants, each with the
+	// window its predictor observed.
 	for _, cfg := range []Config{
 		{Kind: UpperBound, Quantile: 0.975, Confidence: 0.99},
 		{Kind: LowerBound, Quantile: 0.025, Confidence: 0.95, NoChangePoint: true},
@@ -103,22 +105,23 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for i := 0; i < 100; i++ {
-			p.Observe(0.01 + 0.0001*float64(i%17))
+		for _, v := range persistFuzzWindow(100) {
+			p.Observe(v)
 		}
 		var buf bytes.Buffer
 		if err := p.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(buf.Bytes(), uint16(100))
 	}
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":99}`))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(``))
+	f.Add([]byte(`{"version":2}`), uint16(0))
+	f.Add([]byte(`{"version":99}`), uint16(10))
+	f.Add([]byte(`not json`), uint16(10))
+	f.Add([]byte(``), uint16(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Load(bytes.NewReader(data), nil)
+	f.Fuzz(func(t *testing.T, data []byte, windowLen uint16) {
+		window := persistFuzzWindow(int(windowLen))
+		p, err := Load(bytes.NewReader(data), window, nil)
 		if err != nil {
 			return
 		}
@@ -126,7 +129,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if err := p.Save(&first); err != nil {
 			t.Fatalf("saving accepted state: %v", err)
 		}
-		p2, err := Load(bytes.NewReader(first.Bytes()), nil)
+		p2, err := Load(bytes.NewReader(first.Bytes()), window, nil)
 		if err != nil {
 			t.Fatalf("reloading saved state: %v", err)
 		}
@@ -146,4 +149,14 @@ func FuzzPersistRoundTrip(f *testing.F) {
 			t.Fatalf("reload changed Bound: %v/%v vs %v/%v", b1, ok1, b2, ok2)
 		}
 	})
+}
+
+// persistFuzzWindow is the deterministic observation window the persist
+// fuzz target restores against.
+func persistFuzzWindow(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 0.01 + 0.0001*float64(i%17)
+	}
+	return w
 }

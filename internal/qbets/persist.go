@@ -10,13 +10,17 @@ import (
 // The paper notes that QBETS "can be implemented efficiently if the time
 // series state needed to determine change points is persistent so that it
 // is suitable for on-line use" (§3.1). Save and Load serialize a
-// predictor's retained history and detector state so a service restart
-// resumes exactly where it stopped instead of re-ingesting three months of
-// prices.
+// predictor's detector state so a service restart resumes exactly where it
+// stopped instead of re-ingesting three months of prices.
+//
+// The retained history itself does not travel: it is always the most
+// recent HistoryLen observations, which the caller already holds (the
+// service re-slices them from its replayed price log). Load takes that
+// window and rebuilds the chronological history and the order-statistic
+// store from its tail.
 
-// persistedState is the wire form of a Predictor. The order-statistic
-// store is reconstructed from the chronological history, so only the
-// history and detector counters travel.
+// persistedState is the wire form of a Predictor: configuration, the
+// retained history's length, and the detector counters.
 type persistedState struct {
 	Version int `json:"version"`
 
@@ -29,7 +33,7 @@ type persistedState struct {
 	AutocorrEvery     int     `json:"autocorr_every"`
 	NoChangePoint     bool    `json:"no_change_point"`
 
-	History []float64 `json:"history"`
+	HistoryLen int `json:"history_len"`
 
 	ViolRing  []bool `json:"viol_ring"`
 	ViolIdx   int    `json:"viol_idx"`
@@ -45,9 +49,10 @@ type persistedState struct {
 	PendingFlush    int `json:"pending_flush"`
 }
 
-const persistVersion = 1
+const persistVersion = 2
 
-// Save serializes the predictor's state as JSON.
+// Save serializes the predictor's state as JSON. The retained history is
+// recorded by length only; Load needs a window ending with it.
 func (p *Predictor) Save(w io.Writer) error {
 	st := persistedState{
 		Version:           persistVersion,
@@ -59,7 +64,7 @@ func (p *Predictor) Save(w io.Writer) error {
 		MaxHistory:        p.cfg.MaxHistory,
 		AutocorrEvery:     p.cfg.AutocorrEvery,
 		NoChangePoint:     p.cfg.NoChangePoint,
-		History:           append([]float64(nil), p.history()...),
+		HistoryLen:        p.histLen(),
 		ViolRing:          append([]bool(nil), p.violRing...),
 		ViolIdx:           p.violIdx,
 		ViolFill:          p.violFill,
@@ -76,9 +81,12 @@ func (p *Predictor) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(st)
 }
 
-// Load reconstructs a predictor saved with Save. The order-statistic
-// store is rebuilt with the given constructor (nil for the default).
-func Load(r io.Reader, newStore func() OrderStats) (*Predictor, error) {
+// Load reconstructs a predictor saved with Save. window holds the
+// observations fed to the saved predictor, oldest first, ending with its
+// latest; the restored history is its last HistoryLen values. The
+// order-statistic store is rebuilt with the given constructor (nil for the
+// default).
+func Load(r io.Reader, window []float64, newStore func() OrderStats) (*Predictor, error) {
 	var st persistedState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("qbets: decoding state: %w", err)
@@ -105,13 +113,20 @@ func Load(r io.Reader, newStore func() OrderStats) (*Predictor, error) {
 		return nil, fmt.Errorf("qbets: violation ring length %d does not match window %d",
 			len(st.ViolRing), cfg.ChangePointWindow)
 	}
-	for _, v := range st.History {
+	if st.HistoryLen < 0 || st.HistoryLen > len(window) {
+		return nil, fmt.Errorf("qbets: history length %d outside the %d-point window", st.HistoryLen, len(window))
+	}
+	if cfg.MaxHistory > 0 && st.HistoryLen > cfg.MaxHistory {
+		return nil, fmt.Errorf("qbets: history length %d exceeds max history %d", st.HistoryLen, cfg.MaxHistory)
+	}
+	hist := window[len(window)-st.HistoryLen:]
+	for _, v := range hist {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("qbets: non-finite value in persisted history")
+			return nil, fmt.Errorf("qbets: non-finite value in history window")
 		}
 		p.store.Insert(v)
-		p.chron = append(p.chron, v)
 	}
+	p.chron = append(make([]float64, 0, len(hist)), hist...)
 	copy(p.violRing, st.ViolRing)
 	p.violIdx = st.ViolIdx
 	p.violFill = st.ViolFill

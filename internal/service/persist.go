@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
+	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/spot"
 )
 
 // Durable is the sink for the server's crash-recovery state; *store.Store
 // satisfies it. After every successful refresh the server hands it the
-// encoded serving state and asks it to drop log segments older than the
-// history retention window.
+// encoded serving state and asks it to drop log segments wholly older than
+// the oldest tick a restore still needs (Server.walCutoff).
 type Durable interface {
 	WriteSnapshot(payload []byte) error
 	CompactBefore(oldest time.Time) (int, error)
@@ -23,14 +24,17 @@ type Durable interface {
 // serviceSnapshot is the wire form of the server's serving state: every
 // published bid table plus the online predictor that produced it. Entries
 // are sorted (zone, type, probability) so encoding is deterministic.
+//
+// The snapshot holds only state the WAL cannot rebuild. Price windows are
+// not in it: each predictor records its window's length and checksum, and
+// RestoreSnapshot re-slices the window from the history series the WAL
+// replay produced (Config.Source).
 type serviceSnapshot struct {
 	Version int       `json:"version"`
 	AsOf    time.Time `json:"as_of"`
 	// EpochSeq is the epoch counter at snapshot time. Restoring it keeps
 	// the replication sequence monotonic across writer restarts, so
 	// long-lived replicas never see the writer's numbering run backwards.
-	// Absent in pre-replication snapshots (then the counter starts at 0,
-	// as before).
 	EpochSeq uint64          `json:"epoch_seq,omitempty"`
 	LastErr  string          `json:"last_refresh_error,omitempty"`
 	Entries  []snapshotEntry `json:"entries"`
@@ -53,7 +57,10 @@ type snapshotPoint struct {
 	DurationNS int64   `json:"guaranteed_duration_ns"`
 }
 
-const snapshotVersion = 1
+// snapshotVersion is the only format RestoreSnapshot reads. Any other
+// version, including 1 (which carried price windows inline), fails the
+// restore, and the daemon cold-starts.
+const snapshotVersion = 2
 
 // EncodeSnapshot serializes the currently served tables and predictors.
 // It returns an error when there is nothing to snapshot yet.
@@ -109,12 +116,15 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// RestoreSnapshot installs a previously encoded serving state, then feeds
-// each restored predictor the history ticks newer than its last observation
-// (the WAL tail that arrived after the snapshot was cut). The tables
-// themselves are installed exactly as saved — a warm restart serves the
-// same bytes it served before the crash until the next refresh replaces
-// them.
+// RestoreSnapshot installs a previously encoded serving state. Each
+// predictor's price window is re-sliced from its combo's Source series,
+// then the predictor is fed the history ticks newer than its last
+// observation (the WAL tail that arrived after the snapshot was cut). A
+// series that cannot reproduce a saved window (too short, off the
+// predictor's grid, or failing the window checksum) fails the restore. The
+// tables themselves are installed exactly as saved — a warm restart serves
+// the same bytes it served before the crash until the next refresh
+// replaces them.
 func (s *Server) RestoreSnapshot(payload []byte) error {
 	var snap serviceSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
@@ -129,6 +139,10 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	tables := make(map[tableKey]core.BidTable, len(snap.Entries))
 	preds := make(map[tableKey]*core.Predictor, len(snap.Entries))
 	replayed := 0
+	var (
+		series      *history.Series
+		seriesCombo spot.Combo
+	)
 	for _, e := range snap.Entries {
 		k := tableKey{
 			combo: spot.Combo{Zone: spot.Zone(e.Zone), Type: spot.InstanceType(e.Type)},
@@ -145,11 +159,16 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 		if len(e.Predictor) == 0 {
 			continue
 		}
-		pred, err := core.LoadPredictor(bytes.NewReader(e.Predictor))
+		// Entries are sorted by combo, so each series is fetched once.
+		if series == nil || seriesCombo != k.combo {
+			series, _ = s.cfg.Source.Full(k.combo)
+			seriesCombo = k.combo
+		}
+		pred, err := core.LoadPredictor(bytes.NewReader(e.Predictor), series)
 		if err != nil {
 			return fmt.Errorf("service: restoring predictor for %s/p=%v: %w", k.combo, k.prob, err)
 		}
-		replayed += s.replayTail(k.combo, pred)
+		replayed += replayTail(series, pred)
 		preds[k] = pred
 	}
 	s.mu.Lock()
@@ -175,12 +194,11 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	return nil
 }
 
-// replayTail feeds pred every source tick strictly newer than its last
+// replayTail feeds pred every series tick strictly newer than its last
 // observation, returning how many it consumed. The predictor knows its own
 // clock (Now), so no separate watermark travels in the snapshot.
-func (s *Server) replayTail(c spot.Combo, pred *core.Predictor) int {
-	series, ok := s.cfg.Source.Full(c)
-	if !ok || series.Len() == 0 {
+func replayTail(series *history.Series, pred *core.Predictor) int {
+	if series == nil {
 		return 0
 	}
 	next := series.IndexOf(pred.Now()) + 1

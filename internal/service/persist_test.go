@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,17 +179,68 @@ func TestSnapshotRejectsDefects(t *testing.T) {
 		}
 		return s
 	}
+	// A version-1 snapshot carried every predictor's price window inline.
+	v1 := []byte(`{"version":1,"as_of":"2016-10-01T00:00:00Z","entries":[{"zone":"us-east-1b",` +
+		`"instance_type":"c4.large","probability":0.95,"as_of":"2016-10-01T00:00:00Z",` +
+		`"points":[{"bid_usd_per_hour":0.1,"guaranteed_duration_ns":3600000000000}],` +
+		`"predictor":{"version":1,"params":{"Probability":0.95},"step_ns":300000000000,"count":2,"prices":[0.1,0.1]}}]}`)
 	for name, in := range map[string][]byte{
 		"garbage":     []byte("not json"),
 		"bad-version": []byte(`{"version":99,"entries":[{}]}`),
-		"empty":       []byte(`{"version":1,"entries":[]}`),
+		"empty":       []byte(`{"version":2,"entries":[]}`),
+		"v1":          v1,
 	} {
 		if err := fresh().RestoreSnapshot(in); err == nil {
 			t.Errorf("RestoreSnapshot accepted %s", name)
 		}
 	}
+	if err := fresh().RestoreSnapshot(v1); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Errorf("v1 snapshot: got %v, want an unsupported snapshot version error", err)
+	}
 	if err := fresh().RestoreSnapshot(payload); err != nil {
 		t.Errorf("RestoreSnapshot rejected a valid snapshot: %v", err)
+	}
+
+	// The history a restore re-slices windows from must reproduce them.
+	for name, tc := range map[string]struct {
+		mutate func(*history.Series) *history.Series
+		want   string
+	}{
+		"series-shorter-than-window": {
+			func(s *history.Series) *history.Series { return s.Slice(1, s.Len()) },
+			"window points"},
+		"clock-off-grid": {
+			func(s *history.Series) *history.Series { s.Start = s.Start.Add(time.Minute); return s },
+			"not on the series grid"},
+		"altered-price": {
+			func(s *history.Series) *history.Series { s.Prices[s.Len()/2] += spot.PriceTick; return s },
+			"checksum"},
+	} {
+		src := history.NewStore()
+		for _, c := range testCombos {
+			ser, _ := testStore(t).Full(c)
+			if c == testCombos[1] {
+				ser = tc.mutate(ser)
+			}
+			if err := src.Put(c, ser); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := New(Config{Source: src, MaxHistory: 9000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.RestoreSnapshot(payload)
+		if err == nil {
+			t.Errorf("RestoreSnapshot accepted %s", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
+		}
+		if s.CurrentEpoch() != nil {
+			t.Errorf("%s: failed restore installed an epoch", name)
+		}
 	}
 }
 

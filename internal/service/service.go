@@ -523,11 +523,11 @@ func (s *Server) extendPredictor(old *core.Predictor, want core.Params, series *
 }
 
 // persist checkpoints the freshly installed serving state and trims WAL
-// segments that have aged out of the retention window. Both are
-// best-effort: a persistence failure costs recovery freshness, not
-// serving — so failures mark the refresh trace's spans but never fail the
-// trace itself. The store's WAL sync rides inside the snapshot.write span
-// (WriteSnapshot syncs the log before publishing).
+// segments no restore needs (see walCutoff). Both are best-effort: a
+// persistence failure costs recovery freshness, not serving — so failures
+// mark the refresh trace's spans but never fail the trace itself. The
+// store's WAL sync rides inside the snapshot.write span (WriteSnapshot
+// syncs the log before publishing).
 func (s *Server) persist(now time.Time, tr *trace.Trace) {
 	if s.cfg.Durable == nil {
 		return
@@ -547,7 +547,7 @@ func (s *Server) persist(now time.Time, tr *trace.Trace) {
 		return
 	}
 	csp := tr.StartSpan("wal.compact")
-	removed, err := s.cfg.Durable.CompactBefore(now.Add(-history.Retention))
+	removed, err := s.cfg.Durable.CompactBefore(s.walCutoff(now))
 	csp.EndErr(err)
 	if err != nil {
 		s.logger.Warn("refresh: WAL compaction failed", "err", err)
@@ -556,6 +556,23 @@ func (s *Server) persist(now time.Time, tr *trace.Trace) {
 	if removed > 0 {
 		s.logger.Info("compacted WAL", "segments_removed", removed)
 	}
+}
+
+// walCutoff is the WAL compaction cutoff: the oldest tick any installed
+// predictor's window still holds, capped at the retention horizon
+// now - history.Retention. Restores re-slice every window from the log, so
+// no tick a window holds may be compacted away, even when the ticks lag
+// the wall clock.
+func (s *Server) walCutoff(now time.Time) time.Time {
+	cutoff := now.Add(-history.Retention)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, pred := range s.preds {
+		if oldest, ok := pred.Oldest(); ok && oldest.Before(cutoff) {
+			cutoff = oldest
+		}
+	}
+	return cutoff
 }
 
 // Start runs the 15-minute refresh loop until the context is cancelled.

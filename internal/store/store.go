@@ -19,10 +19,11 @@
 //     process serves its pre-crash tables immediately while the first
 //     fresh refresh runs.
 //
-// Segment rotation plus CompactBefore align the log's footprint with the
-// provider's 90-day history retention (history.Retention): once every
-// record in a sealed segment is older than the cutoff the whole file is
-// deleted. Opening the WAL repairs the torn final record a mid-append
+// Segment rotation plus CompactBefore bound the log's footprint: once
+// every record in a sealed segment is older than the caller's cutoff the
+// whole file is deleted. The service's cutoff keeps every tick a restored
+// predictor re-slices, and never reaches past the provider's 90-day
+// history retention (history.Retention). Opening the WAL repairs the torn final record a mid-append
 // crash leaves behind; all other corruption fails recovery loudly rather
 // than serving wrong prices.
 //
@@ -247,8 +248,7 @@ func (s *Store) LoadSnapshot() ([]byte, bool, error) {
 	return payload, ok, err
 }
 
-// CompactBefore removes sealed WAL segments wholly older than oldest —
-// the retention alignment the 90-day history window implies.
+// CompactBefore removes sealed WAL segments wholly older than oldest.
 func (s *Store) CompactBefore(oldest time.Time) (int, error) {
 	return s.wal.CompactBefore(oldest)
 }
