@@ -7,9 +7,8 @@
 // report):
 //
 //	-target http://host:8732   drive a live daemon over HTTP
-//	-direct                    in-process A/B: pre-encoded fast path vs the
-//	                           marshal-per-request baseline, plus the
-//	                           serving speedup ratio
+//	-direct                    in-process per-op cost of a cached
+//	                           /v1/predictions GET (ns/op, allocs/op)
 //	-gobench file              ingest `go test -bench` output (use "-" for
 //	                           stdin) into the same report
 //	-trace-overhead            in-process tracing A/B (off vs 1%% vs 100%%
@@ -19,8 +18,8 @@
 //	                           byte-identical, aggregate read throughput vs
 //	                           the single node, writing BENCH_cluster.json
 //	-fleet                     in-process advise-surface scenario: >=1000
-//	                           randomized surface-vs-scan equivalence trials
-//	                           (writer and replica), the advise per-op A/B,
+//	                           randomized writer-vs-replica advise
+//	                           equivalence trials, the advise per-op cost,
 //	                           and POST /v1/fleet throughput, writing
 //	                           BENCH_fleet.json
 //
@@ -118,7 +117,7 @@ func main() {
 	flag.StringVar(&opts.combos, "combos", "", "comma-separated zone/type list; default: fetch from /v1/combos")
 	flag.StringVar(&opts.out, "out", "BENCH_serving.json", "report output path")
 	flag.StringVar(&opts.gobench, "gobench", "", "ingest go test -bench output from this file (- for stdin)")
-	flag.BoolVar(&opts.direct, "direct", false, "run the in-process fast-path vs marshal-baseline A/B")
+	flag.BoolVar(&opts.direct, "direct", false, "measure the in-process per-op cost of a cached /v1/predictions GET")
 	flag.IntVar(&opts.directCombos, "direct-combos", 3, "combos in the in-process server (-direct)")
 	flag.IntVar(&opts.directTicks, "direct-ticks", 9000, "history ticks per combo (-direct)")
 	flag.Int64Var(&opts.seed, "seed", 42, "price generator seed (-direct)")
@@ -131,7 +130,7 @@ func main() {
 	flag.IntVar(&opts.clusterReplicas, "cluster-replicas", 2, "replica count for -cluster")
 	flag.IntVar(&opts.clusterCombos, "cluster-combos", 3, "combos in the -cluster writer")
 	flag.StringVar(&opts.clusterOut, "cluster-out", "BENCH_cluster.json", "cluster report output path")
-	flag.BoolVar(&opts.fleet, "fleet", false, "in-process fleet scenario: surface/scan advise equivalence trials, surface-vs-scan per-op A/B, and POST /v1/fleet throughput")
+	flag.BoolVar(&opts.fleet, "fleet", false, "in-process fleet scenario: writer/replica advise equivalence trials, advise per-op cost, and POST /v1/fleet throughput")
 	flag.IntVar(&opts.fleetTrials, "fleet-trials", 1000, "randomized advise equivalence trials for -fleet (min 1000)")
 	flag.StringVar(&opts.fleetOut, "fleet-out", "BENCH_fleet.json", "fleet report output path")
 	flag.IntVar(&opts.tenantsN, "tenants", 0, "in-process multi-tenant fairness scenario: N compliant tenants paced under quota plus one abusive tenant hammering closed-loop; 0 disables")
@@ -228,9 +227,9 @@ func ingestGoBench(report *benchio.Report, path string) error {
 	return nil
 }
 
-// runDirect measures the serving fast path against the marshal baseline on
-// one in-process server, single-threaded so the two handlers see identical
-// conditions, and records the throughput ratio — the headline speedup.
+// runDirect measures the cached-read path on one in-process server,
+// single-threaded: per-op time and heap allocations of a /v1/predictions
+// GET.
 func runDirect(report *benchio.Report, opts options) error {
 	combos := spot.Combos()
 	if opts.directCombos > 0 && opts.directCombos < len(combos) {
@@ -253,13 +252,8 @@ func runDirect(report *benchio.Report, opts options) error {
 
 	encoded, err := measureHandler(srv.Handler(), target, opts.duration)
 	if err != nil {
-		return fmt.Errorf("fast path: %w", err)
+		return fmt.Errorf("cached read: %w", err)
 	}
-	marshal, err := measureHandler(srv.MarshalHandler(), target, opts.duration)
-	if err != nil {
-		return fmt.Errorf("marshal baseline: %w", err)
-	}
-	speedup := encoded.rps / marshal.rps
 
 	labels := map[string]string{"request": target, "duration": opts.duration.String()}
 	report.Add(benchio.Result{
@@ -268,17 +262,6 @@ func runDirect(report *benchio.Report, opts options) error {
 			"requests": float64(encoded.n), "ns_per_op": encoded.nsPerOp,
 			"allocs_per_op": encoded.allocsPerOp, "throughput_rps": encoded.rps,
 		},
-	})
-	report.Add(benchio.Result{
-		Name: "direct/predictions-marshal", Kind: "direct", Labels: labels,
-		Metrics: map[string]float64{
-			"requests": float64(marshal.n), "ns_per_op": marshal.nsPerOp,
-			"allocs_per_op": marshal.allocsPerOp, "throughput_rps": marshal.rps,
-		},
-	})
-	report.Add(benchio.Result{
-		Name: "direct/serving-speedup", Kind: "direct", Labels: labels,
-		Metrics: map[string]float64{"speedup_x": speedup},
 	})
 	return nil
 }

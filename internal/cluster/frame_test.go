@@ -22,8 +22,8 @@ func testEpoch(t *testing.T, seq uint64, blobs map[service.BlobKey][]byte) *serv
 			{Zone: "us-west-2b", Type: "m3.xlarge", Prob: "0.95"}: []byte(`{"table":3}`),
 		}
 	}
-	ep, err := service.NewEpoch(seq, frameT0.Add(time.Duration(seq)*time.Minute),
-		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobs)
+	ep, err := service.NewEpochFull(seq, frameT0.Add(time.Duration(seq)*time.Minute),
+		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,15 @@ import (
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
-	"github.com/drafts-go/drafts/internal/spot"
 )
 
-// The advise fast path answers /v1/advise from the epoch's precomputed
-// surfaces: a query substring parse, one map lookup, an O(1) grid snap (or
-// an O(log n) refinement for off-grid durations), and a pooled-buffer
-// write — no predictor scan, no deadline, no allocation. Requests the fast
-// parse cannot serve (account mapping, escaped queries, probability levels
-// without a surface) fall back to the scan path, which preserves the
-// original semantics and bytes exactly; TestAdviseSurfaceScanEquivalence
-// holds the two paths byte-identical over randomized trials.
+// /v1/advise answers from the epoch's precomputed surfaces: a query
+// substring parse, one map lookup, an O(1) grid snap (or an O(log n)
+// refinement for off-grid durations), and a pooled-buffer write — no
+// predictor scan, no deadline, no allocation. The bid-escalation scan the
+// surfaces replaced survives only as a test oracle;
+// TestAdviseSurfaceScanEquivalence holds the two byte-identical over
+// randomized trials.
 
 // quoteBuf is the pooled response-assembly buffer for the advise fast
 // path. Quotes are ~150 bytes; after warm-up the pooled capacity sticks
@@ -32,8 +30,7 @@ var quoteBufPool = sync.Pool{New: func() any { return &quoteBuf{} }}
 // plainJSONSafe reports whether s encodes into a JSON string verbatim
 // under encoding/json's rules: printable ASCII with nothing to escape
 // (including the <, >, & that json.Encoder HTML-escapes). Anything else
-// falls back to the marshalling scan path so fast-path bytes stay
-// identical to it.
+// is rendered through encoding/json (writeQuoteJSON).
 //
 //drafts:nonalloc
 func plainJSONSafe(s string) bool {
@@ -67,80 +64,102 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// adviseFast serves /v1/advise from the installed surfaces when the
-// request is fast-parseable and a surface covers it, reporting whether it
-// handled the request. The response bytes — success quote, staleness
-// refusal, and cannot-guarantee refusal alike — are identical to what the
-// scan path would produce over the same epoch.
+// handleAdvise answers the user question directly: the smallest bid that
+// guarantees the requested duration, escalating past the published table
+// span when necessary. The query is parsed once; a request that names no
+// ?account= and resolves to a surface is answered straight away, and
+// everything else — the deprecated ?account= alias and every error — is
+// resolved by resolveAdvise against the same epoch.
 //
 //drafts:nonalloc
-func (s *Server) adviseFast(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	et := s.blobs.Load()
-	if et == nil || len(et.surfaces) == 0 {
-		return false
+	if et == nil {
+		writeNoEpoch(w)
+		return
 	}
-	q := r.URL.RawQuery
-	if !fastQuery(q) {
-		return false
+	q := parseReadQuery(r.URL.RawQuery)
+	if surf, phys, d, ok := s.adviseSurface(w, et, q); ok {
+		s.answerAdvise(w, et, surf, q.zone, phys, q.typ, d)
+		return
 	}
-	if _, acct := rawQueryValue(q, "account"); acct {
-		return false
+	s.resolveAdvise(w, et, q)
+}
+
+// adviseSurface resolves a well-formed request without ?account= to its
+// surface, the physical zone it names (an account-mapped tenant asks in
+// its obfuscated namespace), and the duration. Any miss returns false and
+// leaves the answer to resolveAdvise.
+//
+//drafts:nonalloc
+func (s *Server) adviseSurface(w http.ResponseWriter, et *encodedTables, q readQuery) (*core.AdviseSurface, string, time.Duration, bool) {
+	if q.account != "" || q.zone == "" || q.typ == "" || q.duration == "" {
+		return nil, "", 0, false
 	}
-	zone, _ := rawQueryValue(q, "zone")
-	typ, _ := rawQueryValue(q, "type")
-	durStr, _ := rawQueryValue(q, "duration")
-	if zone == "" || typ == "" || durStr == "" {
-		return false
-	}
-	if !plainJSONSafe(zone) || !plainJSONSafe(typ) {
-		return false
-	}
-	prob, hasProb := rawQueryValue(q, "probability")
-	if !hasProb {
-		prob = defaultProbKey
-	}
-	// An account-mapped tenant asks in its obfuscated namespace: translate
-	// the visible zone to the physical one for the surface lookup, and
-	// render the quote back under the visible name. An unmapped account
-	// sees the canonical namespace (matching resolveCombo's lenient
-	// fallback); an unknown visible zone falls to the scan path, which
-	// renders the authoritative error.
-	lookupZone := zone
-	if tn := tenantOf(w); tn != nil && tn.Account != "" {
-		if m, found := s.cfg.AccountMappings[tn.Account]; found {
-			phys, found := m[spot.Zone(zone)]
-			if !found {
-				return false
-			}
-			lookupZone = string(phys)
-		}
-	}
-	surf, ok := et.lookupSurface(lookupZone, typ, prob)
+	phys, ok := s.physicalZone(tenantAccount(w), q.zone)
 	if !ok {
-		return false
+		return nil, "", 0, false
 	}
-	d, err := time.ParseDuration(durStr)
+	surf, ok := et.lookupSurface(phys, q.typ, q.prob)
+	if !ok {
+		return nil, "", 0, false
+	}
+	d, err := time.ParseDuration(q.duration)
 	if err != nil || d <= 0 {
-		// Let the scan path render the invalid-duration error.
-		return false
+		return nil, "", 0, false
 	}
+	return surf, phys, d, true
+}
+
+// resolveAdvise validates an advise request through resolveCombo and the
+// duration checks — rendering their errors — and answers from the surface
+// of the resolved combo, or 404.
+func (s *Server) resolveAdvise(w http.ResponseWriter, et *encodedTables, q readQuery) {
+	visible, combo, _, prob, ok := s.resolveCombo(w, q)
+	if !ok {
+		return
+	}
+	if q.duration == "" {
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "duration is required (e.g. 2h30m)")
+		return
+	}
+	d, err := time.ParseDuration(q.duration)
+	if err != nil || d <= 0 {
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid duration %q", q.duration)
+		return
+	}
+	surf, ok := et.lookupSurface(string(combo.Zone), string(combo.Type), probKey(prob))
+	if !ok {
+		writeErr(w, http.StatusNotFound, codeNotFound, "no predictor for %s at probability %v", combo, prob)
+		return
+	}
+	s.answerAdvise(w, et, surf, string(visible), string(combo.Zone), string(combo.Type), d)
+}
+
+// answerAdvise applies the serve-stale policy and writes the quote for d
+// under the client's visible zone, or the cannot-guarantee refusal, which
+// names the physical combo.
+//
+//drafts:nonalloc
+func (s *Server) answerAdvise(w http.ResponseWriter, et *encodedTables, surf *core.AdviseSurface, visible, phys, typ string, d time.Duration) {
 	if !s.checkStaleness(w, et.asOf) {
-		return true
+		return
 	}
 	tr := traceOf(w)
 	sp := tr.StartSpan("surface.lookup")
 	quote, ok := surf.Lookup(d)
 	sp.End()
 	if !ok {
-		// The refusal names the physical combo, matching the scan path's
-		// rendering byte for byte.
-		s.writeAdviseRefusal(w, d, lookupZone, typ, surf)
-		return true
+		s.writeAdviseRefusal(w, d, phys, typ, surf)
+		return
 	}
 	wsp := tr.StartSpan("surface.write")
-	s.writeAdviseQuote(w, zone, typ, quote)
+	if plainJSONSafe(visible) && plainJSONSafe(typ) {
+		s.writeAdviseQuote(w, visible, typ, quote)
+	} else {
+		writeQuoteJSON(w, visible, typ, quote)
+	}
 	wsp.End()
-	return true
 }
 
 // writeAdviseQuote renders the QuoteJSON success body from a pooled
@@ -170,9 +189,21 @@ func (s *Server) writeAdviseQuote(w http.ResponseWriter, zone, typ string, q cor
 	quoteBufPool.Put(bb)
 }
 
+// writeQuoteJSON renders a quote whose names need JSON escaping through
+// encoding/json — the cold sibling of writeAdviseQuote.
+func writeQuoteJSON(w http.ResponseWriter, zone, typ string, q core.Quote) {
+	writeJSON(w, http.StatusOK, QuoteJSON{
+		Zone:            zone,
+		InstanceType:    typ,
+		Probability:     q.Probability,
+		Bid:             q.Bid,
+		DurationSeconds: q.Duration.Seconds(),
+	})
+}
+
 // writeAdviseRefusal renders the cannot-guarantee refusal for a surface
-// miss. Kept off the annotated fast path: refusals are cold, and the
-// variadic error rendering may allocate.
+// miss. Kept off the annotated path: refusals are cold, and the variadic
+// error rendering may allocate.
 func (s *Server) writeAdviseRefusal(w http.ResponseWriter, d time.Duration, zone, typ string, surf *core.AdviseSurface) {
 	writeErr(w, http.StatusConflict, codeNotFound, "cannot guarantee %v on %s: %v",
 		d, surfaceComboString(zone, typ), surf.CannotGuarantee(d))

@@ -16,12 +16,12 @@ import (
 // fast path: over randomized (combo, probability, duration) trials the
 // surface lookup must answer with exactly the bytes the bid-escalation
 // scan produces — same status, same body, successes and refusals alike.
-// MarshalHandler rebinds /v1/advise to the scan, so the two handlers
-// share one server and one epoch.
+// The oracle (marshalHandler) runs the scan over the epoch's predictors,
+// so the two handlers share one server and one epoch.
 func TestAdviseSurfaceScanEquivalence(t *testing.T) {
 	srv := testServer(t)
 	fast := srv.Handler()
-	scan := srv.MarshalHandler()
+	scan := srv.marshalHandler()
 	rng := rand.New(rand.NewSource(7))
 	probs := []float64{0.95, 0.99}
 
@@ -63,12 +63,12 @@ func TestAdviseSurfaceScanEquivalence(t *testing.T) {
 // TestAdviseFastPathSpellings pins the request spellings that must take
 // (or decline) the fast path while staying byte-identical to the scan:
 // default probability, non-canonical probability spellings, unknown
-// combos, invalid durations, and the account parameter (which forces the
-// scan for zone deobfuscation).
+// combos, invalid durations, oddly delimited queries, and the account
+// parameter (resolved through resolveCombo).
 func TestAdviseFastPathSpellings(t *testing.T) {
 	srv := testServer(t)
 	fast := srv.Handler()
-	scan := srv.MarshalHandler()
+	scan := srv.marshalHandler()
 	targets := []string{
 		"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h",                    // default probability
 		"/v1/advise?zone=us-east-1b&type=c4.large&probability=0.990&duration=1h",  // non-canonical prob
@@ -79,7 +79,10 @@ func TestAdviseFastPathSpellings(t *testing.T) {
 		"/v1/advise?zone=us-east-1b&type=c4.large&duration=bogus",                 // 400 on both
 		"/v1/advise?zone=us-east-1b&type=c4.large&duration=-2h",                   // 400 on both
 		"/v1/advise?zone=us-east-1b&type=c4.large",                                // missing duration
-		"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h&account=acct-1",     // account -> scan
+		"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h&account=acct-1",     // account -> resolveCombo
+		"/v1/advise?zone&zone=us-east-1b&type=c4.large&duration=1h",               // bare key: first zone is ""
+		"/v1/advise?zone=us-east-1b;x&type=c4.large&duration=1h",                  // ';' segment is dropped
+		"/v1/advise?zone=us-east-1b;x&zone=us-east-1c&type=c4.large&duration=1h",  // ... so the next zone counts
 	}
 	for _, target := range targets {
 		fastCode, _, fastBody := getBody(t, fast, target)

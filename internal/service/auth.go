@@ -60,6 +60,17 @@ func tenantOf(w http.ResponseWriter) *tenant.Tenant {
 	return nil
 }
 
+// tenantAccount is the authenticated tenant's account: "" on anonymous
+// servers and for accountless tenants.
+//
+//drafts:nonalloc
+func tenantAccount(w http.ResponseWriter) string {
+	if tn := tenantOf(w); tn != nil {
+		return tn.Account
+	}
+	return ""
+}
+
 // authenticate resolves the request's API key to a registered tenant,
 // writing the 401 unauthenticated envelope (with WWW-Authenticate) itself
 // when the key is missing, malformed, unknown, or revoked. The happy path

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,6 +26,10 @@ import (
 // single w.Write of the stored blob — no per-request marshalling, no
 // url.Values, no []byte churn. The zero-allocation property is enforced by
 // TestCachedGetZeroAllocs via testing.AllocsPerRun.
+//
+// The installed epoch is the server's only serving state: every read, the
+// snapshot encoder, WAL compaction, and the next incremental refresh all
+// reach it through Server.blobs.
 
 // maxBatchCombos caps how many combos one /v1/tables request may ask for,
 // bounding response size and validation work.
@@ -51,9 +56,10 @@ type blobKey struct {
 	zone, typ, prob string
 }
 
-// encodedTables is one refresh epoch's immutable pre-encoded serving state.
-// It is built once per refresh (or snapshot restore) and installed with an
-// atomic pointer swap; handlers treat every byte as read-only.
+// encodedTables is one refresh epoch's immutable serving state. It is built
+// once per refresh (or snapshot restore, or replicated install) and
+// installed with an atomic pointer swap; handlers treat every byte as
+// read-only.
 type encodedTables struct {
 	seq    uint64 // epoch sequence number, for replication ordering
 	asOf   time.Time
@@ -63,21 +69,25 @@ type encodedTables struct {
 	combos []byte // pre-encoded /v1/combos response body (no trailing newline)
 	bytes  int    // total pre-encoded payload bytes, for the gauge
 
-	// surfaces holds the precomputed advise surfaces (surface.go), nil on
-	// epochs built without predictors (legacy NewEpoch wire rebuilds);
-	// fleet indexes them per probability spelling for /v1/fleet. Advise
-	// requests on a surface-less epoch fall back to the scan path.
+	// bidTables and preds are the writer's core tables and the predictors
+	// that produced them: the input to snapshots, WAL compaction, and the
+	// next incremental refresh. Writer-only — nil on replica epochs, which
+	// are rebuilt from the wire — and excluded from Checksum, since every
+	// byte a node serves is already derived from them.
+	bidTables map[tableKey]core.BidTable
+	preds     map[tableKey]*core.Predictor
+
+	// surfaces holds the precomputed advise surfaces (surface.go); fleet
+	// indexes them per probability spelling for /v1/fleet.
 	surfaces map[blobKey]*surfaceEntry
 	fleet    map[string][]fleetEntry
 
-	// views holds the per-permutation-class tenant variants of every table
-	// blob: the same body with the zone field renamed to each sibling zone
-	// the physical zone could appear as under some account's obfuscation
-	// mapping. An authenticated tenant's cached GET is then one mapping
-	// lookup plus one views lookup — no per-request rewrite, no
-	// allocation. Nil unless the server has account-mapped tenants
-	// (buildViews); requests views cannot serve fall back to the marshal
-	// path.
+	// views holds the per-account variants of every table blob: the same
+	// body with the zone field renamed to each visible name some account
+	// mapping gives the physical zone. An account-mapped read — a tenant's,
+	// or the deprecated ?account= alias — is then one mapping lookup plus
+	// one views lookup, with no per-request rewrite and no allocation. Nil
+	// unless the server has AccountMappings.
 	views map[viewKey][]byte
 
 	// combosViews holds the per-account /v1/combos listing with every
@@ -89,7 +99,7 @@ type encodedTables struct {
 	combosViews map[string][]byte
 }
 
-// viewKey addresses one tenant-view variant: the physical table identity
+// viewKey addresses one per-account view: the physical table identity
 // plus the visible zone name the body answers under. The physical zone is
 // part of the key because two accounts may both see "us-east-1b" while
 // meaning different physical zones.
@@ -116,15 +126,18 @@ func epochETag(asOf time.Time, n int) string {
 	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
 }
 
-// encodeTables pre-encodes every table, the combo listing, and the
-// advise surfaces for one epoch. Prebuilt surfaces may be passed in (the
-// refresh path builds them before stamping asOf, so surface construction
-// time doesn't age the epoch); nil surfaces are derived from preds here.
+// encodeTables builds one writer epoch: every table and the combo listing
+// pre-encoded, the advise surfaces attached, and the core tables and
+// predictors retained. Prebuilt surfaces may be passed in (the refresh path
+// builds them before stamping asOf, so surface construction time doesn't
+// age the epoch); nil surfaces are derived from preds here.
 func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time) (*encodedTables, error) {
 	et := &encodedTables{
-		asOf:   asOf,
-		etag:   epochETag(asOf, len(tables)),
-		tables: make(map[blobKey][]byte, len(tables)),
+		asOf:      asOf,
+		etag:      epochETag(asOf, len(tables)),
+		tables:    make(map[blobKey][]byte, len(tables)),
+		bidTables: tables,
+		preds:     preds,
 	}
 	et.etagH = []string{et.etag}
 	seen := make(map[spot.Combo]bool)
@@ -141,17 +154,7 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 		et.bytes += len(body)
 		seen[k.combo] = true
 	}
-	list := make([]comboJSON, 0, len(seen))
-	for c := range seen {
-		list = append(list, comboJSON{Zone: string(c.Zone), InstanceType: string(c.Type)})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Zone != list[j].Zone {
-			return list[i].Zone < list[j].Zone
-		}
-		return list[i].InstanceType < list[j].InstanceType
-	})
-	combos, err := json.Marshal(list)
+	combos, err := json.Marshal(sortedCombos(seen, nil))
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding combo list: %w", err)
 	}
@@ -164,88 +167,94 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 	return et, nil
 }
 
-// zoneFieldPrefix is how every table body begins: Zone is TableJSON's
-// first field, which is what lets buildViews rename it by prefix
-// replacement without reparsing the JSON.
-const zoneFieldPrefix = `{"zone":"`
-
-// buildViews precomputes the tenant-view variants of every table blob: for
-// each physical zone, one body per sibling zone in its region with the
-// zone field renamed (the identity variant aliases the original bytes).
-// Obfuscation mappings are region-preserving bijections, so the sibling
-// set covers every name any account could address the table by; the
-// blowup is bounded by the region's zone count (<= 5). Renamed bodies are
-// byte-identical to what the marshal path produces for the same request —
-// TestTenantViewMatchesMarshal holds the two paths together.
-func (et *encodedTables) buildViews() {
-	zones := make(map[string][]spot.Zone) // region -> sibling zones, cached
-	views := make(map[viewKey][]byte, 4*len(et.tables))
-	for k, body := range et.tables {
-		region := string(spot.Zone(k.zone).Region())
-		siblings, ok := zones[region]
-		if !ok {
-			siblings = spot.ZonesOf(spot.Region(region))
-			zones[region] = siblings
+// sortedCombos renders a combo set as the /v1/combos listing, each zone
+// renamed through rename (physical -> visible; nil renames nothing), sorted
+// by (zone, type) in the renamed namespace.
+func sortedCombos(set map[spot.Combo]bool, rename map[spot.Zone]spot.Zone) []comboJSON {
+	list := make([]comboJSON, 0, len(set))
+	for c := range set {
+		zone := c.Zone
+		if vis, ok := rename[zone]; ok {
+			zone = vis
 		}
-		for _, vis := range siblings {
-			vk := viewKey{phys: k.zone, visible: string(vis), typ: k.typ, prob: k.prob}
-			if string(vis) == k.zone {
-				views[vk] = body
+		list = append(list, comboJSON{Zone: string(zone), InstanceType: string(c.Type)})
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].Zone != list[j].Zone {
+			return list[i].Zone < list[j].Zone
+		}
+		return list[i].InstanceType < list[j].InstanceType
+	})
+	return list
+}
+
+// zoneField renders the opening of a table body whose zone is z: Zone is
+// TableJSON's first field, which is what lets buildViews rename it by
+// prefix replacement without reparsing the JSON. The zone goes through
+// encoding/json, so a renamed body is byte-identical to marshalling the
+// table under the visible name.
+func zoneField(z spot.Zone) []byte {
+	name, _ := json.Marshal(string(z)) // strings always marshal
+	return append([]byte(`{"zone":`), name...)
+}
+
+// buildViews precomputes every per-account variant of the epoch's tables
+// and combo listing. For each renaming (visible, physical) pair of every
+// account mapping, each table of the physical zone gets a body answering
+// under the visible name — identity pairs are served by the canonical
+// blobs — so an account-mapped read can be served exactly when
+// resolveCombo can resolve it. Pairs shared by several accounts share one
+// body; the blowup is bounded by the number of distinct visible names per
+// physical zone.
+func (et *encodedTables) buildViews(mappings map[string]obfuscate.Mapping) {
+	byZone := make(map[string][]blobKey)
+	for k := range et.tables {
+		byZone[k.zone] = append(byZone[k.zone], k)
+	}
+	views := make(map[viewKey][]byte, 4*len(et.tables))
+	for _, m := range mappings {
+		for vis, phys := range m {
+			if vis == phys {
 				continue
 			}
-			renamed := bytes.Replace(body,
-				[]byte(zoneFieldPrefix+k.zone+`"`),
-				[]byte(zoneFieldPrefix+string(vis)+`"`), 1)
-			views[vk] = renamed
-			et.bytes += len(renamed)
+			for _, k := range byZone[string(phys)] {
+				vk := viewKey{phys: k.zone, visible: string(vis), typ: k.typ, prob: k.prob}
+				if _, done := views[vk]; !done {
+					views[vk] = bytes.Replace(et.tables[k], zoneField(phys), zoneField(vis), 1)
+					et.bytes += len(views[vk])
+				}
+			}
 		}
 	}
 	et.views = views
+	et.buildCombosViews(mappings)
 }
 
 // buildCombosViews precomputes each mapped account's /v1/combos body: the
 // served combo list with physical zones renamed to the account's visible
 // names (the inverse of its visible->physical mapping) and re-sorted in
-// the visible namespace, so a mapped tenant's combo discovery round-trips
-// into its /v1/predictions and /v1/tables requests. Accounts whose
-// renaming is the identity over the served zones alias the canonical body.
+// the visible namespace. Accounts whose renaming is the identity over the
+// served zones alias the canonical body.
 func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping) {
-	if len(mappings) == 0 {
-		return
-	}
 	seen := make(map[spot.Combo]bool, len(et.tables))
 	for k := range et.tables {
 		seen[spot.Combo{Zone: spot.Zone(k.zone), Type: spot.InstanceType(k.typ)}] = true
 	}
 	out := make(map[string][]byte, len(mappings))
 	for account, m := range mappings {
-		inv := make(map[spot.Zone]spot.Zone, len(m))
-		for vis, phys := range m {
-			inv[phys] = vis
-		}
-		list := make([]comboJSON, 0, len(seen))
+		inv := m.Inverse()
 		identity := true
 		for c := range seen {
-			vis, ok := inv[c.Zone]
-			if !ok {
-				vis = c.Zone
-			}
-			if vis != c.Zone {
+			if vis, ok := inv[c.Zone]; ok && vis != c.Zone {
 				identity = false
+				break
 			}
-			list = append(list, comboJSON{Zone: string(vis), InstanceType: string(c.Type)})
 		}
 		if identity {
 			out[account] = et.combos
 			continue
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Zone != list[j].Zone {
-				return list[i].Zone < list[j].Zone
-			}
-			return list[i].InstanceType < list[j].InstanceType
-		})
-		body, err := json.Marshal(list)
+		body, err := json.Marshal(sortedCombos(seen, inv))
 		if err != nil {
 			continue // unreachable for these types; canonical fallback
 		}
@@ -255,52 +264,102 @@ func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping)
 	et.combosViews = out
 }
 
-// tenantViewsEnabled reports whether this server must precompute
-// per-tenant zone views: it has account-mapped tenants and mappings to
-// translate them with.
-func (s *Server) tenantViewsEnabled() bool {
-	return s.tenants != nil && s.tenants.HasAccounts() && len(s.cfg.AccountMappings) > 0
-}
-
-// installBlobs encodes and atomically publishes the epoch's blob store.
-// The caller must install the matching tables map under s.mu around the
-// same time; an encoding failure publishes a nil store, which sends every
-// read to the marshal-per-request fallback rather than serving stale bytes.
-func (s *Server) installBlobs(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, asOf time.Time) {
-	s.installBlobsTraced(tables, preds, nil, asOf, nil)
-}
-
-// installBlobsTraced is installBlobs with the refresh cycle's trace: the
-// pre-encoding pass gets its own blob.encode span. Snapshot restores pass
-// a nil trace (and nil surfaces, derived from preds).
-func (s *Server) installBlobsTraced(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, tr *trace.Trace) {
+// install publishes a writer epoch built from a refresh or a snapshot
+// restore; lastErr becomes the reported last refresh error. On an encoding
+// failure the previous epoch keeps serving: the failure is recorded as the
+// last refresh error and returned, and the serve-stale and breaker paths
+// take it from there. The refresh trace (nil for restores) gets blob.encode
+// and blob.views spans.
+func (s *Server) install(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace) error {
 	began := time.Now()
 	sp := tr.StartSpan("blob.encode")
 	et, err := encodeTables(tables, preds, surfaces, asOf)
 	sp.EndErr(err)
 	if err != nil {
-		s.logger.Error("encoding blob store failed; serving via marshal fallback", "err", err)
-		s.blobs.Store(nil)
-		s.metrics.blobBytes.Set(0)
-		return
+		s.setLastErr(err.Error())
+		return err
 	}
-	if s.tenantViewsEnabled() {
+	if len(s.cfg.AccountMappings) > 0 {
 		vsp := tr.StartSpan("blob.views")
-		et.buildViews()
-		et.buildCombosViews(s.cfg.AccountMappings)
+		et.buildViews(s.cfg.AccountMappings)
 		vsp.End()
 	}
+	s.mu.Lock()
 	et.seq = s.epochSeq.Add(1)
 	s.blobs.Store(et)
-	s.metrics.blobBytes.Set(float64(et.bytes))
+	s.lastErr = lastErr
+	s.mu.Unlock()
 	s.metrics.encodeDuration.Observe(time.Since(began).Seconds())
-	if hook := s.cfg.OnEpoch; hook != nil {
-		hook(&Epoch{et: et})
+	s.published(et)
+	return nil
+}
+
+// readQuery is one parsed per-combo read: the first value of each query
+// key /v1/predictions and /v1/advise take, with the probability defaulted.
+type readQuery struct {
+	zone, typ, prob, duration, account string
+}
+
+// parseReadQuery parses a raw query once. Plain queries are read in one
+// pass by substring, without allocating; escaped ones decode through
+// url.ParseQuery. Both branches yield each key's first value exactly as
+// url.Values.Get does — FuzzQueryValue holds them together.
+//
+//drafts:nonalloc
+func parseReadQuery(raw string) readQuery {
+	var q readQuery
+	if fastQuery(raw) {
+		var seen uint8 // one bit per field already holding its first value
+		for raw != "" {
+			key, val, rest, ok := nextQueryPair(raw)
+			raw = rest
+			var bit uint8
+			var dst *string
+			switch {
+			case !ok:
+				continue
+			case key == "zone":
+				bit, dst = 1, &q.zone
+			case key == "type":
+				bit, dst = 2, &q.typ
+			case key == "probability":
+				bit, dst = 4, &q.prob
+			case key == "duration":
+				bit, dst = 8, &q.duration
+			case key == "account":
+				bit, dst = 16, &q.account
+			default:
+				continue
+			}
+			if seen&bit == 0 {
+				seen |= bit
+				*dst = val
+			}
+		}
+	} else {
+		q = decodeReadQuery(raw)
+	}
+	if q.prob == "" {
+		q.prob = defaultProbKey
+	}
+	return q
+}
+
+// decodeReadQuery is parseReadQuery's escaped-input branch. Malformed
+// pairs are skipped, exactly as Request.URL.Query does.
+func decodeReadQuery(raw string) readQuery {
+	vals, _ := url.ParseQuery(raw)
+	return readQuery{
+		zone:     vals.Get("zone"),
+		typ:      vals.Get("type"),
+		prob:     vals.Get("probability"),
+		duration: vals.Get("duration"),
+		account:  vals.Get("account"),
 	}
 }
 
 // fastQuery reports whether the raw query can be read by plain substring
-// extraction: any percent-escape or '+' forces the url.Values slow path.
+// extraction: any percent-escape or '+' forces the url.ParseQuery branch.
 //
 //drafts:nonalloc
 func fastQuery(q string) bool {
@@ -312,23 +371,35 @@ func fastQuery(q string) bool {
 	return true
 }
 
-// rawQueryValue extracts the value of key from an unescaped raw query
-// without allocating: the result is a substring of q.
+// rawQueryValue returns key's first value in an unescaped raw query, as
+// url.ParseQuery reads it, without allocating: the result is a substring
+// of q.
 //
 //drafts:nonalloc
 func rawQueryValue(q, key string) (val string, found bool) {
-	for len(q) > 0 {
-		var pair string
-		if i := strings.IndexByte(q, '&'); i >= 0 {
-			pair, q = q[:i], q[i+1:]
-		} else {
-			pair, q = q, ""
+	for q != "" {
+		k, v, rest, ok := nextQueryPair(q)
+		if ok && k == key {
+			return v, true
 		}
-		if len(pair) > len(key) && pair[len(key)] == '=' && pair[:len(key)] == key {
-			return pair[len(key)+1:], true
-		}
+		q = rest
 	}
 	return "", false
+}
+
+// nextQueryPair splits the first key=value segment off an unescaped raw
+// query. Like url.ParseQuery it drops (ok false) empty segments and
+// segments carrying ';', and reads a bare key ("zone&...") as having the
+// empty value.
+//
+//drafts:nonalloc
+func nextQueryPair(q string) (key, val, rest string, ok bool) {
+	pair, rest, _ := strings.Cut(q, "&")
+	if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+		return "", "", rest, false
+	}
+	key, val, _ = strings.Cut(pair, "=")
+	return key, val, rest, true
 }
 
 // etagMatches implements the If-None-Match comparison against the epoch's
@@ -343,10 +414,10 @@ func etagMatches(header, etag string) bool {
 
 // writeBlob serves one pre-encoded body with ETag revalidation. The blob
 // must not include its trailing newline; writeBlob appends it so responses
-// stay byte-identical with the json.Encoder output of the marshal path.
-// The serve-stale policy applies first: a degraded epoch is marked with
-// X-Drafts-Staleness, and one beyond MaxStaleness is refused — both off
-// the fresh-epoch fast path, which stays allocation-free.
+// stay byte-identical with json.Encoder output. The serve-stale policy
+// applies first: a degraded epoch is marked with X-Drafts-Staleness, and
+// one beyond MaxStaleness is refused — both off the fresh-epoch fast path,
+// which stays allocation-free.
 //
 //drafts:nonalloc
 func (s *Server) writeBlob(w http.ResponseWriter, r *http.Request, et *encodedTables, body []byte) {
@@ -366,6 +437,11 @@ func (s *Server) writeBlob(w http.ResponseWriter, r *http.Request, et *encodedTa
 	_, _ = w.Write(newline)
 }
 
+// writeNoEpoch is every read's answer before the first epoch installs.
+func writeNoEpoch(w http.ResponseWriter) {
+	writeErr(w, http.StatusServiceUnavailable, codeStale, "no tables computed yet")
+}
+
 // lookupBlob resolves a (zone, type, probability-string) triple to its
 // pre-encoded table, canonicalizing non-canonical probability spellings
 // ("0.990") on miss.
@@ -381,100 +457,111 @@ func (et *encodedTables) lookupBlob(zone, typ, prob string) ([]byte, bool) {
 	return nil, false
 }
 
-// handlePredictions serves one bid table. Requests without an account
-// parameter hit the pre-encoded blob store — a map lookup and a single
-// write, no allocation; an authenticated tenant with an account mapping
-// is served its precomputed zone-renamed view the same way (one extra map
-// lookup, still no allocation). The explicit ?account= alias and
-// spellings the fast parse cannot handle fall back to the marshal path,
-// which preserves the service's original semantics (and bytes) exactly.
-//
-//drafts:nonalloc
-func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
-	if et := s.blobs.Load(); et != nil {
-		q := r.URL.RawQuery
-		if fastQuery(q) {
-			if _, acct := rawQueryValue(q, "account"); !acct {
-				zone, _ := rawQueryValue(q, "zone")
-				typ, _ := rawQueryValue(q, "type")
-				prob, hasProb := rawQueryValue(q, "probability")
-				if !hasProb {
-					prob = defaultProbKey
-				}
-				if zone != "" && typ != "" {
-					tr := traceOf(w)
-					sp := tr.StartSpan("blob.lookup")
-					var body []byte
-					var ok bool
-					if tn := tenantOf(w); tn != nil && tn.Account != "" {
-						body, ok = s.lookupTenantView(et, tn.Account, zone, typ, prob)
-					} else {
-						body, ok = et.lookupBlob(zone, typ, prob)
-					}
-					sp.End()
-					if ok {
-						wsp := tr.StartSpan("blob.write")
-						s.writeBlob(w, r, et, body)
-						wsp.End()
-						return
-					}
-				}
-			}
-		}
+// physicalZone translates the zone a request names into the canonical
+// namespace of the account it is answered for: unchanged without an
+// account or for an account with no mapping (resolveCombo's lenient rule),
+// the mapping's image otherwise — false when the mapping lacks the zone.
+func (s *Server) physicalZone(account, zone string) (string, bool) {
+	if account == "" {
+		return zone, true
 	}
-	s.handlePredictionsMarshal(w, r)
-}
-
-// lookupTenantView resolves an account-mapped tenant's request to its
-// precomputed zone-renamed view: the account's mapping translates the
-// visible zone to the physical one, and the views map holds the body
-// answering under the visible name. A miss (no views built, unmapped
-// account, unknown zone/combo) sends the request to the marshal path,
-// which renders the authoritative answer — or error — for the same
-// request.
-func (s *Server) lookupTenantView(et *encodedTables, account, zone, typ, prob string) ([]byte, bool) {
 	m, found := s.cfg.AccountMappings[account]
 	if !found {
-		// Account with no mapping configured: canonical view (matching
-		// resolveCombo's lenient fallback).
-		return et.lookupBlob(zone, typ, prob)
-	}
-	if et.views == nil {
-		return nil, false
+		return zone, true
 	}
 	phys, found := m[spot.Zone(zone)]
-	if !found {
+	return string(phys), found
+}
+
+// lookupTable resolves a read to its pre-encoded body under the account it
+// is answered for: the canonical blob when the zone needs no translation,
+// otherwise the view answering under the visible zone name. A miss leaves
+// the caller to render the authoritative error.
+func (s *Server) lookupTable(et *encodedTables, account, zone, typ, prob string) ([]byte, bool) {
+	phys, ok := s.physicalZone(account, zone)
+	if !ok {
 		return nil, false
 	}
-	if b, ok := et.views[viewKey{phys: string(phys), visible: zone, typ: typ, prob: prob}]; ok {
+	if phys == zone {
+		return et.lookupBlob(zone, typ, prob)
+	}
+	if b, ok := et.views[viewKey{phys: phys, visible: zone, typ: typ, prob: prob}]; ok {
 		return b, true
 	}
 	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if b, ok := et.views[viewKey{phys: string(phys), visible: zone, typ: typ, prob: probKey(f)}]; ok {
+		if b, ok := et.views[viewKey{phys: phys, visible: zone, typ: typ, prob: probKey(f)}]; ok {
 			return b, true
 		}
 	}
 	return nil, false
 }
 
-// handleCombos serves the combo listing, pre-encoded when a blob store is
-// installed. An account-mapped tenant receives its precomputed zone-view
-// listing (combosViews) so discovery round-trips into the other read
-// endpoints; either way the response is one map lookup and one write.
+// handlePredictions serves one bid table from the installed epoch. The
+// query is parsed once; a request that names no ?account= goes straight
+// to the epoch lookup — the canonical blob, or an authenticated tenant's
+// precomputed zone view — and a hit is one map lookup and a single write,
+// with no allocation. Everything else (the deprecated ?account= alias,
+// and every error) is resolved by resolvePredictions against the same
+// epoch.
+//
+//drafts:nonalloc
+func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
+	et := s.blobs.Load()
+	if et == nil {
+		writeNoEpoch(w)
+		return
+	}
+	q := parseReadQuery(r.URL.RawQuery)
+	if q.account == "" && q.zone != "" && q.typ != "" {
+		tr := traceOf(w)
+		sp := tr.StartSpan("blob.lookup")
+		body, ok := s.lookupTable(et, tenantAccount(w), q.zone, q.typ, q.prob)
+		sp.End()
+		if ok {
+			wsp := tr.StartSpan("blob.write")
+			s.writeBlob(w, r, et, body)
+			wsp.End()
+			return
+		}
+	}
+	s.resolvePredictions(w, r, et, q)
+}
+
+// resolvePredictions validates a /v1/predictions request through
+// resolveCombo — rendering its errors — and serves the epoch's table for
+// the resolved account, or 404.
+func (s *Server) resolvePredictions(w http.ResponseWriter, r *http.Request, et *encodedTables, q readQuery) {
+	visible, combo, account, prob, ok := s.resolveCombo(w, q)
+	if !ok {
+		return
+	}
+	body, ok := s.lookupTable(et, account, string(visible), string(combo.Type), probKey(prob))
+	if !ok {
+		writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s at probability %v", combo, prob)
+		return
+	}
+	s.writeBlob(w, r, et, body)
+}
+
+// handleCombos serves the combo listing from the installed epoch. An
+// account-mapped tenant receives its precomputed zone-view listing
+// (combosViews) so discovery round-trips into the other read endpoints;
+// either way the response is one map lookup and one write.
 //
 //drafts:nonalloc
 func (s *Server) handleCombos(w http.ResponseWriter, r *http.Request) {
-	if et := s.blobs.Load(); et != nil {
-		body := et.combos
-		if tn := tenantOf(w); tn != nil && tn.Account != "" {
-			if vb, ok := et.combosViews[tn.Account]; ok {
-				body = vb
-			}
-		}
-		s.writeBlob(w, r, et, body)
+	et := s.blobs.Load()
+	if et == nil {
+		writeNoEpoch(w)
 		return
 	}
-	s.handleCombosMarshal(w, r)
+	body := et.combos
+	if account := tenantAccount(w); account != "" {
+		if vb, ok := et.combosViews[account]; ok {
+			body = vb
+		}
+	}
+	s.writeBlob(w, r, et, body)
 }
 
 // handleTables is the batch read endpoint:
@@ -492,13 +579,10 @@ func (s *Server) handleCombos(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	et := s.blobs.Load()
 	if et == nil {
-		writeErr(w, http.StatusServiceUnavailable, codeStale, "no tables computed yet")
+		writeNoEpoch(w)
 		return
 	}
-	viewAccount := ""
-	if tn := tenantOf(w); tn != nil && tn.Account != "" {
-		viewAccount = tn.Account
-	}
+	account := tenantAccount(w)
 	if !s.checkStaleness(w, et.asOf) {
 		return
 	}
@@ -528,23 +612,13 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	rest := combosParam
 	for rest != "" {
 		var part string
-		if i := strings.IndexByte(rest, ','); i >= 0 {
-			part, rest = rest[:i], rest[i+1:]
-		} else {
-			part, rest = rest, ""
-		}
+		part, rest, _ = strings.Cut(rest, ",")
 		zone, typ, ok := strings.Cut(part, "/")
 		if !ok || zone == "" || typ == "" {
 			writeErr(w, http.StatusBadRequest, codeInvalidArgument, "combo %q must be zone/type", part)
 			return
 		}
-		var found bool
-		if viewAccount != "" {
-			_, found = s.lookupTenantView(et, viewAccount, zone, typ, prob)
-		} else {
-			_, found = et.lookupBlob(zone, typ, prob)
-		}
-		if !found {
+		if _, found := s.lookupTable(et, account, zone, typ, prob); !found {
 			writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s/%s at probability %s", zone, typ, prob)
 			return
 		}
@@ -566,121 +640,16 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(openBracket)
-	first := true
 	rest = combosParam
-	for rest != "" {
+	for first := true; rest != ""; first = false {
 		var part string
-		if i := strings.IndexByte(rest, ','); i >= 0 {
-			part, rest = rest[:i], rest[i+1:]
-		} else {
-			part, rest = rest, ""
-		}
+		part, rest, _ = strings.Cut(rest, ",")
 		zone, typ, _ := strings.Cut(part, "/")
-		var body []byte
-		if viewAccount != "" {
-			body, _ = s.lookupTenantView(et, viewAccount, zone, typ, prob)
-		} else {
-			body, _ = et.lookupBlob(zone, typ, prob)
-		}
+		body, _ := s.lookupTable(et, account, zone, typ, prob)
 		if !first {
 			_, _ = w.Write(comma)
 		}
-		first = false
 		_, _ = w.Write(body)
 	}
 	_, _ = w.Write(closeBracket)
-}
-
-// handlePredictionsMarshal is the pre-blob-store read path: it re-encodes
-// the table from the installed core representation on every request. It
-// remains both the fallback for requests the fast path cannot serve
-// (account-mapped zones, blob store momentarily absent) and the regression
-// baseline that MarshalHandler exposes to draftsbench.
-func (s *Server) handlePredictionsMarshal(w http.ResponseWriter, r *http.Request) {
-	visible, combo, prob, ok := s.resolveCombo(w, r)
-	if !ok {
-		return
-	}
-	table, ok := s.table(combo, prob)
-	if !ok {
-		writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s at probability %v", combo, prob)
-		return
-	}
-	s.mu.RLock()
-	asOf := s.asOf
-	s.mu.RUnlock()
-	if !s.checkStaleness(w, asOf) {
-		return
-	}
-	// Answer under the client's own zone name.
-	writeJSON(w, http.StatusOK, toJSON(spot.Combo{Zone: visible, Type: combo.Type}, table))
-}
-
-// handleCombosMarshal is the marshal-per-request combo listing, kept as the
-// fallback and benchmarking baseline for handleCombos. It applies the same
-// per-account zone renaming as the pre-encoded path.
-func (s *Server) handleCombosMarshal(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	seen := make(map[spot.Combo]bool)
-	for k := range s.tables {
-		seen[k.combo] = true
-	}
-	asOf := s.asOf
-	s.mu.RUnlock()
-	if !s.checkStaleness(w, asOf) {
-		return
-	}
-	var inv map[spot.Zone]spot.Zone
-	if tn := tenantOf(w); tn != nil && tn.Account != "" {
-		if m, found := s.cfg.AccountMappings[tn.Account]; found {
-			inv = make(map[spot.Zone]spot.Zone, len(m))
-			for vis, phys := range m {
-				inv[phys] = vis
-			}
-		}
-	}
-	out := make([]comboJSON, 0, len(seen))
-	for c := range seen {
-		zone := c.Zone
-		if vis, ok := inv[zone]; ok {
-			zone = vis
-		}
-		out = append(out, comboJSON{Zone: string(zone), InstanceType: string(c.Type)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Zone != out[j].Zone {
-			return out[i].Zone < out[j].Zone
-		}
-		return out[i].InstanceType < out[j].InstanceType
-	})
-	writeJSON(w, http.StatusOK, out)
-}
-
-// MarshalHandler returns the REST API with the pre-encoded fast path
-// disabled: /v1/predictions and /v1/combos marshal JSON from the installed
-// tables on every request, and /v1/advise always runs the bid-escalation
-// scan, exactly as the service behaved before the blob store and the
-// advise surfaces existed. It exists so draftsbench and the Go benchmarks
-// can measure the serving fast paths against the historical baseline on
-// the same tables (and so the equivalence tests can hold the surface and
-// scan paths byte-identical); production traffic uses Handler.
-func (s *Server) MarshalHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /v1/combos", s.handleCombosMarshal)
-	mux.HandleFunc("GET /v1/predictions", s.handlePredictionsMarshal)
-	mux.HandleFunc("GET /v1/advise", s.handleAdviseScan)
-	return s.wrap(mux)
-}
-
-// blobSnapshotEqual is a test hook: it reports whether the currently
-// installed blob for the combo/probability equals body. Unused in
-// production paths.
-func (s *Server) blobSnapshotEqual(c spot.Combo, prob float64, body []byte) bool {
-	et := s.blobs.Load()
-	if et == nil {
-		return false
-	}
-	b, ok := et.tables[blobKey{zone: string(c.Zone), typ: string(c.Type), prob: probKey(prob)}]
-	return ok && bytes.Equal(b, body)
 }

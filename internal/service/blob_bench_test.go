@@ -61,13 +61,12 @@ func BenchmarkPredictionsEncoded(b *testing.B) {
 	serveLoop(b, srv.Handler(), "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99")
 }
 
-// BenchmarkPredictionsMarshal measures the pre-blob-store baseline, which
-// re-marshals the table from the core representation on every request. The
-// ratio against BenchmarkPredictionsEncoded is the serving speedup recorded
-// in BENCH_serving.json.
+// BenchmarkPredictionsMarshal measures the marshal oracle, which
+// re-marshals the table from the epoch's core representation on every
+// request — what a read cost before the blob store.
 func BenchmarkPredictionsMarshal(b *testing.B) {
 	srv := benchServer(b)
-	serveLoop(b, srv.MarshalHandler(), "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99")
+	serveLoop(b, srv.marshalHandler(), "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99")
 }
 
 // BenchmarkCombosEncoded measures the pre-encoded combo listing.

@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +61,7 @@ func TestCachedGetZeroAllocs(t *testing.T) {
 		b, _ := wep.Blob(k)
 		blobs[k] = b
 	}
-	rebuilt, err := NewEpoch(wep.Seq(), wep.AsOf(), wep.Combos(), blobs)
+	rebuilt, err := NewEpochFull(wep.Seq(), wep.AsOf(), wep.Combos(), blobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +135,13 @@ func TestCachedGetZeroAllocs(t *testing.T) {
 }
 
 // TestFastPathMatchesMarshal asserts the blob fast path is invisible to
-// clients: byte-identical bodies to the marshal-per-request baseline, for
-// canonical, non-canonical, and percent-escaped request spellings.
+// clients: byte-identical bodies to the marshal-per-request oracle, for
+// canonical, non-canonical, percent-escaped, and oddly delimited request
+// spellings.
 func TestFastPathMatchesMarshal(t *testing.T) {
 	srv := testServer(t)
 	fast := srv.Handler()
-	slow := srv.MarshalHandler()
+	slow := srv.marshalHandler()
 	targets := []string{
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99",
 		"/v1/predictions?zone=us-east-1b&type=c4.large", // default probability
@@ -147,6 +150,9 @@ func TestFastPathMatchesMarshal(t *testing.T) {
 		"/v1/predictions?zone=us-east-1%62&type=c4.large&probability=0.99", // escaped -> slow parse
 		"/v1/predictions?zone=nowhere-1x&type=c4.large",                    // 404 on both paths
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=2",      // 400 on both paths
+		"/v1/predictions?zone&zone=us-east-1b&type=c4.large",               // bare key: first zone is ""
+		"/v1/predictions?zone=us-east-1b;x&type=c4.large&probability=0.99", // ';' segment is dropped
+		"/v1/predictions?zone=us-east-1b;x&zone=us-east-1c&type=c4.large",  // ... so the next zone counts
 		"/v1/combos",
 	}
 	for _, target := range targets {
@@ -281,8 +287,8 @@ func TestBatchEndpointErrors(t *testing.T) {
 		}
 	}
 
-	// Before any refresh there is no blob store: the batch endpoint, which
-	// has no marshal fallback, must answer 503.
+	// Before any refresh there is no epoch: the batch endpoint must
+	// answer 503.
 	empty, err := New(Config{Source: history.NewStore()})
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +333,7 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 	// The next refresh must actually take the incremental path for the
 	// installed predictors.
 	key := tableKey{combo: testCombos[0], prob: 0.99}
-	srv.mu.RLock()
-	old := srv.preds[key]
-	srv.mu.RUnlock()
+	old := srv.blobs.Load().preds[key]
 	series, _ := st.Full(testCombos[0])
 	want, err := (core.Params{Probability: 0.99, MaxHistory: 9000}).WithDefaults()
 	if err != nil {
@@ -373,9 +377,7 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 func TestExtendPredictorDeclines(t *testing.T) {
 	srv := testServer(t)
 	key := tableKey{combo: testCombos[0], prob: 0.99}
-	srv.mu.RLock()
-	old := srv.preds[key]
-	srv.mu.RUnlock()
+	old := srv.blobs.Load().preds[key]
 	series, _ := srv.cfg.Source.(*history.Store).Full(testCombos[0])
 	want := old.Params()
 
@@ -451,7 +453,13 @@ func TestRawQueryValue(t *testing.T) {
 		{"zonex=a", "zone", "", false},
 		{"azone=a", "zone", "", false},
 		{"", "zone", "", false},
-		{"zone", "zone", "", false}, // no '=' -> not a pair
+		{"zone", "zone", "", true}, // bare key: empty value, as url.ParseQuery reads it
+		{"zone&zone=us-east-1b&type=b", "zone", "", true},
+		{"zone=us-east-1b;x&type=b", "zone", "", false}, // ';' segments are dropped
+		{"zone=us-east-1b;x&zone=us-east-1c", "zone", "us-east-1c", true},
+		{"&&zone=a", "zone", "a", true},
+		{"zone=a=b", "zone", "a=b", true},
+		{"zone=a&zone=b", "zone", "a", true}, // first value wins
 	}
 	for _, tc := range cases {
 		got, found := rawQueryValue(tc.q, tc.key)
@@ -465,5 +473,92 @@ func TestRawQueryValue(t *testing.T) {
 	}
 	if !fastQuery("zone=us-east-1b&type=c4.large") {
 		t.Error("plain query rejected by fast path")
+	}
+}
+
+// FuzzQueryValue is the query-parsing differential: on every input
+// parseReadQuery yields url.ParseQuery's first value for each key it
+// reads, and on plain (fast-parseable) input rawQueryValue agrees with
+// url.ParseQuery key by key.
+func FuzzQueryValue(f *testing.F) {
+	for _, seed := range []string{
+		"zone=us-east-1b&type=c4.large&probability=0.99&duration=1h",
+		"zone&zone=us-east-1b&type=c4.large",
+		"zone=us-east-1b;x&zone=us-east-1c&type=c4.large",
+		"zone=us-east-1%62&type=c4.large+x",
+		"&&=&zone==&account=a;b&duration=1h&combos=a/b,c/d",
+		"zone=%zz&zone=b&probability=",
+	} {
+		f.Add(seed)
+	}
+	keys := []string{"zone", "type", "probability", "duration", "account", "combos"}
+	f.Fuzz(func(t *testing.T, q string) {
+		vals, _ := url.ParseQuery(q)
+		if fastQuery(q) {
+			for _, key := range keys {
+				got, found := rawQueryValue(q, key)
+				if want := vals.Get(key); got != want || found != (len(vals[key]) > 0) {
+					t.Errorf("rawQueryValue(%q, %q) = (%q, %v), url.ParseQuery gives %q (present %v)",
+						q, key, got, found, want, len(vals[key]) > 0)
+				}
+			}
+		}
+		want := readQuery{
+			zone:     vals.Get("zone"),
+			typ:      vals.Get("type"),
+			prob:     vals.Get("probability"),
+			duration: vals.Get("duration"),
+			account:  vals.Get("account"),
+		}
+		if want.prob == "" {
+			want.prob = defaultProbKey
+		}
+		if got := parseReadQuery(q); got != want {
+			t.Errorf("parseReadQuery(%q) = %+v, want %+v", q, got, want)
+		}
+	})
+}
+
+// TestEncodeFailureKeepsEpoch pins the install contract: an epoch that
+// fails to encode never replaces the installed one. Over a good epoch, a
+// table set carrying a NaN bid (which encoding/json rejects) is installed:
+// the epoch sequence holds, cached reads keep answering the old bytes, and
+// /healthz reports the failure.
+func TestEncodeFailureKeepsEpoch(t *testing.T) {
+	srv := testServer(t)
+	h := srv.Handler()
+	const target = "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99"
+	code, _, before := getBody(t, h, target)
+	if code != http.StatusOK {
+		t.Fatalf("baseline status %d", code)
+	}
+	good := srv.blobs.Load()
+	seq := srv.CurrentEpoch().Seq()
+
+	poisoned := make(map[tableKey]core.BidTable, len(good.bidTables))
+	for k, table := range good.bidTables {
+		poisoned[k] = table
+	}
+	key := tableKey{combo: testCombos[0], prob: 0.99}
+	table := poisoned[key]
+	table.Points = append([]core.BidPoint{{Bid: math.NaN(), Duration: time.Hour}}, table.Points...)
+	poisoned[key] = table
+	if err := srv.install(poisoned, good.preds, nil, time.Now().UTC(), "", nil); err == nil {
+		t.Fatal("install accepted a table with a NaN bid")
+	}
+
+	if got := srv.CurrentEpoch().Seq(); got != seq {
+		t.Errorf("epoch seq moved from %d to %d on a failed install", seq, got)
+	}
+	code, _, after := getBody(t, h, target)
+	if code != http.StatusOK || !bytes.Equal(after, before) {
+		t.Errorf("read after failed install = %d, identical bytes %v; want 200 and the old bytes",
+			code, bytes.Equal(after, before))
+	}
+	if !srv.blobSnapshotEqual(testCombos[0], 0.99, bytes.TrimSuffix(before, newline)) {
+		t.Error("installed blob differs from the last good epoch's")
+	}
+	if hb := getHealth(t, srv); !strings.Contains(hb.LastRefreshE, "NaN") {
+		t.Errorf("healthz last_refresh_error = %q, want the encoding failure", hb.LastRefreshE)
 	}
 }

@@ -65,12 +65,7 @@ func TestChaosRefreshOutageServesStale(t *testing.T) {
 	}
 
 	// Age the epoch past two refresh periods: still served, now marked.
-	agedAsOf := time.Now().Add(-3 * time.Minute)
-	srv.mu.Lock()
-	srv.asOf = agedAsOf
-	tables := srv.tables
-	srv.mu.Unlock()
-	srv.installBlobs(tables, nil, agedAsOf)
+	refreshStampedAt(t, srv, fs, time.Now().Add(-3*time.Minute))
 
 	rec = chaosGet(t, h, path)
 	if rec.Code != http.StatusOK {
@@ -94,11 +89,7 @@ func TestChaosRefreshOutageServesStale(t *testing.T) {
 
 	// Beyond MaxStaleness the tables are refused: a guarantee computed
 	// from hour-old prices is no guarantee.
-	ancient := time.Now().Add(-11 * time.Minute)
-	srv.mu.Lock()
-	srv.asOf = ancient
-	srv.mu.Unlock()
-	srv.installBlobs(tables, nil, ancient)
+	refreshStampedAt(t, srv, fs, time.Now().Add(-11*time.Minute))
 	rec = chaosGet(t, h, path)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("beyond-max-staleness GET = %d, want 503", rec.Code)
@@ -126,6 +117,21 @@ func TestChaosRefreshOutageServesStale(t *testing.T) {
 	}
 	if !bytes.Equal(rec.Body.Bytes(), baseline) {
 		t.Error("recovered bytes differ from pre-outage serving (deterministic recompute)")
+	}
+}
+
+// refreshStampedAt ages the served epoch with a real refresh: the outage
+// fault is lifted for one refresh of the unchanged history, which
+// recomputes the same tables stamped at asOf, and then re-armed.
+func refreshStampedAt(t *testing.T, srv *Server, fs *faults.Set, asOf time.Time) {
+	t.Helper()
+	fs.Disable("service.refresh")
+	srv.now = func() time.Time { return asOf }
+	err := srv.Refresh()
+	srv.now = time.Now
+	fs.Enable(faults.Rule{Op: "service.refresh"})
+	if err != nil {
+		t.Fatalf("aged refresh: %v", err)
 	}
 }
 

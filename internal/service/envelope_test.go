@@ -95,6 +95,27 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 			status: http.StatusServiceUnavailable,
 			body:   `{"error":{"code":"stale","message":"no tables computed yet"}}` + "\n",
 		},
+		{
+			name:   "cold start predictions",
+			srv:    cold,
+			path:   "/v1/predictions?zone=us-east-1b&type=c4.large",
+			status: http.StatusServiceUnavailable,
+			body:   `{"error":{"code":"stale","message":"no tables computed yet"}}` + "\n",
+		},
+		{
+			name:   "cold start combos",
+			srv:    cold,
+			path:   "/v1/combos",
+			status: http.StatusServiceUnavailable,
+			body:   `{"error":{"code":"stale","message":"no tables computed yet"}}` + "\n",
+		},
+		{
+			name:   "cold start advise",
+			srv:    cold,
+			path:   "/v1/advise?zone=us-east-1b&type=c4.large&duration=1h",
+			status: http.StatusServiceUnavailable,
+			body:   `{"error":{"code":"stale","message":"no tables computed yet"}}` + "\n",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

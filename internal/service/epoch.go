@@ -32,8 +32,8 @@ type BlobKey struct {
 // Epoch is an immutable snapshot of one blob-store generation: every
 // pre-encoded table body, the combo listing, and the epoch identity
 // (sequence number, asOf, ETag). The replication shipper serializes
-// Epochs onto the wire; receivers rebuild them with NewEpoch and install
-// them with InstallEpoch. All byte slices are aliased, not copied —
+// Epochs onto the wire; receivers rebuild them with NewEpochFull and
+// install them with InstallEpoch. All byte slices are aliased, not copied —
 // callers must treat them as read-only, exactly like the handlers do.
 type Epoch struct {
 	et *encodedTables
@@ -83,8 +83,7 @@ func (e *Epoch) Blob(k BlobKey) ([]byte, bool) {
 	return b, ok
 }
 
-// NumSurfaces is the advise-surface count (zero on epochs built without
-// predictors, e.g. legacy NewEpoch rebuilds).
+// NumSurfaces is the advise-surface count.
 func (e *Epoch) NumSurfaces() int { return len(e.et.surfaces) }
 
 // SurfaceKeys returns every surface's key in sorted order — like Keys, the
@@ -117,7 +116,9 @@ func (e *Epoch) Combos() []byte { return e.et.combos }
 // key order. Two nodes at the same checksum answer every cached read —
 // tables, combos, advise, and fleet alike — byte-identically. The sequence
 // number is deliberately excluded — it is writer-local bookkeeping, not
-// content.
+// content — and so are the writer-only core tables and predictors, from
+// which all of the above derives, and the per-account views each node
+// builds from the tables and its own mappings.
 func (e *Epoch) Checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -155,24 +156,18 @@ func (e *Epoch) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// NewEpoch assembles an epoch from received parts, without advise
-// surfaces — NewEpochFull is the surface-carrying variant the cluster
-// receiver uses. The ETag is recomputed locally from (asOf, table count) —
-// the same derivation the writer's encodeTables uses — which is what
-// guarantees cross-node ETag identity: a replica cannot install an epoch
-// whose ETag differs from what the writer serves for the same content.
-// The blobs map is aliased, not copied; the caller must not mutate it
-// afterwards.
-func NewEpoch(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][]byte) (*Epoch, error) {
-	return NewEpochFull(seq, asOf, combos, blobs, nil)
-}
-
-// NewEpochFull assembles an epoch from received parts including the advise
-// surfaces, each given as its canonical wire encoding (the bytes Surface
-// returns on the sending side). Every payload is decoded and validated, so
-// the rebuilt epoch answers /v1/advise and /v1/fleet bit-identically to
-// the writer that encoded it — and hashes to the writer's Checksum, since
-// the canonical encodings are retained verbatim.
+// NewEpochFull assembles an epoch from received parts: the table blobs,
+// the combo listing, and the advise surfaces, each surface given as its
+// canonical wire encoding (the bytes Surface returns on the sending side).
+// Every surface payload is decoded and validated, so the rebuilt epoch
+// answers /v1/advise and /v1/fleet bit-identically to the writer that
+// encoded it — and hashes to the writer's Checksum, since the canonical
+// encodings are retained verbatim. The ETag is recomputed locally from
+// (asOf, table count) — the same derivation the writer's encodeTables
+// uses — which is what guarantees cross-node ETag identity: a replica
+// cannot install an epoch whose ETag differs from what the writer serves
+// for the same content. The maps are aliased, not copied; the caller must
+// not mutate them afterwards.
 func NewEpochFull(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][]byte, surfaces map[BlobKey][]byte) (*Epoch, error) {
 	if seq == 0 {
 		return nil, fmt.Errorf("service: epoch sequence must be nonzero")
@@ -220,7 +215,7 @@ func NewEpochFull(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][
 }
 
 // CurrentEpoch returns the currently installed epoch, or nil before the
-// first install (or after an encoding failure cleared the blob store).
+// first install.
 func (s *Server) CurrentEpoch() *Epoch {
 	et := s.blobs.Load()
 	if et == nil {
@@ -230,7 +225,7 @@ func (s *Server) CurrentEpoch() *Epoch {
 }
 
 // InstallEpoch atomically swaps a received epoch into the serving path.
-// It is the replica-side counterpart of the writer's installBlobs: the
+// It is the replica-side counterpart of the writer's install: the
 // same atomic.Pointer store, the same metrics, the same serve-immediately
 // semantics — but sourced from the wire rather than a local refresh.
 // Regressions are rejected by content, not by bare sequence number:
@@ -264,25 +259,29 @@ func (s *Server) InstallEpoch(ep *Epoch) error {
 		}
 		// Fall through: a writer restart renumbered same-or-newer content.
 	}
-	// A replica with tenants configured builds its per-account views before
+	// A replica with account mappings builds its per-account views before
 	// publishing the epoch: the et is still private to this goroutine, and
 	// the epoch checksum excludes views (they are derived data).
-	if s.tenantViewsEnabled() && ep.et.views == nil {
-		ep.et.buildViews()
-		ep.et.buildCombosViews(s.cfg.AccountMappings)
+	if len(s.cfg.AccountMappings) > 0 && ep.et.views == nil {
+		ep.et.buildViews(s.cfg.AccountMappings)
 	}
 	s.blobs.Store(ep.et)
-	s.asOf = ep.et.asOf
 	s.lastErr = ""
 	s.mu.Unlock()
 	s.epochSeq.Store(ep.et.seq)
-	s.metrics.blobBytes.Set(float64(ep.et.bytes))
-	s.metrics.tables.Set(float64(len(ep.et.tables)))
 	s.metrics.lastSuccess.SetTime(ep.et.asOf)
-	if hook := s.cfg.OnEpoch; hook != nil {
-		hook(ep)
-	}
+	s.published(ep.et)
 	return nil
+}
+
+// published finishes an install once et is serving: the epoch gauges are
+// set and the OnEpoch hook runs.
+func (s *Server) published(et *encodedTables) {
+	s.metrics.blobBytes.Set(float64(et.bytes))
+	s.metrics.tables.Set(float64(len(et.tables)))
+	if hook := s.cfg.OnEpoch; hook != nil {
+		hook(&Epoch{et: et})
+	}
 }
 
 // Role reports which role the server was constructed for: "writer" (New)

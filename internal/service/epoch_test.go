@@ -18,26 +18,26 @@ func epochBlobs() map[BlobKey][]byte {
 func TestNewEpochValidation(t *testing.T) {
 	asOf := time.Now().UTC()
 	combos := []byte(`{"combos":[]}`)
-	if _, err := NewEpoch(0, asOf, combos, epochBlobs()); err == nil {
+	if _, err := NewEpochFull(0, asOf, combos, epochBlobs(), nil); err == nil {
 		t.Error("zero sequence accepted")
 	}
-	if _, err := NewEpoch(1, time.Time{}, combos, epochBlobs()); err == nil {
+	if _, err := NewEpochFull(1, time.Time{}, combos, epochBlobs(), nil); err == nil {
 		t.Error("zero asOf accepted")
 	}
-	if _, err := NewEpoch(1, asOf, combos, nil); err == nil {
+	if _, err := NewEpochFull(1, asOf, combos, nil, nil); err == nil {
 		t.Error("empty blob set accepted")
 	}
-	if _, err := NewEpoch(1, asOf, nil, epochBlobs()); err == nil {
+	if _, err := NewEpochFull(1, asOf, nil, epochBlobs(), nil); err == nil {
 		t.Error("empty combo listing accepted")
 	}
-	if _, err := NewEpoch(1, asOf, combos, map[BlobKey][]byte{{Zone: "z"}: nil}); err == nil {
+	if _, err := NewEpochFull(1, asOf, combos, map[BlobKey][]byte{{Zone: "z"}: nil}, nil); err == nil {
 		t.Error("key with empty components accepted")
 	}
 }
 
 func TestEpochAccessorsAndChecksum(t *testing.T) {
 	asOf := time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
-	ep, err := NewEpoch(7, asOf, []byte("combos"), epochBlobs())
+	ep, err := NewEpochFull(7, asOf, []byte("combos"), epochBlobs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestEpochAccessorsAndChecksum(t *testing.T) {
 	// The checksum is content-addressed: same content at a different seq
 	// hashes identically (seq is writer-local bookkeeping), any body change
 	// hashes differently.
-	same, _ := NewEpoch(99, asOf, []byte("combos"), epochBlobs())
+	same, _ := NewEpochFull(99, asOf, []byte("combos"), epochBlobs(), nil)
 	if same.Checksum() != ep.Checksum() {
 		t.Error("checksum depends on sequence number")
 	}
 	changed := epochBlobs()
 	changed[BlobKey{Zone: "z1", Type: "t1", Prob: "0.95"}] = []byte(`{"a":2}`)
-	diff, _ := NewEpoch(7, asOf, []byte("combos"), changed)
+	diff, _ := NewEpochFull(7, asOf, []byte("combos"), changed, nil)
 	if diff.Checksum() == ep.Checksum() {
 		t.Error("checksum missed a body change")
 	}

@@ -27,8 +27,7 @@ import (
 //	                              weighted concurrency share refused the
 //	                              request; Retry-After and the RateLimit-*
 //	                              headers are always set
-//	overloaded         503        admission control shed the request or the
-//	                              server-side compute budget expired;
+//	overloaded         503        admission control shed the request;
 //	                              Retry-After is always set
 //	stale              503        no tables yet (cold start) or the tables
 //	                              aged past the configured max staleness

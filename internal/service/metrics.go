@@ -37,7 +37,6 @@ type serviceMetrics struct {
 
 	shed           *telemetry.CounterVec // route
 	staleResponses *telemetry.Counter
-	adviseDeadline *telemetry.Counter
 	breakerState   *telemetry.Gauge
 
 	authFailures *telemetry.Counter
@@ -83,8 +82,6 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 			"Requests refused by admission control (503 overloaded), by route.", "route"),
 		staleResponses: r.Counter("drafts_stale_responses_total",
 			"Reads served from tables older than the degraded threshold."),
-		adviseDeadline: r.Counter("drafts_advise_deadline_total",
-			"/v1/advise requests abandoned at the server-side compute budget."),
 		breakerState: r.Gauge("drafts_refresh_breaker_state",
 			"Refresh circuit breaker position: 0 closed, 1 open, 2 half-open."),
 		authFailures: r.Counter("drafts_auth_failures_total",

@@ -134,10 +134,11 @@ func TestHealthzStaleness(t *testing.T) {
 
 	// Age the table set past two refresh periods and plant a combo error:
 	// the endpoint must flip to stale and surface the error.
-	srv.mu.Lock()
-	srv.asOf = time.Now().Add(-3 * time.Minute)
-	srv.lastErr = "2 combo failures, last: boom"
-	srv.mu.Unlock()
+	srv.now = func() time.Time { return time.Now().Add(-3 * time.Minute) }
+	if err := srv.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	srv.setLastErr("2 combo failures, last: boom")
 	body = getHealth(t, srv)
 	if body.Status != "degraded" || !body.Stale {
 		t.Errorf("aged health = %+v, want status degraded and stale", body)

@@ -30,14 +30,13 @@ const traceparentHeader = "Traceparent"
 // balloon logs or responses.
 const maxRequestIDLen = 64
 
-// adviseWeight is the admission weight of /v1/advise and /v1/fleet: an
-// advise query may run a bid-escalation scan over the full retained
-// history (the fallback path — the surface fast path is a cheap array
-// lookup, but admission weighs the route, not the path taken), and a
-// fleet query scans a surface per combo — either way, tens of cached
-// table reads' worth of work, so they consume proportionally more of the
-// concurrency budget.
-const adviseWeight = 4
+// fleetWeight is the admission weight of /v1/fleet: a fleet query looks
+// up a surface per catalog combo and ranks the results — tens of cached
+// reads' worth of work — so it consumes proportionally more of the
+// concurrency budget. Every other /v1 read, /v1/advise included (one
+// surface lookup), weighs 1. The value predates measured per-route costs
+// and is due to be re-derived from them.
+const fleetWeight = 4
 
 // requestID returns the correlation ID for r: the inbound X-Request-Id
 // when the caller sent one (a gateway's ID survives), the 32-hex trace ID
@@ -189,8 +188,8 @@ func (s *Server) serve(sw *statusWriter, r *http.Request, mux *http.ServeMux, ro
 	// is saturated.
 	if s.sem != nil && strings.HasPrefix(r.URL.Path, "/v1/") {
 		weight := int64(1)
-		if route == "/v1/advise" || route == "/v1/fleet" {
-			weight = adviseWeight
+		if route == "/v1/fleet" {
+			weight = fleetWeight
 		}
 		ctx := r.Context()
 		if s.cfg.QueueWait > 0 {

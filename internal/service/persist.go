@@ -62,16 +62,19 @@ type snapshotPoint struct {
 // restore, and the daemon cold-starts.
 const snapshotVersion = 2
 
-// EncodeSnapshot serializes the currently served tables and predictors.
-// It returns an error when there is nothing to snapshot yet.
+// EncodeSnapshot serializes the installed epoch's tables and predictors.
+// It returns an error when there is nothing to snapshot yet, and on a
+// replica, whose epochs carry no predictors.
 func (s *Server) EncodeSnapshot() ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.tables) == 0 {
+	et := s.blobs.Load()
+	if et == nil || len(et.bidTables) == 0 {
 		return nil, fmt.Errorf("service: no tables to snapshot")
 	}
-	keys := make([]tableKey, 0, len(s.tables))
-	for k := range s.tables {
+	s.mu.Lock()
+	lastErr := s.lastErr
+	s.mu.Unlock()
+	keys := make([]tableKey, 0, len(et.bidTables))
+	for k := range et.bidTables {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -86,12 +89,12 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 	})
 	snap := serviceSnapshot{
 		Version:  snapshotVersion,
-		AsOf:     s.asOf,
-		EpochSeq: s.epochSeq.Load(),
-		LastErr:  s.lastErr,
+		AsOf:     et.asOf,
+		EpochSeq: et.seq,
+		LastErr:  lastErr,
 	}
 	for _, k := range keys {
-		table := s.tables[k]
+		table := et.bidTables[k]
 		entry := snapshotEntry{
 			Zone:        string(k.combo.Zone),
 			Type:        string(k.combo.Type),
@@ -104,13 +107,15 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 				DurationNS: int64(p.Duration),
 			})
 		}
-		if pred := s.preds[k]; pred != nil {
-			var buf bytes.Buffer
-			if err := pred.Save(&buf); err != nil {
-				return nil, fmt.Errorf("service: saving predictor for %s/p=%v: %w", k.combo, k.prob, err)
-			}
-			entry.Predictor = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
+		pred := et.preds[k]
+		if pred == nil {
+			return nil, fmt.Errorf("service: no predictor for %s/p=%v", k.combo, k.prob)
 		}
+		var buf bytes.Buffer
+		if err := pred.Save(&buf); err != nil {
+			return nil, fmt.Errorf("service: saving predictor for %s/p=%v: %w", k.combo, k.prob, err)
+		}
+		entry.Predictor = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 		snap.Entries = append(snap.Entries, entry)
 	}
 	return json.Marshal(snap)
@@ -121,8 +126,9 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 // then the predictor is fed the history ticks newer than its last
 // observation (the WAL tail that arrived after the snapshot was cut). A
 // series that cannot reproduce a saved window (too short, off the
-// predictor's grid, or failing the window checksum) fails the restore. The
-// tables themselves are installed exactly as saved — a warm restart serves
+// predictor's grid, or failing the window checksum) fails the restore, and
+// so does an entry without a predictor: every restored table must get its
+// advise surface. The tables themselves are installed exactly as saved — a warm restart serves
 // the same bytes it served before the crash until the next refresh
 // replaces them.
 func (s *Server) RestoreSnapshot(payload []byte) error {
@@ -156,8 +162,8 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 			})
 		}
 		tables[k] = table
-		if len(e.Predictor) == 0 {
-			continue
+		if len(e.Predictor) == 0 || string(e.Predictor) == "null" {
+			return fmt.Errorf("service: snapshot entry %s/p=%v has no predictor", k.combo, k.prob)
 		}
 		// Entries are sorted by combo, so each series is fetched once.
 		if series == nil || seriesCombo != k.combo {
@@ -171,23 +177,18 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 		replayed += replayTail(series, pred)
 		preds[k] = pred
 	}
-	s.mu.Lock()
-	s.tables = tables
-	s.preds = preds
-	s.asOf = snap.AsOf
-	s.lastErr = snap.LastErr
-	s.mu.Unlock()
 	// Resume the epoch counter where the snapshot left it, so the install
 	// below publishes as EpochSeq+1 and replication sequence numbers stay
 	// monotonic across a writer restart.
 	if cur := s.epochSeq.Load(); snap.EpochSeq > cur {
 		s.epochSeq.CompareAndSwap(cur, snap.EpochSeq)
 	}
-	// Pre-encode the restored tables under the snapshot's original epoch:
+	// Install the restored tables under the snapshot's original epoch:
 	// the warm restart serves the same bytes — and the same ETag, so client
 	// caches keep revalidating successfully — it served before the crash.
-	s.installBlobs(tables, preds, snap.AsOf)
-	s.metrics.tables.Set(float64(len(tables)))
+	if err := s.install(tables, preds, nil, snap.AsOf, snap.LastErr, nil); err != nil {
+		return fmt.Errorf("service: installing restored tables: %w", err)
+	}
 	s.logger.Info("snapshot restored",
 		"tables", len(tables), "predictors", len(preds),
 		"tail_ticks_replayed", replayed, "as_of", snap.AsOf)

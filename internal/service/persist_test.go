@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -153,12 +154,11 @@ func TestSnapshotRestoreReplaysTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantNow := t0.Add(time.Duration(9000+extra-1) * spot.UpdatePeriod)
-	restored.mu.RLock()
-	defer restored.mu.RUnlock()
-	if len(restored.preds) == 0 {
+	preds := restored.blobs.Load().preds
+	if len(preds) == 0 {
 		t.Fatal("no predictors restored")
 	}
-	for k, pred := range restored.preds {
+	for k, pred := range preds {
 		if !pred.Now().Equal(wantNow) {
 			t.Errorf("%s/p=%v: predictor clock %v, want %v (tail not replayed)",
 				k.combo, k.prob, pred.Now(), wantNow)
@@ -199,6 +199,25 @@ func TestSnapshotRejectsDefects(t *testing.T) {
 	}
 	if err := fresh().RestoreSnapshot(payload); err != nil {
 		t.Errorf("RestoreSnapshot rejected a valid snapshot: %v", err)
+	}
+
+	// Every restored table must get its advise surface, so an entry
+	// without a predictor fails the restore.
+	var snap serviceSnapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Entries[len(snap.Entries)-1].Predictor = nil
+	noPred, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fresh()
+	if err := s.RestoreSnapshot(noPred); err == nil || !strings.Contains(err.Error(), "has no predictor") {
+		t.Errorf("predictor-less entry: got %v, want a has-no-predictor error", err)
+	}
+	if s.CurrentEpoch() != nil {
+		t.Error("predictor-less snapshot installed an epoch")
 	}
 
 	// The history a restore re-slices windows from must reproduce them.
@@ -333,10 +352,7 @@ func TestRefreshWorkersConfig(t *testing.T) {
 	if err := srv.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.RLock()
-	n := len(srv.tables)
-	srv.mu.RUnlock()
-	if n != len(testCombos)*2 {
+	if n := srv.CurrentEpoch().NumTables(); n != len(testCombos)*2 {
 		t.Fatalf("single-worker refresh built %d tables, want %d", n, len(testCombos)*2)
 	}
 }

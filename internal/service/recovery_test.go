@@ -177,7 +177,7 @@ func TestWALCompactionKeepsRestoreWindows(t *testing.T) {
 			t.Errorf("%s: replayed series starts at %v; compaction kept the whole log", c, ser.Start)
 		}
 	}
-	if n := len(restored.preds); n != 2*len(testCombos) {
+	if n := len(restored.blobs.Load().preds); n != 2*len(testCombos) {
 		t.Fatalf("restored %d predictors, want %d", n, 2*len(testCombos))
 	}
 }
@@ -200,7 +200,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := map[tableKey][]byte{}
-	for k, pred := range w.preds {
+	for k, pred := range w.blobs.Load().preds {
 		var buf bytes.Buffer
 		if err := pred.Save(&buf); err != nil {
 			t.Fatal(err)
@@ -212,10 +212,11 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
-	if len(restored.preds) != len(before) {
-		t.Fatalf("restored %d predictors, want %d", len(restored.preds), len(before))
+	restoredPreds := restored.blobs.Load().preds
+	if len(restoredPreds) != len(before) {
+		t.Fatalf("restored %d predictors, want %d", len(restoredPreds), len(before))
 	}
-	for k, pred := range restored.preds {
+	for k, pred := range restoredPreds {
 		var buf bytes.Buffer
 		if err := pred.Save(&buf); err != nil {
 			t.Fatal(err)

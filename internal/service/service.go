@@ -104,7 +104,7 @@ type Config struct {
 	// branch per instrumentation site.
 	Metrics *telemetry.Registry
 	// MaxConcurrent caps the weighted concurrency admitted to /v1/*
-	// (cached reads weigh 1, /v1/advise weighs 4). 0 disables admission
+	// (cached reads weigh 1, /v1/fleet weighs 4). 0 disables admission
 	// control entirely — every request runs unbounded, as before.
 	MaxConcurrent int
 	// MaxQueue bounds how many requests may wait for admission once
@@ -114,9 +114,9 @@ type Config struct {
 	// QueueWait bounds how long an admitted-queue request may wait before
 	// it is shed (default 1s with admission control on).
 	QueueWait time.Duration
-	// AdviseBudget bounds the server-side compute spent on one /v1/advise
-	// bid-escalation scan; past it the request is abandoned with
-	// 503/overloaded. 0 disables the budget.
+	// AdviseBudget has no effect. It bounded the /v1/advise
+	// bid-escalation scan, which the precomputed advise surfaces replaced;
+	// the field remains only so existing configurations still compile.
 	AdviseBudget time.Duration
 	// MaxStaleness converts degraded (serve-stale) reads into
 	// 503/stale refusals once the tables age past it. 0 serves stale
@@ -159,9 +159,9 @@ type Config struct {
 // outages, where a full recompute is no slower than replaying the gap.
 const DefaultIncrementalMaxTicks = 24 * 12
 
-// Server computes and serves bid tables, and retains each combo's online
-// predictor so /v1/advise can answer duration queries beyond the published
-// table span (escalating exactly as the library's Advise does).
+// Server computes and serves bid tables and advise surfaces. All serving
+// state lives in the installed epoch (blobs); the writer's epochs also
+// carry the predictors the next incremental refresh extends.
 type Server struct {
 	cfg            Config
 	logger         *slog.Logger
@@ -186,19 +186,21 @@ type Server struct {
 	// service always did.
 	tenants *tenant.Registry
 
-	// blobs is the pre-encoded serving state for the read fast path,
-	// replaced wholesale by each refresh (or snapshot restore). Handlers
-	// Load it once per request and treat the contents as immutable, so
-	// cached GETs never touch s.mu. Nil until the first install, and reset
-	// to nil if encoding ever fails — readers then fall back to
-	// marshalling from s.tables under the lock.
+	// blobs is the installed epoch, the server's only serving state:
+	// replaced wholesale by each refresh, snapshot restore, or replicated
+	// install. Handlers Load it once per request and treat the contents as
+	// immutable, so reads never touch s.mu. Nil until the first install; a
+	// failed install leaves the previous epoch in place.
 	blobs atomic.Pointer[encodedTables]
 
-	mu      sync.RWMutex
-	tables  map[tableKey]core.BidTable
-	preds   map[tableKey]*core.Predictor
-	asOf    time.Time
-	lastErr string // most recent refresh error; "" after a clean refresh
+	// now stamps each refreshed epoch's asOf (time.Now; tests age epochs
+	// through it).
+	now func() time.Time
+
+	// mu orders epoch installs and guards lastErr, the most recent refresh
+	// error ("" after a clean refresh).
+	mu      sync.Mutex
+	lastErr string
 }
 
 type tableKey struct {
@@ -275,8 +277,7 @@ func newServer(cfg Config, role string) (*Server, error) {
 		role:           role,
 		breaker: resilience.NewBreaker(cfg.BreakerThreshold,
 			cfg.BreakerBackoff, cfg.BreakerMaxBackoff, time.Now().UnixNano()),
-		tables: make(map[tableKey]core.BidTable),
-		preds:  make(map[tableKey]*core.Predictor),
+		now: time.Now,
 	}
 	if cfg.MaxConcurrent > 0 {
 		s.sem = resilience.NewSemaphore(int64(cfg.MaxConcurrent), cfg.MaxQueue)
@@ -299,14 +300,14 @@ func newServer(cfg Config, role string) (*Server, error) {
 // Combos whose history advanced by at most IncrementalMaxTicks since the
 // previous refresh take the incremental path: the installed predictor is
 // cloned and fed only the new ticks, producing byte-identical tables at a
-// fraction of the full-window cost. The fresh tables are then pre-encoded
-// into the blob store and both are installed atomically.
+// fraction of the full-window cost. The fresh tables, their predictors, and
+// their advise surfaces are then installed as one new epoch.
 //
 // Refreshes are best-effort per combo: a predictor failure is counted,
 // logged, and surfaced through /healthz and the refresh metrics, but the
 // tables that did compute are still installed and keep serving. Refresh
-// returns an error only when failures left it with nothing at all — the
-// one case where the previous table set should stay in place.
+// returns an error only when the previous epoch must stay in place: the
+// failures left it with nothing at all, or the new epoch failed to encode.
 func (s *Server) Refresh() error {
 	if s.role == roleReplica {
 		return fmt.Errorf("service: replica cannot refresh; epochs arrive via InstallEpoch")
@@ -320,13 +321,7 @@ func (s *Server) Refresh() error {
 	defer tr.End()
 	tr.Force()
 	if err := s.cfg.Faults.Check("service.refresh"); err != nil {
-		err = fmt.Errorf("service: refresh failed: %w", err)
-		tr.Fail(err)
-		s.metrics.refreshErrors.Inc()
-		s.mu.Lock()
-		s.lastErr = err.Error()
-		s.mu.Unlock()
-		return err
+		return s.refreshFailed(tr, fmt.Errorf("service: refresh failed: %w", err))
 	}
 	if s.cfg.PreRefresh != nil {
 		sp := tr.StartSpan("ticks.ingest")
@@ -340,12 +335,12 @@ func (s *Server) Refresh() error {
 	fresh := make(map[tableKey]core.BidTable, len(combos)*len(s.cfg.Probabilities))
 	freshPreds := make(map[tableKey]*core.Predictor, len(combos)*len(s.cfg.Probabilities))
 
-	// Snapshot the currently installed predictors for the incremental path.
-	// The map is replaced wholesale on install, never mutated in place, so
-	// reading it without holding the lock during the fan-out is safe.
-	s.mu.RLock()
-	prevPreds := s.preds
-	s.mu.RUnlock()
+	// The installed epoch's predictors feed the incremental path. An epoch
+	// is immutable, so reading them during the fan-out needs no lock.
+	var prevPreds map[tableKey]*core.Predictor
+	if prev := s.blobs.Load(); prev != nil {
+		prevPreds = prev.preds
+	}
 
 	// The effective parameters a fresh predictor would get, per probability
 	// level: an installed predictor is reusable only if its parameters match
@@ -445,13 +440,7 @@ func (s *Server) Refresh() error {
 	s.metrics.refreshIncremental.Add(uint64(incremental))
 
 	if len(fresh) == 0 && errCount > 0 {
-		err := fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr)
-		tr.Fail(err)
-		s.metrics.refreshErrors.Inc()
-		s.mu.Lock()
-		s.lastErr = err.Error()
-		s.mu.Unlock()
-		return err
+		return s.refreshFailed(tr, fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr))
 	}
 
 	// Surfaces are built before asOf is stamped: their construction cost
@@ -461,19 +450,14 @@ func (s *Server) Refresh() error {
 	surfaces := buildSurfaces(fresh, freshPreds)
 	surfSpan.End()
 
-	now := time.Now().UTC()
+	now := s.now().UTC()
 	errStr := ""
 	if errCount > 0 {
 		errStr = fmt.Sprintf("%d combo failures, last: %v", errCount, lastErr)
 	}
-	s.mu.Lock()
-	s.tables = fresh
-	s.preds = freshPreds
-	s.asOf = now
-	s.lastErr = errStr
-	s.mu.Unlock()
-	s.installBlobsTraced(fresh, freshPreds, surfaces, now, tr)
-	s.metrics.tables.Set(float64(len(fresh)))
+	if err := s.install(fresh, freshPreds, surfaces, now, errStr, tr); err != nil {
+		return s.refreshFailed(tr, fmt.Errorf("service: refresh kept the previous epoch: %w", err))
+	}
 	s.metrics.lastSuccess.SetTime(now)
 	if s.cfg.Tracer != nil {
 		s.logger.Info("refresh complete",
@@ -487,6 +471,23 @@ func (s *Server) Refresh() error {
 	}
 	s.persist(now, tr)
 	return nil
+}
+
+// refreshFailed records a refresh that left the previous epoch in place:
+// the trace is failed, the error counted and reported through /healthz,
+// and returned.
+func (s *Server) refreshFailed(tr *trace.Trace, err error) error {
+	tr.Fail(err)
+	s.metrics.refreshErrors.Inc()
+	s.setLastErr(err.Error())
+	return err
+}
+
+// setLastErr records the error /healthz reports as last_refresh_error.
+func (s *Server) setLastErr(msg string) {
+	s.mu.Lock()
+	s.lastErr = msg
+	s.mu.Unlock()
 }
 
 // extendPredictor attempts the incremental refresh path for one combo: if
@@ -565,9 +566,11 @@ func (s *Server) persist(now time.Time, tr *trace.Trace) {
 // the wall clock.
 func (s *Server) walCutoff(now time.Time) time.Time {
 	cutoff := now.Add(-history.Retention)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, pred := range s.preds {
+	et := s.blobs.Load()
+	if et == nil {
+		return cutoff
+	}
+	for _, pred := range et.preds {
 		if oldest, ok := pred.Oldest(); ok && oldest.Before(cutoff) {
 			cutoff = oldest
 		}
@@ -594,10 +597,7 @@ func (s *Server) Start(ctx context.Context) error {
 	if s.role == roleReplica {
 		return fmt.Errorf("service: replica has no refresh loop; run a cluster.Receiver instead")
 	}
-	s.mu.RLock()
-	warm := !s.asOf.IsZero()
-	s.mu.RUnlock()
-	if warm {
+	if s.blobs.Load() != nil { // warm: a restored snapshot is serving
 		go func() {
 			if err := s.Refresh(); err != nil {
 				s.logger.Error("post-recovery refresh failed; serving restored tables", "err", err)
@@ -650,14 +650,6 @@ func (s *Server) refreshLoop(ctx context.Context) {
 			}
 		}
 	}
-}
-
-// table returns the stored table for a combo/probability.
-func (s *Server) table(c spot.Combo, prob float64) (core.BidTable, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[tableKey{combo: c, prob: prob}]
-	return t, ok
 }
 
 // Wire formats.
@@ -714,11 +706,13 @@ func FromJSON(tj TableJSON) (spot.Combo, core.BidTable) {
 //	GET /v1/advise?zone=Z&type=T&probability=P&duration=2h -> QuoteJSON
 //	POST /v1/fleet {"duration":"12h","count":5,...}        -> FleetResponse
 //
-// /v1/combos, /v1/predictions, and /v1/tables serve pre-encoded responses
-// with a strong ETag derived from the refresh epoch; requests carrying a
-// matching If-None-Match receive 304 Not Modified. Cached /v1/predictions
-// and /v1/advise GETs perform zero heap allocations (/v1/advise answers
-// from the epoch's precomputed surfaces; see adviseFast).
+// Every /v1 read is answered from the installed epoch, and before the
+// first one installs it is refused 503/stale. /v1/combos, /v1/predictions,
+// and /v1/tables serve pre-encoded responses with a strong ETag derived
+// from the refresh epoch; requests carrying a matching If-None-Match
+// receive 304 Not Modified. Cached /v1/predictions and /v1/advise GETs
+// perform zero heap allocations (/v1/advise answers from the epoch's
+// precomputed surfaces; see handleAdvise).
 //
 // Errors are reported as the uniform JSON envelope documented in
 // errors.go; every /v1 error body decodes into the same
@@ -788,20 +782,17 @@ func (s *Server) staleAfter() time.Duration {
 // what orchestrators should alert on; the stale bool and breaker field
 // break down which impairment applies.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	n := len(s.tables)
-	asOf := s.asOf
+	s.mu.Lock()
 	lastErr := s.lastErr
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	breaker := s.breakerState()
-	// Replicas never populate s.tables (they have no predictors); the
-	// installed epoch is the authoritative table count there.
-	var epoch uint64
+	var (
+		n     int
+		asOf  time.Time
+		epoch uint64
+	)
 	if et := s.blobs.Load(); et != nil {
-		epoch = et.seq
-		if n == 0 {
-			n = len(et.tables)
-		}
+		n, asOf, epoch = len(et.tables), et.asOf, et.seq
 	}
 	resp := map[string]any{"status": "ok", "tables": n, "as_of": asOf,
 		"role": s.role, "epoch": epoch}
@@ -838,35 +829,30 @@ type QuoteJSON struct {
 	DurationSeconds float64 `json:"guaranteed_duration_seconds"`
 }
 
-// resolveCombo parses and (when an account applies) deobfuscates the
-// zone/type query parameters; it writes the error response itself.
+// resolveCombo validates a per-combo read and resolves it to the account
+// it is answered for, writing the error response itself: the zone the
+// client addressed (visible), the canonical combo it names, the applicable
+// account ("" for none), and the probability level.
 //
 // The account is derived from the authenticated tenant when the server has
 // a tenant registry; the legacy ?account= parameter survives only as a
 // deprecated alias that must match the tenant's account (the response then
 // carries Deprecation and Sunset headers). Without a registry ?account=
 // keeps its historical meaning unchanged.
-func (s *Server) resolveCombo(w http.ResponseWriter, r *http.Request) (visible spot.Zone, combo spot.Combo, prob float64, ok bool) {
-	zone := r.URL.Query().Get("zone")
-	ty := r.URL.Query().Get("type")
-	probStr := r.URL.Query().Get("probability")
-	if zone == "" || ty == "" {
+func (s *Server) resolveCombo(w http.ResponseWriter, q readQuery) (visible spot.Zone, combo spot.Combo, account string, prob float64, ok bool) {
+	if q.zone == "" || q.typ == "" {
 		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "zone and type are required")
 		return
 	}
-	prob = 0.99
-	if probStr != "" {
-		var err error
-		prob, err = strconv.ParseFloat(probStr, 64)
-		if err != nil || !(prob > 0 && prob < 1) {
-			writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid probability %q", probStr)
-			return
-		}
+	prob, err := strconv.ParseFloat(q.prob, 64)
+	if err != nil || !(prob > 0 && prob < 1) {
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid probability %q", q.prob)
+		return
 	}
-	visible = spot.Zone(zone)
-	canonical := visible
+	visible = spot.Zone(q.zone)
+	combo = spot.Combo{Zone: visible, Type: spot.InstanceType(q.typ)}
 	tn := tenantOf(w)
-	account := r.URL.Query().Get("account")
+	account = q.account
 	if account != "" && s.tenants != nil {
 		// Deprecated alias: tolerated only when it names the authenticated
 		// tenant's own account — anything else is a cross-tenant probe.
@@ -886,94 +872,15 @@ func (s *Server) resolveCombo(w http.ResponseWriter, r *http.Request) (visible s
 			if tn != nil && account == tn.Account {
 				// A tenant whose account has no mapping configured sees the
 				// canonical view rather than being locked out.
-				return visible, spot.Combo{Zone: canonical, Type: spot.InstanceType(ty)}, prob, true
+				return visible, combo, account, prob, true
 			}
 			writeErr(w, http.StatusForbidden, codePermissionDenied, "no zone mapping configured for account %q", account)
 			return
 		}
-		var err error
-		canonical, err = m.Physical(visible)
-		if err != nil {
+		if combo.Zone, err = m.Physical(visible); err != nil {
 			writeErr(w, http.StatusBadRequest, codeInvalidArgument, "account %q: %v", account, err)
 			return
 		}
 	}
-	return visible, spot.Combo{Zone: canonical, Type: spot.InstanceType(ty)}, prob, true
-}
-
-// handleAdvise answers the user question directly: the smallest bid that
-// guarantees the requested duration, escalating past the published table
-// span when necessary. Requests are answered from the epoch's precomputed
-// advise surfaces when possible (adviseFast — an array lookup, no deadline
-// needed); everything the fast path cannot serve falls back to the
-// original bid-escalation scan below.
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	if s.adviseFast(w, r) {
-		return
-	}
-	s.handleAdviseScan(w, r)
-}
-
-// handleAdviseScan is the original advise path: it runs the predictor's
-// bid-escalation scan under the server-side AdviseBudget (and the client's
-// own disconnection) — past either deadline the request is abandoned with
-// 503/overloaded rather than burning CPU on an answer nobody is waiting
-// for. It remains the fallback for requests the surface path cannot serve
-// (account mapping, escaped queries, surface-less epochs) and the
-// regression baseline MarshalHandler exposes to draftsbench and the
-// equivalence tests.
-func (s *Server) handleAdviseScan(w http.ResponseWriter, r *http.Request) {
-	visible, combo, prob, ok := s.resolveCombo(w, r)
-	if !ok {
-		return
-	}
-	durStr := r.URL.Query().Get("duration")
-	if durStr == "" {
-		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "duration is required (e.g. 2h30m)")
-		return
-	}
-	dur, err := time.ParseDuration(durStr)
-	if err != nil || dur <= 0 {
-		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid duration %q", durStr)
-		return
-	}
-	// Predictors are never mutated after a refresh installs them (Advise
-	// and its callees are read-only), so sharing one across concurrent
-	// requests is safe.
-	s.mu.RLock()
-	pred := s.preds[tableKey{combo: combo, prob: prob}]
-	asOf := s.asOf
-	s.mu.RUnlock()
-	if pred == nil {
-		writeErr(w, http.StatusNotFound, codeNotFound, "no predictor for %s at probability %v", combo, prob)
-		return
-	}
-	if !s.checkStaleness(w, asOf) {
-		return
-	}
-	ctx := r.Context()
-	if s.cfg.AdviseBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.AdviseBudget)
-		defer cancel()
-	}
-	quote, err := pred.AdviseContext(ctx, dur)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.metrics.adviseDeadline.Inc()
-			s.setRetryAfter(w)
-			writeErr(w, http.StatusServiceUnavailable, codeOverloaded,
-				"advise abandoned: %v", err)
-			return
-		}
-		writeErr(w, http.StatusConflict, codeNotFound, "cannot guarantee %v on %s: %v", dur, combo, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, QuoteJSON{
-		Zone:            string(visible),
-		InstanceType:    string(combo.Type),
-		Probability:     prob,
-		Bid:             quote.Bid,
-		DurationSeconds: quote.Duration.Seconds(),
-	})
+	return visible, combo, account, prob, true
 }

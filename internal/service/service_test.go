@@ -202,18 +202,14 @@ func TestStartRefreshLoop(t *testing.T) {
 	if err := srv.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.RLock()
-	first := srv.asOf
-	srv.mu.RUnlock()
-	if first.IsZero() {
+	ep := srv.CurrentEpoch()
+	if ep == nil {
 		t.Fatal("Start did not perform an initial refresh")
 	}
+	first := ep.AsOf()
 	deadline := time.After(2 * time.Second)
 	for {
-		srv.mu.RLock()
-		cur := srv.asOf
-		srv.mu.RUnlock()
-		if cur.After(first) {
+		if srv.CurrentEpoch().AsOf().After(first) {
 			break
 		}
 		select {

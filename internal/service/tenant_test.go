@@ -164,13 +164,13 @@ func TestAuthMatrix(t *testing.T) {
 
 // TestTenantViewMatchesMarshal holds the precomputed per-tenant view
 // blobs byte-identical to the marshal path for authenticated requests:
-// same server, same epoch, fast handler vs MarshalHandler, across zone
+// same server, same epoch, fast handler vs the marshal oracle, across zone
 // spellings, both mapped zones, the identity zone, and error shapes.
 // It is the tenant-scoped sibling of TestFastPathMatchesMarshal.
 func TestTenantViewMatchesMarshal(t *testing.T) {
 	srv := authedServer(t, tenant.Config{RPS: 1e6})
 	fast := srv.Handler()
-	slow := srv.MarshalHandler()
+	slow := srv.marshalHandler()
 	auth := map[string]string{"Authorization": "Bearer ak_live_acme_1"}
 	targets := []string{
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99",   // mapped: phys us-east-1c
@@ -522,8 +522,8 @@ func TestTenantComboDiscoveryRoundTrips(t *testing.T) {
 		t.Fatalf("accountless tenant combos lost canonical names: %d %s", code, listing)
 	}
 
-	// The marshal baseline renders the same view listing byte-for-byte.
-	code, _, slow := getAuthed(t, srv.MarshalHandler(), "/v1/combos", auth)
+	// The marshal oracle renders the same view listing byte-for-byte.
+	code, _, slow := getAuthed(t, srv.marshalHandler(), "/v1/combos", auth)
 	if code != http.StatusOK {
 		t.Fatalf("marshal combos status %d", code)
 	}
