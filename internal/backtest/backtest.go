@@ -223,11 +223,18 @@ func runCombo(cfg Config, combo spot.Combo, s *history.Series) (ComboOutcome, er
 		baselines.MethodAR1:      ar1Bids,
 		baselines.MethodECDF:     ecdfBids,
 	}
+	// Each request is scored once per method; the DrAFTS verdicts are
+	// kept for the cost loop below.
+	draftsOK := make([]bool, len(queries))
 	for method, bids := range methodBids {
 		succ := 0
 		for i, q := range queries {
-			if succeeds(s, q, bids[i], needs[i]) {
+			ok := succeeds(s, q, bids[i], needs[i])
+			if ok {
 				succ++
+			}
+			if method == baselines.MethodDrAFTS {
+				draftsOK[i] = ok
 			}
 		}
 		outcome.Fractions[method] = float64(succ) / float64(len(queries))
@@ -244,7 +251,7 @@ func runCombo(cfg Config, combo spot.Combo, s *history.Series) (ComboOutcome, er
 		bid := draftsBids[i]
 		if bid < od {
 			outcome.StrategyCost += bid * hours
-			if succeeds(s, q, bid, needs[i]) {
+			if draftsOK[i] {
 				if cost, err := billing.Cost(s, s.TimeAt(q), s.TimeAt(q).Add(d), billing.UserTerminated); err == nil {
 					outcome.SpotActualCost += cost
 				}

@@ -81,6 +81,12 @@ func window(prices []float64, i, maxHistory int) []float64 {
 // and a bid equal to the market price is already eligible for
 // termination, so any reasonable implementation bids the minimum
 // increment above the quantile.
+//
+// The window slides forward through the queries in a Fenwick tree over
+// integer ticks, so each price enters and leaves it once and each quantile
+// is one O(log m) Select, with no copy of the window. That relies on the
+// tick-grid invariant history.Series documents; a price off the grid is an
+// error. stats.KthSmallest over the window is the test oracle.
 func ECDFBids(s *history.Series, quantile float64, maxHistory int, queries []int) ([]float64, error) {
 	if !(quantile > 0 && quantile < 1) {
 		return nil, fmt.Errorf("baselines: quantile %v outside (0,1)", quantile)
@@ -88,17 +94,36 @@ func ECDFBids(s *history.Series, quantile float64, maxHistory int, queries []int
 	if err := validateQueries(s, queries); err != nil {
 		return nil, err
 	}
+	win := qbets.NewFenwickStore(1, 0)
+	lo, hi := 0, 0 // win holds the ticks of s.Prices[lo:hi]
 	out := make([]float64, len(queries))
 	for qi, q := range queries {
-		w := window(s.Prices, q, maxHistory)
-		k := int(math.Ceil(quantile * float64(len(w))))
+		from := 0
+		if maxHistory > 0 && q+1 > maxHistory {
+			from = q + 1 - maxHistory
+		}
+		for ; lo < from && lo < hi; lo++ {
+			win.Remove(float64(spot.Ticks(s.Prices[lo])))
+		}
+		for i := max(hi, from); i <= q; i++ {
+			p := s.Prices[i]
+			t := spot.Ticks(p)
+			// Exact membership: the float must be the tick's own value, or
+			// the quantile read back from the tree would not be the price.
+			if t < 0 || math.Float64bits(spot.FromTicks(t)) != math.Float64bits(p) {
+				return nil, fmt.Errorf("baselines: price %v at index %d is off the %v tick grid", p, i, spot.PriceTick)
+			}
+			win.Insert(float64(t))
+		}
+		lo, hi = from, q+1
+		k := int(math.Ceil(quantile * float64(hi-lo)))
 		if k < 1 {
 			k = 1
 		}
-		if k > len(w) {
-			k = len(w)
+		if k > hi-lo {
+			k = hi - lo
 		}
-		out[qi] = spot.NextTickAbove(stats.KthSmallest(w, k))
+		out[qi] = spot.NextTickAbove(spot.FromTicks(int(win.Select(k))))
 	}
 	return out, nil
 }

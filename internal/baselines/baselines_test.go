@@ -78,6 +78,61 @@ func TestECDFBidsErrors(t *testing.T) {
 	if _, err := ECDFBids(nil, 0.5, 0, []int{0}); err == nil {
 		t.Error("nil series accepted")
 	}
+	// A price between ticks breaks the tick-grid invariant the sliding
+	// window reads quantiles back through.
+	off := s.Clone()
+	off.Prices[40] += spot.PriceTick / 3
+	if _, err := ECDFBids(off, 0.5, 0, []int{60}); err == nil {
+		t.Error("off-grid price accepted")
+	}
+	if _, err := ECDFBids(off, 0.5, 10, []int{30, 99}); err != nil {
+		t.Errorf("off-grid price outside every window rejected: %v", err)
+	}
+}
+
+// TestECDFBidsMatchesKthSmallest checks the sliding Fenwick window against
+// the direct order statistic of each query's window, bit for bit, with an
+// unlimited history and with windows both shorter and longer than the gaps
+// between queries.
+func TestECDFBidsMatchesKthSmallest(t *testing.T) {
+	const n = 6000
+	rng := stats.NewRNG(9)
+	var queries []int
+	for q := 200; q < n; {
+		queries = append(queries, q)
+		switch r := rng.Intn(10); {
+		case r < 5:
+			q++ // consecutive moments
+		case r < 9:
+			q += 1 + rng.Intn(60)
+		default:
+			q += 1 + rng.Intn(1500) // a jump past short windows
+		}
+	}
+	for _, c := range []spot.Combo{
+		{Zone: "us-east-1b", Type: "c4.large"},
+		{Zone: "us-west-1a", Type: "c3.2xlarge"},
+		{Zone: "us-east-1e", Type: "c4.4xlarge"},
+	} {
+		s := genSeries(t, c, n)
+		for _, maxHistory := range []int{0, 288, 1440} {
+			for _, quantile := range []float64{0.5, 0.95, 0.99} {
+				bids, err := ECDFBids(s, quantile, maxHistory, queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, q := range queries {
+					w := window(s.Prices, q, maxHistory)
+					k := min(max(int(math.Ceil(quantile*float64(len(w)))), 1), len(w))
+					want := spot.NextTickAbove(stats.KthSmallest(w, k))
+					if math.Float64bits(bids[qi]) != math.Float64bits(want) {
+						t.Fatalf("%v maxHistory=%d q=%v at %d: bid %v, want %v",
+							c, maxHistory, quantile, q, bids[qi], want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestAR1BidsOnGaussianAR1(t *testing.T) {

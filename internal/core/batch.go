@@ -88,10 +88,11 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 			lo = p
 		}
 	}
+	qd, c := params.DurationQuantile(), params.Confidence
 	grid := geometricGrid(lo+spot.PriceTick, b.MaxBid, params.TableRatio)
 	trackers := make([]*levelTracker, len(grid))
 	for i, lvl := range grid {
-		trackers[i] = newLevelTracker(lvl, params.MaxHistory)
+		trackers[i] = newLevelTracker(lvl, params.MaxHistory, qd, c)
 	}
 
 	pricePred, err := qbets.New(priceQBETSConfig(params))
@@ -99,7 +100,7 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 		return nil, err
 	}
 
-	qd, c := params.DurationQuantile(), params.Confidence
+	minBidRank := durationRank(qd, c)
 	out := make([]BidTable, 0, len(queries))
 	next := 0
 	for i, price := range s.Prices {
@@ -121,7 +122,7 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 			if params.MaxHistory > 0 && len(win) > params.MaxHistory {
 				win = win[len(win)-params.MaxHistory:]
 			}
-			if steps, ok := durationBoundScan(win, bid0, qd, c); ok {
+			if steps, ok := durationBoundScan(win, bid0, &minBidRank); ok {
 				table.Points = append(table.Points, BidPoint{
 					Bid:      bid0,
 					Duration: time.Duration(steps) * s.Step,
@@ -134,7 +135,7 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 				if lvl <= bid0 {
 					continue
 				}
-				steps, ok := trackers[gi].bound(qd, c)
+				steps, ok := trackers[gi].bound()
 				pt := BidPoint{Bid: lvl}
 				if ok {
 					pt.Duration = time.Duration(steps) * s.Step

@@ -187,13 +187,12 @@ func Survival(s *history.Series, i int, bid float64) (steps int, censored bool) 
 
 // Survives reports whether an instance launched at grid point i with the
 // given bid completes `need` grid steps before a price termination.
+//
+// A censored survival ran to the end of recorded history, so it succeeds
+// iff the recorded span covers the requested duration: the same test as
+// for a price termination.
 func Survives(s *history.Series, i int, bid float64, need int) bool {
-	steps, censored := Survival(s, i, bid)
-	if censored {
-		// It ran to the end of recorded history; success iff the recorded
-		// span covers the requested duration.
-		return steps >= need
-	}
+	steps, _ := Survival(s, i, bid)
 	return steps >= need
 }
 

@@ -192,7 +192,7 @@ func TestDurationBoundScanBasics(t *testing.T) {
 		}
 	}
 	// A bid of 0.3 dies at each spike; survival durations are 1..9.
-	steps, ok := durationBoundScan(prices, 0.3, 0.025, 0.99)
+	steps, ok := scanBound(prices, 0.3, 0.025, 0.99)
 	if !ok {
 		t.Fatal("no bound")
 	}
@@ -201,7 +201,7 @@ func TestDurationBoundScanBasics(t *testing.T) {
 	}
 	// A bid above every price: only censored episodes {1..n-1}; the bound
 	// is the k-th smallest face value.
-	steps2, ok := durationBoundScan(prices, 9.9, 0.025, 0.99)
+	steps2, ok := scanBound(prices, 9.9, 0.025, 0.99)
 	if !ok {
 		t.Fatal("no bound for high bid")
 	}
@@ -211,13 +211,21 @@ func TestDurationBoundScanBasics(t *testing.T) {
 }
 
 func TestDurationBoundScanEmptyAndDegenerate(t *testing.T) {
-	if _, ok := durationBoundScan(nil, 0.5, 0.025, 0.99); ok {
+	if _, ok := scanBound(nil, 0.5, 0.025, 0.99); ok {
 		t.Error("empty scan should fail")
 	}
 	// Bid below every price: no episode ever starts.
-	if _, ok := durationBoundScan([]float64{1, 1, 1}, 0.5, 0.025, 0.99); ok {
+	if _, ok := scanBound([]float64{1, 1, 1}, 0.5, 0.025, 0.99); ok {
 		t.Error("never-startable bid should have no sample")
 	}
+}
+
+// scanBound is durationBoundScan with a fresh rank cursor, so the rank
+// comes from a full bisection: the oracle the reused cursors of the
+// trackers and of Batch are checked against.
+func scanBound(prices []float64, level, qd, c float64) (int, bool) {
+	rank := durationRank(qd, c)
+	return durationBoundScan(prices, level, &rank)
 }
 
 // TestTrackerMatchesScan: the incremental tracker and the single-shot scan
@@ -225,12 +233,14 @@ func TestDurationBoundScanEmptyAndDegenerate(t *testing.T) {
 func TestTrackerMatchesScan(t *testing.T) {
 	s := mustGen(t, spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}, 4000)
 	for _, level := range []float64{0.05, 0.12, 0.3, 0.8, 2.0} {
-		tr := newLevelTracker(level, 0)
+		tr := newLevelTracker(level, 0, 0.025, 0.99)
 		for i, p := range s.Prices {
 			tr.observe(i, p)
+			// Query every tick so the tracker's rank cursor walks the
+			// sample sizes one step at a time, as in a batch pass.
+			got, gok := tr.bound()
 			if i%997 == 0 && i > 0 {
-				want, wok := durationBoundScan(s.Prices[:i+1], level, 0.025, 0.99)
-				got, gok := tr.bound(0.025, 0.99)
+				want, wok := scanBound(s.Prices[:i+1], level, 0.025, 0.99)
 				if wok != gok || (wok && want != got) {
 					t.Fatalf("level %v index %d: tracker %d,%v vs scan %d,%v", level, i, got, gok, want, wok)
 				}
@@ -245,13 +255,13 @@ func TestTrackerWindowMatchesWindowedScan(t *testing.T) {
 	s := mustGen(t, spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}, 6000)
 	const w = 1500
 	level := 0.3
-	tr := newLevelTracker(level, w)
+	tr := newLevelTracker(level, w, 0.025, 0.99)
 	for i, p := range s.Prices {
 		tr.observe(i, p)
+		got, gok := tr.bound()
 		if i%1499 == 0 && i > w {
 			lo := i - w
-			want, wok := durationBoundScan(s.Prices[lo:i+1], level, 0.025, 0.99)
-			got, gok := tr.bound(0.025, 0.99)
+			want, wok := scanBound(s.Prices[lo:i+1], level, 0.025, 0.99)
 			if wok != gok {
 				t.Fatalf("index %d: availability %v vs %v", i, gok, wok)
 			}

@@ -43,7 +43,7 @@ func TestDurationBoundIsConservativeIID(t *testing.T) {
 				prices[i] = 0.1
 			}
 		}
-		steps, ok := durationBoundScan(prices, 0.5, qd, c)
+		steps, ok := scanBound(prices, 0.5, qd, c)
 		if !ok {
 			t.Fatal("no bound")
 		}
@@ -74,7 +74,7 @@ func pow(b float64, k int) float64 {
 func TestCensoringOnlyLowersBound(t *testing.T) {
 	s := mustGen(t, spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}, 8000)
 	level := 0.4
-	full, okFull := durationBoundScan(s.Prices, level, 0.025, 0.99)
+	full, okFull := scanBound(s.Prices, level, 0.025, 0.99)
 	if !okFull {
 		t.Skip("level never crossed; nothing to compare")
 	}
@@ -90,7 +90,7 @@ func TestCensoringOnlyLowersBound(t *testing.T) {
 	if lastCross < 1000 {
 		t.Skip("crossing too early for a meaningful prefix")
 	}
-	prefix, okPre := durationBoundScan(s.Prices[:lastCross+1], level, 0.025, 0.99)
+	prefix, okPre := scanBound(s.Prices[:lastCross+1], level, 0.025, 0.99)
 	if !okPre {
 		t.Fatal("prefix lost the bound")
 	}

@@ -139,7 +139,8 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 	if len(h) == 0 {
 		return 0, false
 	}
-	steps, ok := durationBoundScan(h, bid, p.params.DurationQuantile(), p.params.Confidence)
+	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
+	steps, ok := durationBoundScan(h, bid, &rank)
 	if !ok {
 		return 0, false
 	}

@@ -31,6 +31,7 @@ type levelTracker struct {
 	r        int                 // first pending (unresolved) start index
 	t        int                 // last observed grid index; -1 before any
 	window   int                 // only episodes starting within the last window steps count; 0 = unlimited
+	rank     stats.RankCursor    // order-statistic rank of the bound, reused as the sample grows
 
 	// queue of resolved episodes in start order, for window eviction.
 	queue []episode
@@ -42,14 +43,21 @@ type episode struct {
 	dur   int32
 }
 
-func newLevelTracker(level float64, window int) *levelTracker {
+// newLevelTracker tracks one bid level; its bound is the lower
+// c-confidence bound on the qd-quantile of the survival durations.
+func newLevelTracker(level float64, window int, qd, c float64) *levelTracker {
 	return &levelTracker{
 		level:    level,
 		resolved: qbets.NewFenwickStore(1, 256),
 		t:        -1,
 		window:   window,
+		rank:     durationRank(qd, c),
 	}
 }
+
+// durationRank returns the rank cursor for the lower c-confidence bound on
+// the qd-quantile: LowerBoundIndex(n, qd, c) is UpperBoundIndex(n, 1-qd, c).
+func durationRank(qd, c float64) stats.RankCursor { return stats.NewRankCursor(1-qd, c) }
 
 // observe feeds the price at grid index i (indices must arrive in order).
 func (lt *levelTracker) observe(i int, price float64) {
@@ -110,17 +118,17 @@ func (lt *levelTracker) countAtMost(v int) int {
 	return lt.resolved.CountAtMost(float64(v)) + pending
 }
 
-// bound returns the duration lower bound in grid steps for the
-// (qd)-quantile at confidence c. When the sample is too small for the
-// binomial bound to exist, the sample minimum serves as the conservative
-// warm-up value. A zero return with ok=true means nothing can be promised.
-func (lt *levelTracker) bound(qd, c float64) (steps int, ok bool) {
+// bound returns the duration lower bound in grid steps at the tracker's
+// quantile and confidence. When the sample is too small for the binomial
+// bound to exist, the sample minimum serves as the conservative warm-up
+// value. A zero return with ok=true means nothing can be promised.
+func (lt *levelTracker) bound() (steps int, ok bool) {
 	n, m := lt.sampleSize()
 	total := n + m
 	if total == 0 {
 		return 0, false
 	}
-	k, exists := stats.LowerBoundIndex(total, qd, c)
+	k, exists := lt.rank.Index(total)
 	if !exists {
 		k = 1 // warm-up: the sample minimum
 	}
@@ -149,9 +157,10 @@ var scanScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // durationBoundScan is the single-shot equivalent of a levelTracker: the
 // duration lower bound (in grid steps) for a fixed bid level over
-// prices[0..len-1], censored at the end of the slice. It runs in O(n) time
-// with pooled O(n) scratch space.
-func durationBoundScan(prices []float64, level float64, qd, c float64) (steps int, ok bool) {
+// prices[0..len-1], censored at the end of the slice, with the rank taken
+// from the durationRank cursor. It runs in O(n) time with pooled O(n)
+// scratch space.
+func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) (steps int, ok bool) {
 	n := len(prices)
 	if n == 0 {
 		return 0, false
@@ -190,7 +199,7 @@ func durationBoundScan(prices []float64, level float64, qd, c float64) (steps in
 	if total == 0 {
 		return 0, false
 	}
-	k, exists := stats.LowerBoundIndex(total, qd, c)
+	k, exists := rank.Index(total)
 	if !exists {
 		k = 1
 	}

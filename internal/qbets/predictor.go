@@ -135,6 +135,11 @@ type Predictor struct {
 	// later everything predating the fire is dropped, leaving a clean
 	// post-shift history. 0 means no flush is scheduled.
 	pendingFlush int
+
+	// rank remembers Bound's last (effective sample size, rank), so the
+	// next rank is found near it instead of by a full bisection. It is a
+	// cache of a pure function: Clone copies it, Save and Load skip it.
+	rank stats.RankCursor
 }
 
 // New constructs a Predictor, applying defaults and validating the config.
@@ -143,11 +148,18 @@ func New(cfg Config) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A lower bound on the q-quantile takes the rank LowerBoundIndex
+	// computes: UpperBoundIndex at 1-q.
+	q := cfg.Quantile
+	if cfg.Kind == LowerBound {
+		q = 1 - q
+	}
 	return &Predictor{
 		cfg:      cfg,
 		store:    cfg.NewStore(),
 		violRing: make([]bool, cfg.ChangePointWindow),
 		rho:      math.NaN(),
+		rank:     stats.NewRankCursor(q, cfg.Confidence),
 	}, nil
 }
 
@@ -247,6 +259,9 @@ func (p *Predictor) Observe(v float64) {
 // to the sample extreme (maximum for an upper bound, minimum for a lower
 // bound), the most conservative prediction the data supports. Warmed
 // reports whether the bound carries its full confidence guarantee.
+//
+// Bound updates the predictor's rank cursor, so it is a write like
+// Observe: concurrent calls need the caller's synchronisation.
 func (p *Predictor) Bound() (float64, bool) {
 	n := p.store.Len()
 	if n == 0 {
@@ -256,15 +271,14 @@ func (p *Predictor) Bound() (float64, bool) {
 	if p.cfg.AutocorrEvery > 0 && !math.IsNaN(p.rho) {
 		nEff = stats.EffectiveSampleSize(n, p.rho)
 	}
+	k, ok := p.rank.Index(nEff)
 	if p.cfg.Kind == UpperBound {
-		k, ok := stats.UpperBoundIndex(nEff, p.cfg.Quantile, p.cfg.Confidence)
 		if !ok {
 			return p.store.Select(n), true // warm-up: sample maximum
 		}
 		k = scaleRank(k, n, nEff)
 		return p.store.Select(n - k + 1), true
 	}
-	k, ok := stats.LowerBoundIndex(nEff, p.cfg.Quantile, p.cfg.Confidence)
 	if !ok {
 		return p.store.Select(1), true // warm-up: sample minimum
 	}

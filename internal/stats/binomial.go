@@ -107,8 +107,13 @@ func UpperBoundIndex(n int, q, c float64) (k int, ok bool) {
 	if BinomialSF(1, n, 1-q) < c {
 		return 0, false
 	}
-	lo, hi := 1, n // invariant: SF(lo) >= c, answer in [lo, hi]
-	for lo < hi {
+	return deepestRank(n, 1, n, q, c), true
+}
+
+// deepestRank bisects [lo, hi] for the largest k with
+// BinomialSF(k, n, 1-q) >= c, given that lo qualifies.
+func deepestRank(n, lo, hi int, q, c float64) int {
+	for lo < hi { // invariant: SF(lo) >= c, answer in [lo, hi]
 		mid := (lo + hi + 1) / 2
 		if BinomialSF(mid, n, 1-q) >= c {
 			lo = mid
@@ -116,7 +121,97 @@ func UpperBoundIndex(n int, q, c float64) (k int, ok bool) {
 			hi = mid - 1
 		}
 	}
-	return lo, true
+	return lo
+}
+
+// RankCursor answers UpperBoundIndex for one fixed (q, c) over a sequence
+// of sample sizes that drift a little between calls — one more
+// observation, one evicted, an effective size nudged by a new
+// autocorrelation estimate — which is how every online QBETS consumer asks.
+//
+// The rank k(n) never decreases in n and rises by at most 1 per unit of n:
+// adding one observation can lift the count above the quantile by at most
+// one. So after answering (n0, k0), the answer for n lies in
+// [k0, k0+(n-n0)] when n grew and in [k0-(n0-n), k0] when it shrank, and
+// the cursor bisects only that bracket: O(log |n-n0|) incomplete-beta
+// evaluations instead of O(log n), and none for a repeated n. If the
+// bracket's lower end does not reach confidence c — floating point
+// disagreeing with the monotonicity argument, or a sample that shrank
+// below the first bounded size — it falls back to the full bisection.
+//
+// Sizes too small for any bound (a history regrowing after a change
+// point) are the same argument at k = 1: the cursor finds the first
+// bounded size once, answers every size below it with no evaluation, and
+// anchors there at rank 1 when the sample grows past it.
+//
+// Results are identical to UpperBoundIndex
+// (TestRankCursorMatchesUpperBoundIndex). The zero value is unusable;
+// build one with NewRankCursor. A RankCursor is a plain value: copying it
+// copies its memory, and it is not safe for concurrent use.
+type RankCursor struct {
+	q, c float64
+	n, k int // last answered query; n == 0 before the first
+	ok   bool
+	minN int // first size with a bound; 0 until a query without one
+}
+
+// NewRankCursor returns a cursor for UpperBoundIndex(·, q, c). A lower
+// bound on the q-quantile uses NewRankCursor(1-q, c), the argument
+// LowerBoundIndex passes on.
+func NewRankCursor(q, c float64) RankCursor { return RankCursor{q: q, c: c} }
+
+// Index returns UpperBoundIndex(n, q, c).
+func (rc *RankCursor) Index(n int) (k int, ok bool) {
+	if n == rc.n {
+		return rc.k, rc.ok
+	}
+	k, ok = rc.index(n)
+	rc.n, rc.k, rc.ok = n, k, ok
+	return k, ok
+}
+
+func (rc *RankCursor) index(n int) (int, bool) {
+	if n <= 0 || rc.n <= 0 {
+		return UpperBoundIndex(n, rc.q, rc.c)
+	}
+	n0, k0 := rc.n, rc.k
+	if !rc.ok {
+		if rc.minN == 0 {
+			rc.minN = rc.firstBounded()
+		}
+		n0, k0 = rc.minN, 1
+	}
+	if rc.minN > 0 && n < rc.minN {
+		return 0, false
+	}
+	lo, hi := k0, k0+(n-n0)
+	if n < n0 {
+		lo, hi = k0-(n0-n), k0
+	}
+	lo, hi = max(lo, 1), min(hi, n)
+	if lo > hi || BinomialSF(lo, n, 1-rc.q) < rc.c {
+		return UpperBoundIndex(n, rc.q, rc.c)
+	}
+	return deepestRank(n, lo, hi, rc.q, rc.c), true
+}
+
+// firstBounded returns the smallest n for which UpperBoundIndex finds a
+// bound, or math.MaxInt when the arguments admit none. The sample
+// maximum's confidence BinomialSF(1, n, 1-q) = 1-q^n grows with n, so
+// this is a walk from MinSamplesForUpperBound's closed-form estimate to
+// where the evaluated confidence crosses c.
+func (rc *RankCursor) firstBounded() int {
+	if checkQuantileArgs(1, rc.q, rc.c) != nil {
+		return math.MaxInt
+	}
+	n := MinSamplesForUpperBound(rc.q, rc.c)
+	for n > 1 && BinomialSF(1, n-1, 1-rc.q) >= rc.c {
+		n--
+	}
+	for BinomialSF(1, n, 1-rc.q) < rc.c {
+		n++
+	}
+	return n
 }
 
 // LowerBoundIndex returns the 1-based rank k, counted from the SMALLEST

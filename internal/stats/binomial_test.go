@@ -335,3 +335,114 @@ func TestWilsonCoverage(t *testing.T) {
 		t.Errorf("coverage %.3f below nominal %v", frac, conf)
 	}
 }
+
+// TestRankCursorMatchesUpperBoundIndex pins RankCursor to UpperBoundIndex
+// over every sample size a three-month 5-minute history can reach, for
+// every (q, c) the predictors use — the price quantile sqrt(p), the
+// duration tracker's 1-(1-sqrt(p)) (not bit-equal to sqrt(p)), and the
+// baselines' p — walked ascending, descending and in seeded random jumps.
+func TestRankCursorMatchesUpperBoundIndex(t *testing.T) {
+	const maxN, c = 30000, 0.99
+	var qs []float64
+	for _, p := range []float64{0.95, 0.99} {
+		qs = append(qs, math.Sqrt(p), 1-(1-math.Sqrt(p)), p)
+	}
+	qs = append(qs, 0.975) // the QBETS tests and benchmarks
+	for _, q := range qs {
+		ref := make([]int, maxN+1) // 0 = no bound
+		for n := 1; n <= maxN; n++ {
+			if k, ok := UpperBoundIndex(n, q, c); ok {
+				ref[n] = k
+			}
+		}
+		check := func(order string, rc *RankCursor, n int) {
+			k, ok := rc.Index(n)
+			if !ok {
+				k = 0
+			}
+			if k != ref[n] {
+				t.Fatalf("q=%v %s: Index(%d) = %d, want %d", q, order, n, k, ref[n])
+			}
+		}
+		up, down := NewRankCursor(q, c), NewRankCursor(q, c)
+		for n := 1; n <= maxN; n++ {
+			check("ascending", &up, n)
+			check("descending", &down, maxN+1-n)
+		}
+		jump := NewRankCursor(q, c)
+		rng := NewRNG(int64(maxN) + int64(1e6*q))
+		n := 1
+		for i := 0; i < maxN; i++ {
+			switch r := rng.Intn(20); {
+			case r < 12: // drift by a few, as one observation or eviction does
+				n += rng.Intn(7) - 3
+			case r < 17: // an effective-size re-estimate
+				n += rng.Intn(401) - 200
+			case r < 19: // a change-point truncation, back into warm-up
+				n = 1 + rng.Intn(1000)
+			default: // a fresh history
+				n = 1 + rng.Intn(maxN)
+			}
+			n = min(max(n, 1), maxN)
+			check("random", &jump, n)
+		}
+	}
+}
+
+// TestRankCursorWarmUpAcrossConfigs walks cursors for a spread of (q, c)
+// into, out of and back into the sizes too small for any bound, where the
+// cursor answers from its first bounded size instead of evaluating.
+func TestRankCursorWarmUpAcrossConfigs(t *testing.T) {
+	for _, q := range []float64{0.5, 0.9, 0.975, 0.995, 0.999} {
+		for _, c := range []float64{0.5, 0.9, 0.99, 0.999} {
+			rc := NewRankCursor(q, c)
+			top := 3*MinSamplesForUpperBound(q, c) + 10
+			for _, n := range append(seq(1, top), append(seq(top, 1), seq(1, top)...)...) {
+				wk, wok := UpperBoundIndex(n, q, c)
+				if k, ok := rc.Index(n); k != wk || ok != wok {
+					t.Fatalf("q=%v c=%v: Index(%d) = %d,%v, want %d,%v", q, c, n, k, ok, wk, wok)
+				}
+			}
+		}
+	}
+}
+
+// seq returns the integers from a to b inclusive, in that direction.
+func seq(a, b int) []int {
+	var out []int
+	for i := a; ; {
+		out = append(out, i)
+		if i == b {
+			return out
+		}
+		if a < b {
+			i++
+		} else {
+			i--
+		}
+	}
+}
+
+func TestRankCursorRejectsInvalidSizes(t *testing.T) {
+	rc := NewRankCursor(0.975, 0.99)
+	if k, ok := rc.Index(500); !ok || k < 1 {
+		t.Fatalf("Index(500) = %d,%v", k, ok)
+	}
+	for _, n := range []int{0, -3} {
+		if _, ok := rc.Index(n); ok {
+			t.Errorf("Index(%d) reported a bound", n)
+		}
+	}
+	if _, ok := rc.Index(181); ok {
+		t.Error("Index(181) reported a bound below MinSamplesForUpperBound")
+	}
+	if k, ok := rc.Index(182); !ok || k != 1 {
+		t.Errorf("Index(182) = %d,%v want 1,true", k, ok)
+	}
+	bad := NewRankCursor(1.5, 0.99)
+	for _, n := range []int{10, 20, 5000} {
+		if _, ok := bad.Index(n); ok {
+			t.Errorf("q=1.5: Index(%d) reported a bound", n)
+		}
+	}
+}
