@@ -16,8 +16,8 @@
 //	GET /debug/pprof/   (only with -pprof)
 //
 // Table reads are served from pre-encoded blobs with a refresh-epoch ETag
-// (If-None-Match revalidation answers 304); cmd/draftsbench load-tests
-// this path.
+// (If-None-Match revalidation answers 304); perfbench's serve workload
+// measures this path.
 //
 // With -data-dir the daemon keeps durable state — a write-ahead log of
 // every price tick plus snapshots of the served tables — and a restart

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,7 +99,8 @@ func TestCrossNodeByteEquality(t *testing.T) {
 // holds byte-for-byte the writer's encoded surfaces, and both advise
 // (fast path) and fleet answers — successes and refusals — are
 // byte-identical across nodes, even though the replica has no histories
-// and no predictors.
+// and no predictors. Advise is compared over three fixed targets plus
+// 1000 seeded trials.
 func TestReplicaSurfaceByteIdentity(t *testing.T) {
 	writer, sh := newRealWriter(t)
 	ts := httptest.NewServer(sh.ShipHandler())
@@ -128,6 +131,33 @@ func TestReplicaSurfaceByteIdentity(t *testing.T) {
 		"/v1/advise?zone=us-west-1a&type=c3.2xlarge&probability=0.95&duration=1h",
 		"/v1/advise?zone=us-east-1c&type=c4.large&probability=0.99&duration=2000h", // refusal
 	}
+	// 1000 seeded trials over every combo and both probabilities. The
+	// durations mix short off-grid minutes (mostly guaranteeable, so the
+	// success body is compared), whole hours up to a week, and a 90-day
+	// tail with off-grid seconds that forces refusals.
+	rng := rand.New(rand.NewSource(1))
+	probs := []float64{0.95, 0.99}
+	drawn := map[string]bool{}
+	for trial := 0; trial < 1000; trial++ {
+		combo := clusterCombos[rng.Intn(len(clusterCombos))]
+		prob := probs[rng.Intn(len(probs))]
+		drawn[fmt.Sprint(combo, prob)] = true
+		var d time.Duration
+		switch trial % 3 {
+		case 0:
+			d = time.Duration(1+rng.Intn(300)) * time.Minute
+		case 1:
+			d = time.Duration(1+rng.Intn(168)) * time.Hour
+		default:
+			d = time.Duration(1+rng.Intn(90*24))*time.Hour + time.Duration(rng.Intn(3600))*time.Second
+		}
+		adviseTargets = append(adviseTargets, fmt.Sprintf("/v1/advise?zone=%s&type=%s&probability=%v&duration=%s",
+			combo.Zone, combo.Type, prob, d))
+	}
+	if len(drawn) != len(clusterCombos)*len(probs) {
+		t.Fatalf("trials drew %d of %d (combo, probability) pairs", len(drawn), len(clusterCombos)*len(probs))
+	}
+	statuses := map[int]int{}
 	for _, target := range adviseTargets {
 		wrec := httptest.NewRecorder()
 		wh.ServeHTTP(wrec, httptest.NewRequest(http.MethodGet, target, nil))
@@ -137,6 +167,10 @@ func TestReplicaSurfaceByteIdentity(t *testing.T) {
 			t.Fatalf("%s:\nwriter:  %d %s\nreplica: %d %s",
 				target, wrec.Code, wrec.Body.String(), rrec.Code, rrec.Body.String())
 		}
+		statuses[wrec.Code]++
+	}
+	if statuses[http.StatusOK] == 0 || statuses[http.StatusConflict] == 0 {
+		t.Fatalf("advise statuses %v: the trials must compare both answers and refusals", statuses)
 	}
 
 	fleetBody := `{"duration":"30m","probability":0.99,"count":100}`

@@ -53,7 +53,7 @@ type Client struct {
 	HTTPClient *http.Client
 	// Tracer, when non-nil, traces each logical request (all retry
 	// attempts share one trace) and injects the W3C traceparent header so
-	// draftsctl/draftsbench-originated traces cross the wire: the server
+	// draftsctl-originated traces cross the wire: the server
 	// adopts the client's trace ID, and its X-Request-Id — in logs, error
 	// envelopes, and /debug/flight — matches the ID the client holds.
 	Tracer *trace.Tracer
