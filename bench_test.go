@@ -1,11 +1,7 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls out.
-//
-// Each BenchmarkTableN/BenchmarkFigureN runs a scaled-down instance of the
-// corresponding experiment per iteration (the full-scale runs live behind
-// cmd/backtest, cmd/launchsim and cmd/replay) and reports the experiment's
-// headline quantity via b.ReportMetric, so `go test -bench` doubles as a
-// smoke check that every experiment's machinery works end to end.
+// Benchmarks of the Figure-4 bid table, ablations of the design choices
+// DESIGN.md calls out, and microbenchmarks of the hot paths. The paper's
+// tables and figures are regenerated by cmd/drafts (`go run ./cmd/drafts
+// NAME`), whose shape test asserts their claims at reduced scale.
 package drafts_test
 
 import (
@@ -13,21 +9,13 @@ import (
 	"time"
 
 	"github.com/drafts-go/drafts"
-	"github.com/drafts-go/drafts/internal/backtest"
-	"github.com/drafts-go/drafts/internal/baselines"
-	"github.com/drafts-go/drafts/internal/cloudsim"
 	"github.com/drafts-go/drafts/internal/core"
 	"github.com/drafts-go/drafts/internal/history"
-	"github.com/drafts-go/drafts/internal/impact"
-	"github.com/drafts-go/drafts/internal/launch"
 	"github.com/drafts-go/drafts/internal/market"
-	"github.com/drafts-go/drafts/internal/migrate"
 	"github.com/drafts-go/drafts/internal/pricegen"
-	"github.com/drafts-go/drafts/internal/provisioner"
 	"github.com/drafts-go/drafts/internal/qbets"
 	"github.com/drafts-go/drafts/internal/spot"
 	"github.com/drafts-go/drafts/internal/stats"
-	"github.com/drafts-go/drafts/internal/workload"
 )
 
 var benchStart = time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -39,103 +27,6 @@ func benchSeries(b *testing.B, combo spot.Combo, n int) *history.Series {
 		b.Fatal(err)
 	}
 	return s
-}
-
-// BenchmarkTable1Correctness runs the §4.1 backtest (all four bid methods,
-// random requests, correctness scoring) over a small combo slice and
-// reports DrAFTS's below-target fraction, which must be ~0.
-func BenchmarkTable1Correctness(b *testing.B) {
-	combos := spot.Combos()[:6]
-	gen := pricegen.Generator{Seed: 42}
-	lead := 30 * 24 * 12
-	total := lead + 14*24*12 + 146
-	cfg := backtest.Config{
-		Probability: 0.99,
-		NumRequests: 60,
-		HistoryLead: lead,
-		Seed:        1,
-		Workers:     4,
-	}
-	seriesFor := func(c spot.Combo) (*history.Series, error) {
-		return gen.Series(c, benchStart, total)
-	}
-	b.ResetTimer()
-	var below float64
-	for i := 0; i < b.N; i++ {
-		outs, err := backtest.Run(cfg, combos, seriesFor)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bk := backtest.BucketTable(outs, 0.99)[baselines.MethodDrAFTS]
-		f, _, _ := bk.Frac()
-		below = f
-	}
-	b.ReportMetric(below, "drafts-below-target-frac")
-}
-
-// BenchmarkFigure1OnDemandCDF scores the On-demand bid method over the
-// same population and reports how many combos fall below target (the
-// Figure 1 population).
-func BenchmarkFigure1OnDemandCDF(b *testing.B) {
-	combos := []spot.Combo{
-		{Zone: "us-west-1a", Type: "c3.2xlarge"},  // volatile: should fail
-		{Zone: "us-east-1b", Type: "c4.large"},    // calm: should pass
-		{Zone: "us-east-1c", Type: "cg1.4xlarge"}, // hostile: fails at zero
-	}
-	gen := pricegen.Generator{Seed: 42}
-	lead := 30 * 24 * 12
-	total := lead + 14*24*12 + 146
-	cfg := backtest.Config{Probability: 0.99, NumRequests: 60, HistoryLead: lead, Seed: 1, Workers: 3}
-	seriesFor := func(c spot.Combo) (*history.Series, error) {
-		return gen.Series(c, benchStart, total)
-	}
-	b.ResetTimer()
-	var population float64
-	for i := 0; i < b.N; i++ {
-		outs, err := backtest.Run(cfg, combos, seriesFor)
-		if err != nil {
-			b.Fatal(err)
-		}
-		population = float64(len(backtest.FractionCDF(outs, baselines.MethodOnDemand, 0.99)))
-	}
-	b.ReportMetric(population, "combos-below-target")
-}
-
-// BenchmarkFigure2LaunchCalm runs the §4.2 launch experiment on the calm
-// Figure-2 market and reports the failure count (expected ~0 at p=0.95).
-func BenchmarkFigure2LaunchCalm(b *testing.B) {
-	cfg := launch.Config{
-		Region: spot.USEast1, Type: "c4.large",
-		Probability: 0.95, NumInstances: 15, WarmupSteps: 2500, Seed: 7,
-	}
-	b.ResetTimer()
-	var fails float64
-	for i := 0; i < b.N; i++ {
-		res, err := launch.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fails = float64(res.Failures())
-	}
-	b.ReportMetric(fails, "failures")
-}
-
-// BenchmarkFigure3LaunchVolatile is Figure 3's volatile-region variant.
-func BenchmarkFigure3LaunchVolatile(b *testing.B) {
-	cfg := launch.Config{
-		Region: spot.USWest1, Type: "c3.2xlarge",
-		Probability: 0.95, NumInstances: 15, WarmupSteps: 2500, Seed: 7,
-	}
-	b.ResetTimer()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		res, err := launch.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = res.SuccessFraction()
-	}
-	b.ReportMetric(frac, "success-fraction")
 }
 
 // BenchmarkFigure4BidTable times the service-style bid-duration table
@@ -153,93 +44,6 @@ func BenchmarkFigure4BidTable(b *testing.B) {
 			b.Fatal("no table")
 		}
 	}
-}
-
-// BenchmarkTable2Replay runs one Original-vs-DrAFTS workload replay
-// (§4.3) and reports the risk reduction factor.
-func BenchmarkTable2Replay(b *testing.B) {
-	trace := workload.Galaxies(120, time.Hour, 5)
-	base := cloudsim.Config{
-		Trace: trace, Region: spot.USEast1,
-		Seed: 7, PriceSeed: 11, WarmupSteps: 2500,
-	}
-	b.ResetTimer()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		orig := base
-		orig.Strategy = provisioner.Original
-		ro, err := cloudsim.Run(orig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dr := base
-		dr.Strategy = provisioner.DrAFTS1Hr
-		rd, err := cloudsim.Run(dr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = ro.MaxBidCost / rd.MaxBidCost
-	}
-	b.ReportMetric(ratio, "risk-reduction-x")
-}
-
-// BenchmarkTable3RepeatedReplays runs the three-strategy comparison over
-// repeated experiments (a scaled Table 3).
-func BenchmarkTable3RepeatedReplays(b *testing.B) {
-	cfg := cloudsim.Config{
-		Trace: workload.Galaxies(60, time.Hour, 13), Region: spot.USEast1,
-		Seed: 17, PriceSeed: 19, WarmupSteps: 2500,
-	}
-	b.ResetTimer()
-	var term float64
-	for i := 0; i < b.N; i++ {
-		sums, err := cloudsim.CompareStrategies(cfg, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		term = sums[2].AvgTerminations
-	}
-	b.ReportMetric(term, "profile-terminations")
-}
-
-// BenchmarkTable4CostOptimization measures the §4.4 strategy's savings on
-// a cheap market (the m1.large story) at p=0.99.
-func BenchmarkTable4CostOptimization(b *testing.B) {
-	combo := spot.Combo{Zone: "us-west-2c", Type: "m1.large"}
-	s := benchSeries(b, combo, 20000)
-	od, _ := spot.ODPrice(combo.Type, combo.Zone.Region())
-	pred, _ := drafts.NewPredictor(drafts.Params{Probability: 0.99}, s.Start)
-	pred.ObserveSeries(s)
-	b.ResetTimer()
-	var savings float64
-	for i := 0; i < b.N; i++ {
-		choice, err := drafts.OptimizeCost(pred, od, 4*time.Hour)
-		if err != nil {
-			b.Fatal(err)
-		}
-		savings = 100 * (1 - choice.HourlyWorstCase/od)
-	}
-	b.ReportMetric(savings, "worst-case-savings-%")
-}
-
-// BenchmarkTable5LowerProbability repeats Table 4's measurement at p=0.95;
-// the savings must be at least as large (the Table 5 observation).
-func BenchmarkTable5LowerProbability(b *testing.B) {
-	combo := spot.Combo{Zone: "us-west-2c", Type: "m1.large"}
-	s := benchSeries(b, combo, 20000)
-	od, _ := spot.ODPrice(combo.Type, combo.Zone.Region())
-	pred, _ := drafts.NewPredictor(drafts.Params{Probability: 0.95}, s.Start)
-	pred.ObserveSeries(s)
-	b.ResetTimer()
-	var savings float64
-	for i := 0; i < b.N; i++ {
-		choice, err := drafts.OptimizeCost(pred, od, 4*time.Hour)
-		if err != nil {
-			b.Fatal(err)
-		}
-		savings = 100 * (1 - choice.HourlyWorstCase/od)
-	}
-	b.ReportMetric(savings, "worst-case-savings-%")
 }
 
 // --- Ablations -----------------------------------------------------------
@@ -410,48 +214,4 @@ func BenchmarkMarketStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Step()
 	}
-}
-
-// BenchmarkAdoptionImpact runs a miniature §6 adoption sweep and reports
-// the realized durability at the highest adoption level.
-func BenchmarkAdoptionImpact(b *testing.B) {
-	cfg := impact.Config{
-		Combo:            spot.Combo{Zone: "us-east-1b", Type: "c4.large"},
-		Adoptions:        []int{0, 8},
-		RequestsPerAgent: 5,
-		WarmupSteps:      2000,
-		Seed:             5,
-	}
-	b.ResetTimer()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		levels, err := impact.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = levels[len(levels)-1].SuccessFraction()
-	}
-	b.ReportMetric(frac, "success-at-adoption")
-}
-
-// BenchmarkHostingPolicies runs the §5 hosting comparison over a short
-// horizon and reports the DrAFTS-informed policy's availability.
-func BenchmarkHostingPolicies(b *testing.B) {
-	cfg := migrate.Config{
-		Region:      spot.USEast1,
-		Type:        "c4.large",
-		Horizon:     24 * time.Hour,
-		WarmupSteps: 2000,
-		Seed:        3,
-	}
-	b.ResetTimer()
-	var avail float64
-	for i := 0; i < b.N; i++ {
-		rep, err := migrate.Run(cfg, migrate.DrAFTSInformed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		avail = rep.Availability
-	}
-	b.ReportMetric(avail, "availability")
 }

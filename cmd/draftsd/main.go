@@ -102,7 +102,7 @@ func main() {
 	flag.IntVar(&opts.nCombos, "combos", 60, "number of combos to serve (0 = all 452; full refreshes take longer)")
 	flag.DurationVar(&opts.refresh, "refresh", 15*time.Minute, "table recomputation period")
 	flag.IntVar(&opts.refreshWorkers, "refresh-workers", 0, "refresh worker pool size (0 = GOMAXPROCS)")
-	flag.StringVar(&opts.dataDir, "data", "", "load price histories from a marketgen output directory instead of generating")
+	flag.StringVar(&opts.dataDir, "data", "", "load price histories from a drafts marketgen output directory instead of generating")
 	flag.StringVar(&opts.stateDir, "data-dir", "", "durable state directory (WAL + snapshots); empty disables persistence")
 	flag.StringVar(&opts.fsync, "fsync", "interval", "WAL durability policy: always, interval, or none")
 	flag.BoolVar(&opts.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/")

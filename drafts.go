@@ -103,7 +103,7 @@ func PopulateSynthetic(store *HistoryStore, combos []Combo, start time.Time, poi
 }
 
 // LoadHistoryDir fills a store from a directory of archived histories (the
-// cmd/marketgen format); it returns the store and the file count.
+// cmd/drafts marketgen format); it returns the store and the file count.
 func LoadHistoryDir(dir string) (*HistoryStore, int, error) { return history.LoadDir(dir) }
 
 // NewServiceServer constructs a prediction service over a price source.

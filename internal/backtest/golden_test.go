@@ -33,7 +33,7 @@ func TestRunGoldenOutcomes(t *testing.T) {
 		lead       = core.DefaultMaxHistory
 		windowDays = 3
 	)
-	total := lead + windowDays*24*12 + 12*12 + 2 // window + 12h margin, as cmd/backtest
+	total := lead + windowDays*24*12 + 12*12 + 2 // window + 12h margin, as cmd/drafts
 	start := time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC).Add(-time.Duration(lead) * spot.UpdatePeriod)
 	combos := spot.Combos()[:6]
 	for _, seed := range []int64{1, 2} {

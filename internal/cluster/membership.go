@@ -201,13 +201,3 @@ func (m *Membership) Peers() []PeerStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
-
-// WriterURL returns the healthy writer's address, if any.
-func (m *Membership) WriterURL() (string, bool) {
-	for _, ps := range m.Peers() {
-		if ps.Healthy && ps.Role == "writer" {
-			return ps.Addr, true
-		}
-	}
-	return "", false
-}

@@ -60,13 +60,13 @@ func TestMembershipPollBuildsRing(t *testing.T) {
 	if ring.Len() != 2 {
 		t.Fatalf("ring has %d members, want 2 (writer + replica): %v", ring.Len(), ring.Members())
 	}
-	if url, ok := m.WriterURL(); !ok || url != writer.ts.URL {
-		t.Fatalf("WriterURL = %q, %v", url, ok)
-	}
 	healthy := 0
 	for _, p := range m.Peers() {
 		if p.Healthy {
 			healthy++
+		}
+		if (p.Addr == writer.ts.URL) != (p.Healthy && p.Role == "writer") {
+			t.Fatalf("peer %+v: only %s should be the healthy writer", p, writer.ts.URL)
 		}
 	}
 	if healthy != 2 {
@@ -225,7 +225,11 @@ func TestRouterFailsOverOnRetryableStatus(t *testing.T) {
 	}
 }
 
-func TestRouterAdviseGoesToWriter(t *testing.T) {
+// TestRouterAdviseGoesToRingOwner pins advise placement: every node
+// answers /v1/advise from its shipped surfaces, so the router places it
+// by combo like /v1/predictions and fails over along the ring when the
+// owner is down.
+func TestRouterAdviseGoesToRingOwner(t *testing.T) {
 	writer := newFakeNode(t, "writer", 3, "the-writer")
 	replica := newFakeNode(t, "replica", 3, "a-replica")
 	m, err := NewMembership(MembershipConfig{Peers: []string{replica.ts.URL, writer.ts.URL}})
@@ -235,11 +239,28 @@ func TestRouterAdviseGoesToWriter(t *testing.T) {
 	m.Poll(t.Context())
 	ts := newTestRouter(t, m)
 
+	path := "/v1/advise?zone=us-east-1b&type=c4.large&duration=2h"
+	key := RouteKey("/v1/advise", "zone=us-east-1b&type=c4.large&duration=2h")
+	if want := RouteKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"); key != want {
+		t.Fatalf("advise key %q, want the predictions key %q", key, want)
+	}
+	owner, _ := m.Ring().Lookup(key)
+	ownerNode, otherNode := writer, replica
+	if owner == replica.ts.URL {
+		ownerNode, otherNode = replica, writer
+	}
 	for i := 0; i < 3; i++ {
-		code, _, served := routerGet(t, ts.URL, "/v1/advise?zone=z&type=t&duration=2h")
-		if code != http.StatusOK || served != "the-writer" {
-			t.Fatalf("advise served by %q (status %d), want the writer", served, code)
+		code, _, served := routerGet(t, ts.URL, path)
+		if code != http.StatusOK || served != ownerNode.body {
+			t.Fatalf("advise served by %q (status %d), want the ring owner %q", served, code, ownerNode.body)
 		}
+	}
+
+	// The owner goes down: the router fails over to the next node.
+	ownerNode.ts.Close()
+	code, _, served := routerGet(t, ts.URL, path)
+	if code != http.StatusOK || served != otherNode.body {
+		t.Fatalf("failover: advise served by %q (status %d), want %q", served, code, otherNode.body)
 	}
 }
 

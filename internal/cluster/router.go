@@ -14,7 +14,7 @@ import (
 
 // RouterConfig parameterizes the forwarding read tier.
 type RouterConfig struct {
-	// Membership supplies the ring and the writer's address.
+	// Membership supplies the ring.
 	Membership *Membership
 	// Self, when this router is also a serving node (writer or replica
 	// running -role with routing on), is its own ring address: keys it
@@ -57,6 +57,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // service.Client must derive the identical key client-side.
 //
 //	/v1/predictions  zone "/" type   (one combo, the cacheable read)
+//	/v1/advise       zone "/" type   (answered from the combo's surface)
 //	/v1/tables       the first combo in the batch
 //	other            the path itself (stable, spreads uniformly)
 //
@@ -67,7 +68,7 @@ func RouteKey(path, rawQuery string) string {
 		return ""
 	}
 	switch path {
-	case "/v1/predictions":
+	case "/v1/predictions", "/v1/advise":
 		if z, t := q.Get("zone"), q.Get("type"); z != "" && t != "" {
 			return z + "/" + t
 		}
@@ -85,15 +86,6 @@ func RouteKey(path, rawQuery string) string {
 
 // ServeHTTP forwards one read to its ring owner.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Advise needs the predictors, which only the writer holds.
-	if r.URL.Path == "/v1/advise" {
-		if writer, ok := rt.cfg.Membership.WriterURL(); ok {
-			rt.forwardTo(w, r, []string{writer})
-			return
-		}
-		httpError(w, http.StatusServiceUnavailable, "stale", "no writer available")
-		return
-	}
 	ring := rt.cfg.Membership.Ring()
 	if ring.Len() == 0 {
 		httpError(w, http.StatusServiceUnavailable, "stale", "no serving nodes on the ring")

@@ -10,7 +10,7 @@ import (
 )
 
 // LoadDir fills a Store from a directory of archived price histories (the
-// format cmd/marketgen writes): every *.csv and *.json file holds one
+// format cmd/drafts marketgen writes): every *.csv and *.json file holds one
 // combo's series. It returns the populated store and how many files were
 // loaded; a directory with no loadable histories is an error.
 func LoadDir(dir string) (*Store, int, error) {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -130,62 +128,5 @@ func TestSpanAndWorkEmpty(t *testing.T) {
 	var tr Trace
 	if tr.Span() != 0 || tr.TotalWork() != 0 {
 		t.Error("empty trace span/work nonzero")
-	}
-}
-
-func TestTraceCSVRoundTrip(t *testing.T) {
-	orig := Galaxies(120, time.Hour, 17)
-	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Jobs) != len(orig.Jobs) {
-		t.Fatalf("%d jobs, want %d", len(back.Jobs), len(orig.Jobs))
-	}
-	for i := range orig.Jobs {
-		a, b := orig.Jobs[i], back.Jobs[i]
-		if a.ID != b.ID || a.Profile.Tool != b.Profile.Tool {
-			t.Fatalf("job %d identity changed: %+v vs %+v", i, a, b)
-		}
-		// Offsets survive at millisecond resolution.
-		if d := a.Submit - b.Submit; d > time.Millisecond || d < -time.Millisecond {
-			t.Fatalf("job %d submit drifted by %v", i, d)
-		}
-		if d := a.Runtime - b.Runtime; d > time.Millisecond || d < -time.Millisecond {
-			t.Fatalf("job %d runtime drifted by %v", i, d)
-		}
-	}
-}
-
-func TestTraceReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad header":   "a,b,c,d\n",
-		"bad id":       "id,tool,submit_offset_seconds,runtime_seconds\nx,fastqc,1,60\n",
-		"unknown tool": "id,tool,submit_offset_seconds,runtime_seconds\n0,quantum-blast,1,60\n",
-		"bad submit":   "id,tool,submit_offset_seconds,runtime_seconds\n0,fastqc,soon,60\n",
-		"bad runtime":  "id,tool,submit_offset_seconds,runtime_seconds\n0,fastqc,1,long\n",
-		"zero runtime": "id,tool,submit_offset_seconds,runtime_seconds\n0,fastqc,1,0\n",
-	}
-	for name, input := range cases {
-		if _, err := ReadCSV(strings.NewReader(input)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-func TestTraceReadCSVSortsBySubmit(t *testing.T) {
-	input := "id,tool,submit_offset_seconds,runtime_seconds\n" +
-		"1,fastqc,300,60\n" +
-		"0,fastqc,10,60\n"
-	tr, err := ReadCSV(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Jobs[0].ID != 0 || tr.Jobs[1].ID != 1 {
-		t.Errorf("jobs not re-sorted: %+v", tr.Jobs)
 	}
 }
