@@ -150,13 +150,23 @@ func BenchmarkAblationProbabilitySplit(b *testing.B) {
 
 // --- Microbenchmarks of the hot paths ------------------------------------
 
-// BenchmarkQBETSObserveFenwick measures the online update cost with the
-// tick-grid store (the production configuration).
+// BenchmarkQBETSObserveLevels measures the online update cost on a ladder
+// market with the tick-level store (the production configuration).
+func BenchmarkQBETSObserveLevels(b *testing.B) {
+	benchQBETSObserve(b, func() qbets.OrderStats { return qbets.NewLevelStore(spot.PriceTick) })
+}
+
+// BenchmarkQBETSObserveFenwick measures the same update with the dense
+// tick-grid store.
 func BenchmarkQBETSObserveFenwick(b *testing.B) {
+	benchQBETSObserve(b, func() qbets.OrderStats { return qbets.NewFenwickStore(spot.PriceTick, 4) })
+}
+
+func benchQBETSObserve(b *testing.B, store func() qbets.OrderStats) {
 	s := benchSeries(b, spot.Combo{Zone: "us-east-1b", Type: "c4.large"}, 26000)
 	p := qbets.MustNew(qbets.Config{
 		Kind: qbets.UpperBound, Quantile: 0.975, Confidence: 0.99,
-		NewStore: func() qbets.OrderStats { return qbets.NewFenwickStore(spot.PriceTick, 4) },
+		NewStore: store,
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

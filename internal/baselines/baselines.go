@@ -155,7 +155,7 @@ func AR1Bids(s *history.Series, quantile, confidence float64, maxHistory int, qu
 		Confidence: confidence,
 		MaxHistory: maxHistory,
 		NewStore: func() qbets.OrderStats {
-			return qbets.NewFenwickStore(spot.PriceTick, 4)
+			return qbets.NewLevelStore(spot.PriceTick)
 		},
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/qbets"
-	"github.com/drafts-go/drafts/internal/spot"
 )
 
 // The online predictor is the expensive part of a refresh: it carries three
@@ -123,9 +122,7 @@ func LoadPredictor(r io.Reader, series *history.Series) (*Predictor, error) {
 	if sum := windowChecksum(p.prices); sum != st.WindowCRC {
 		return nil, fmt.Errorf("core: price window checksum %08x does not match saved %08x", sum, st.WindowCRC)
 	}
-	p.price, err = qbets.Load(bytes.NewReader(st.Price), p.prices, func() qbets.OrderStats {
-		return qbets.NewFenwickStore(spot.PriceTick, 4)
-	})
+	p.price, err = qbets.Load(bytes.NewReader(st.Price), p.prices, priceQBETSConfig(params).NewStore)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring price bound state: %w", err)
 	}

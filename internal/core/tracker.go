@@ -219,7 +219,8 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) 
 
 // priceQBETSConfig builds the QBETS configuration for the price series
 // (step 1): an upper bound on the sqrt(p)-quantile, backed by the
-// tick-grid Fenwick store since Spot prices are exact tick multiples.
+// tick-level store since Spot prices are exact tick multiples that
+// revisit a few ladder rungs.
 func priceQBETSConfig(p Params) qbets.Config {
 	return qbets.Config{
 		Kind:          qbets.UpperBound,
@@ -229,7 +230,7 @@ func priceQBETSConfig(p Params) qbets.Config {
 		NoChangePoint: p.DisableChangePoints,
 		NoAutocorr:    p.DisableAutocorr,
 		NewStore: func() qbets.OrderStats {
-			return qbets.NewFenwickStore(spot.PriceTick, 4)
+			return qbets.NewLevelStore(spot.PriceTick)
 		},
 	}
 }

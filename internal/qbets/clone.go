@@ -3,7 +3,7 @@ package qbets
 import "fmt"
 
 // StoreCloner is implemented by OrderStats backends that can deep-copy
-// themselves. Both backends in this package implement it; Predictor.Clone
+// themselves. Every backend in this package implements it; Predictor.Clone
 // requires it of whatever store the predictor was configured with, because
 // a clone rebuilt by re-insertion would not be guaranteed to reproduce the
 // original's future behaviour (a treap's priority stream, for instance,
@@ -52,7 +52,7 @@ func (t *Treap) CloneOrderStats() OrderStats { return t.Clone() }
 // and order-statistic store. Feeding original and clone the same subsequent
 // observations produces identical bounds — the property the service's
 // incremental refresh relies on. It panics if the configured store does not
-// implement StoreCloner (both package backends do).
+// implement StoreCloner (every package backend does).
 func (p *Predictor) Clone() *Predictor {
 	cl, ok := p.store.(StoreCloner)
 	if !ok {

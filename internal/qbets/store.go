@@ -6,11 +6,20 @@
 // value upper- or lower-bounds the q-th quantile of the next observation
 // with confidence c, per the binomial argument of Equation 2 in the paper.
 //
-// The package provides two interchangeable order-statistic backends: a
-// randomized treap for arbitrary float64 data and a Fenwick (binary
-// indexed) tree over a fixed value grid, which is substantially faster for
-// tick-quantized data such as Spot prices (multiples of $0.0001) and
-// durations (multiples of the 5-minute market period).
+// The package provides three interchangeable order-statistic backends:
+//
+//   - LevelStore holds only the grid levels present, each with its count.
+//     Its memory follows the distinct values, so it suits ladder-like
+//     tick data: every spot-price predictor uses it (core's price QBETS
+//     for Online, Batch and snapshot restore, and baselines.AR1Bids).
+//   - FenwickStore is a Fenwick (binary indexed) tree over a dense value
+//     grid. core's duration trackers (integer 5-minute steps, a few
+//     hundred buckets) and the Empirical-CDF baseline use it.
+//   - Treap is a randomized treap for arbitrary float64 data. It is the
+//     Config default and the tests' reference for the grid stores.
+//
+// LevelStore and FenwickStore snap values to the grid the same way and
+// return bit-identical selections.
 package qbets
 
 // OrderStats maintains a multiset of float64 values under insertion,

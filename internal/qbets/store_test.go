@@ -150,6 +150,7 @@ func TestSelectPanicsOutOfRange(t *testing.T) {
 	for name, s := range map[string]OrderStats{
 		"treap":   NewTreap(1),
 		"fenwick": NewFenwickStore(1, 4),
+		"levels":  NewLevelStore(1),
 	} {
 		s.Insert(1)
 		for _, k := range []int{0, 2} {

@@ -67,6 +67,16 @@ func TestClientRoutesReadsOverReplicas(t *testing.T) {
 		t.Fatal("batch read went to the writer despite healthy replicas")
 	}
 
+	// Advise is placed by the same combo key: the ring owner answers it.
+	ownerBefore := ownerHits.Load()
+	if _, err := cl.Advise(combo, 0.99, 2*time.Hour); err != nil {
+		t.Fatalf("advise: %v", err)
+	}
+	if ownerHits.Load() != ownerBefore+1 || otherHits.Load() != 0 || baseHits.Load() != 0 {
+		t.Fatalf("advise placement: owner=%d (was %d) other=%d base=%d, want one more on the owner only",
+			ownerHits.Load(), ownerBefore, otherHits.Load(), baseHits.Load())
+	}
+
 	// Kill the owner: reads keep working via the next ring candidate.
 	if owner == repA.URL {
 		repA.Close()
@@ -80,13 +90,11 @@ func TestClientRoutesReadsOverReplicas(t *testing.T) {
 	if otherHits.Load()+baseHits.Load() != before+1 {
 		t.Fatal("failover did not reach a surviving node")
 	}
-
-	// Advise stays on the writer: replicas hold no predictors.
 	if _, err := cl.Advise(combo, 0.99, 2*time.Hour); err != nil {
-		t.Fatalf("advise: %v", err)
+		t.Fatalf("failover advise: %v", err)
 	}
-	if baseHits.Load() == 0 {
-		t.Fatal("advise bypassed the writer")
+	if otherHits.Load()+baseHits.Load() != before+2 {
+		t.Fatal("advise failover did not reach a surviving node")
 	}
 }
 
