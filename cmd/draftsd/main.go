@@ -20,9 +20,9 @@
 // measures this path.
 //
 // With -data-dir the daemon keeps durable state — a write-ahead log of
-// every price tick plus snapshots of the served tables — and a restart
-// recovers it: the last good bid tables serve immediately while the first
-// fresh refresh runs in the background. Keep -seed stable across restarts
+// every price tick plus snapshots of the predictors behind the served
+// tables — and a restart recovers it: the last good bid tables serve
+// immediately while the first fresh refresh runs in the background. Keep -seed stable across restarts
 // of the same -data-dir; the synthetic market is continued
 // deterministically from the recovered history.
 //

@@ -51,8 +51,8 @@ type (
 	// Series is a uniform-grid (5-minute) market price history.
 	Series = history.Series
 
-	// Params configures a Predictor: target probability, confidence,
-	// history window, and table shape.
+	// Params configures a Predictor: target probability, confidence and
+	// history window.
 	Params = core.Params
 	// Predictor is the online DrAFTS forecaster for one market.
 	Predictor = core.Predictor

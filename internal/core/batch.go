@@ -89,7 +89,7 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 		}
 	}
 	qd, c := params.DurationQuantile(), params.Confidence
-	grid := geometricGrid(lo+spot.PriceTick, b.MaxBid, params.TableRatio)
+	grid := geometricGrid(lo+spot.PriceTick, b.MaxBid, tableRatio)
 	trackers := make([]*levelTracker, len(grid))
 	for i, lvl := range grid {
 		trackers[i] = newLevelTracker(lvl, params.MaxHistory, qd, c)

@@ -50,22 +50,17 @@ type Params struct {
 	// three months of 5-minute data (§3.3: "each DrAFTS maximum bid was
 	// computed using the previous 3 months pricing data").
 	MaxHistory int
-	// TableRatio is the multiplicative spacing of bid-table levels
-	// (default 1.05, the service's 5% increments).
-	TableRatio float64
-	// TableSpanMult caps table levels at this multiple of the minimum bid
-	// (default 4, per the service description in §3.3).
-	TableSpanMult float64
-	// DisableChangePoints turns off QBETS change-point detection on the
-	// price series (ablation).
-	DisableChangePoints bool
-	// DisableAutocorr turns off the autocorrelation effective-sample-size
-	// correction (ablation).
-	DisableAutocorr bool
 }
 
 // DefaultMaxHistory is three months of 5-minute price points.
 const DefaultMaxHistory = 3 * 30 * 24 * 12
+
+// The service's bid ladder (§3.3): bids rise from the minimum in 5% steps,
+// and a published table stops at 4x the minimum.
+const (
+	tableRatio    = 1.05
+	tableSpanMult = 4
+)
 
 func (p Params) withDefaults() (Params, error) {
 	if !(p.Probability > 0 && p.Probability < 1) {
@@ -82,18 +77,6 @@ func (p Params) withDefaults() (Params, error) {
 	}
 	if p.MaxHistory < 0 {
 		return p, fmt.Errorf("core: negative max history")
-	}
-	if p.TableRatio == 0 {
-		p.TableRatio = 1.05
-	}
-	if p.TableRatio <= 1 {
-		return p, fmt.Errorf("core: table ratio %v must exceed 1", p.TableRatio)
-	}
-	if p.TableSpanMult == 0 {
-		p.TableSpanMult = 4
-	}
-	if p.TableSpanMult < 1 {
-		return p, fmt.Errorf("core: table span %v must be at least 1", p.TableSpanMult)
 	}
 	return p, nil
 }

@@ -25,8 +25,6 @@ func TestParamsValidation(t *testing.T) {
 		{Probability: 1},
 		{Probability: 0.95, Confidence: 1.5},
 		{Probability: 0.95, MaxHistory: -1},
-		{Probability: 0.95, TableRatio: 0.9},
-		{Probability: 0.95, TableSpanMult: 0.5},
 	}
 	for i, p := range bad {
 		if _, err := p.withDefaults(); err == nil {
@@ -37,7 +35,7 @@ func TestParamsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Confidence != 0.99 || p.MaxHistory != DefaultMaxHistory || p.TableRatio != 1.05 || p.TableSpanMult != 4 {
+	if p.Confidence != 0.99 || p.MaxHistory != DefaultMaxHistory {
 		t.Errorf("defaults wrong: %+v", p)
 	}
 }

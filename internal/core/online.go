@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -148,51 +147,42 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 }
 
 // Table builds the service-style bid table at the current moment: the
-// minimum bid, then 5% increments up to TableSpanMult times the minimum
-// (§3.3). Durations are monotone non-decreasing in the bid.
+// minimum bid, then 5% increments up to 4x the minimum (§3.3). Each
+// guarantee is read off the advise walk (Surface), here cut short at the
+// table's last bid, so a table costs one duration scan per distinct table
+// bid up to the walk's ceiling. Durations are monotone non-decreasing in
+// the bid.
 func (p *Predictor) Table() (BidTable, bool) {
-	bid0, ok := p.MinBid()
+	s, ok := p.walk(tableSpanMult)
 	if !ok {
 		return BidTable{}, false
 	}
-	t := BidTable{At: p.Now(), Probability: p.params.Probability}
-	limit := bid0 * p.params.TableSpanMult
-	for bid := bid0; bid <= limit+1e-12; bid *= p.params.TableRatio {
-		tb := spot.RoundToTick(bid)
-		if n := len(t.Points); n > 0 && t.Points[n-1].Bid >= tb {
-			continue
+	return s.Table(p.Now()), true
+}
+
+// ceiling is the highest bid the advise walk reaches: one tick above 1.25x
+// the highest retained price (a bid no observed market movement has ever
+// reached), and never below the minimum bid bid0.
+func (p *Predictor) ceiling(bid0 float64) float64 {
+	maxSeen := 0.0
+	for _, v := range p.hist() {
+		if v > maxSeen {
+			maxSeen = v
 		}
-		d, _ := p.GuaranteeFor(tb)
-		t.Points = append(t.Points, BidPoint{Bid: tb, Duration: d})
 	}
-	enforceMonotone(t.Points)
-	return t, true
+	return max(spot.NextTickAbove(1.25*maxSeen), bid0)
 }
 
 // Advise returns the smallest bid that guarantees the requested duration
-// with the configured probability. The search escalates in TableRatio
-// steps from the minimum bid, beyond the service's table span if
-// necessary, up to one tick above 1.25x the highest retained price (a bid
-// no observed market movement has ever reached). An error is returned if
-// even that cannot promise d — the caller should fall back to a reliable
-// (On-demand) instance, per the §4.4 cost-optimization strategy.
+// with the configured probability. The search escalates in 5% steps from
+// the minimum bid, beyond the service's table span if necessary, up to the
+// ceiling: one tick above 1.25x the highest retained price. An error is
+// returned if even that cannot promise d — the caller should fall back to
+// a reliable (On-demand) instance, per the §4.4 cost-optimization strategy.
 //
-// Advise is the context-free compatibility surface used by the
-// simulators and the public API, where no request deadline exists; its
-// scan is bounded by the escalation cap above, not by cancellation.
-// Serving-path callers must use AdviseContext so deadlines propagate.
+// Advise scans the history at every step; the service answers the same
+// question from a precomputed AdviseSurface instead.
 func (p *Predictor) Advise(d time.Duration) (Quote, error) {
-	//draftsvet:ignore ctxflow deliberate root: context-free public API with a bounded scan; the serving path calls AdviseContext
-	return p.AdviseContext(context.Background(), d)
-}
-
-// AdviseContext is Advise under a deadline: the bid-escalation scan checks
-// ctx between escalation steps (each step runs a full duration-bound scan
-// over the retained history, the expensive unit of work) and returns
-// ctx.Err() wrapped as soon as the budget is exhausted. The service's
-// request-deadline propagation relies on this being the only unbounded
-// loop on the query path.
-func (p *Predictor) AdviseContext(ctx context.Context, d time.Duration) (Quote, error) {
 	mAdviseCalls.Load().Inc()
 	if d <= 0 {
 		return Quote{}, fmt.Errorf("core: non-positive duration %v", d)
@@ -201,27 +191,12 @@ func (p *Predictor) AdviseContext(ctx context.Context, d time.Duration) (Quote, 
 	if !ok {
 		return Quote{}, fmt.Errorf("core: no price history")
 	}
-	maxSeen := 0.0
-	for _, v := range p.hist() {
-		if v > maxSeen {
-			maxSeen = v
-		}
-	}
-	ceiling := spot.NextTickAbove(1.25 * maxSeen)
-	if ceiling < bid0 {
-		ceiling = bid0
-	}
-	span := bid0 * p.params.TableSpanMult
+	ceiling := p.ceiling(bid0)
+	span := bid0 * tableSpanMult
 	escalated := false
 	var last Quote
-	for bid := bid0; ; bid *= p.params.TableRatio {
-		if err := ctx.Err(); err != nil {
-			return last, fmt.Errorf("core: advise abandoned at bid %.4f: %w", last.Bid, err)
-		}
-		tb := spot.RoundToTick(bid)
-		if tb > ceiling {
-			tb = ceiling
-		}
+	for bid := bid0; ; bid *= tableRatio {
+		tb := min(spot.RoundToTick(bid), ceiling)
 		if tb > span && !escalated {
 			escalated = true
 			mAdviseEscalations.Load().Inc()

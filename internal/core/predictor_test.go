@@ -329,55 +329,3 @@ func TestSuggestedMaxBid(t *testing.T) {
 		t.Errorf("SuggestedMaxBid = %v, want 1.5*OD", got)
 	}
 }
-
-// TestAblationFlagsPlumbed: the DisableChangePoints / DisableAutocorr
-// params must actually alter the predictor's behaviour on data where the
-// mechanisms matter.
-func TestAblationFlagsPlumbed(t *testing.T) {
-	// Regime-switching series: with change-point detection the bound
-	// adapts downward after the cheap regime arrives; without it the old
-	// expensive tail dominates far longer.
-	mk := func(noCP, noAC bool) *Predictor {
-		params := testParams(0.95)
-		params.DisableChangePoints = noCP
-		params.DisableAutocorr = noAC
-		p, err := NewPredictor(params, t0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	rng := stats.NewRNG(88)
-	withCP, withoutCP := mk(false, true), mk(true, true)
-	for i := 0; i < 2000; i++ {
-		v := spot.RoundToTick(1 + 0.02*rng.Float64())
-		withCP.Observe(v)
-		withoutCP.Observe(v)
-	}
-	for i := 0; i < 1500; i++ {
-		v := spot.RoundToTick(0.1 + 0.002*rng.Float64())
-		withCP.Observe(v)
-		withoutCP.Observe(v)
-	}
-	a, _ := withCP.MinBid()
-	b, _ := withoutCP.MinBid()
-	if a >= b {
-		t.Errorf("change-point predictor bid %v not below detector-less %v after a price drop", a, b)
-	}
-
-	// Strongly autocorrelated series: the ESS correction must push the
-	// bound at least as high as the uncorrected one.
-	onAC, offAC := mk(true, false), mk(true, true)
-	x := 0.0
-	for i := 0; i < 4000; i++ {
-		x = 0.97*x + rng.NormFloat64()
-		v := spot.RoundToTick(5 + 0.1*x)
-		onAC.Observe(v)
-		offAC.Observe(v)
-	}
-	ba, _ := onAC.MinBid()
-	bb, _ := offAC.MinBid()
-	if ba < bb {
-		t.Errorf("autocorr-corrected bid %v below uncorrected %v", ba, bb)
-	}
-}

@@ -8,14 +8,14 @@ import (
 	"github.com/drafts-go/drafts/internal/spot"
 )
 
-// AdviseSurface is the precomputed form of AdviseContext's bid-escalation
-// scan for one (combo, probability): the full escalation sequence the scan
+// AdviseSurface is the precomputed form of Advise's bid-escalation scan
+// for one (combo, probability): the full escalation sequence the scan
 // would walk, materialized once at refresh time as two parallel uint32
 // arrays. Bids holds the tick-aligned bid at each escalation step (strictly
 // increasing — consecutive duplicate ticks from RoundToTick at tiny bids
 // are collapsed, keeping the first, which is the entry the scan would
 // return); Guar holds the guaranteed duration at that bid in grid steps.
-// Lookup answers the same question as AdviseContext — the first escalation
+// Lookup answers the same question as Advise — the first escalation
 // entry whose guarantee covers the requested duration — in O(1) for grid
 // durations and O(log n) within one grid cell otherwise, without touching
 // price history.
@@ -48,40 +48,35 @@ type AdviseSurface struct {
 	gridAt []int32
 }
 
-// maxSurfaceEntries bounds surface construction against pathological
-// parameters (a TableRatio barely above 1 could enumerate every tick up to
-// the ceiling). Surface construction bails past it and callers fall back to
-// the scan path; default parameters stay orders of magnitude below.
-const maxSurfaceEntries = 1 << 16
-
-// Surface materializes the AdviseContext escalation for the predictor's
-// current history. It walks the identical bid sequence — minimum bid,
-// TableRatio escalation, tick rounding, ceiling clamp at one tick above
-// 1.25x the highest retained price — so Lookup on the result returns
-// bit-identical quotes to the scan. ok is false when there is no price
-// history yet (the scan would also refuse) or the escalation exceeds
-// maxSurfaceEntries.
+// Surface materializes the Advise escalation for the predictor's current
+// history: the guarantee ladder. It walks the identical bid sequence —
+// minimum bid, 5% escalation, tick rounding, deduplication, ceiling clamp
+// at one tick above 1.25x the highest retained price — so Lookup on the
+// result returns bit-identical quotes to the scan, and Table reads the
+// published table off the same walk. ok is false when there is no price
+// history yet (the scan would also refuse).
 func (p *Predictor) Surface() (*AdviseSurface, bool) {
+	s, ok := p.walk(math.Inf(1))
+	if ok {
+		mSurfaceBuilds.Load().Inc()
+	}
+	return s, ok
+}
+
+// walk runs one duration scan per distinct bid from the minimum bid up to
+// the ceiling, or only while the unrounded bid stays within span times the
+// minimum bid. The fixed 5% ratio bounds it to ~15k entries even over the
+// whole float range.
+func (p *Predictor) walk(span float64) (*AdviseSurface, bool) {
 	bid0, ok := p.MinBid()
 	if !ok {
 		return nil, false
 	}
-	maxSeen := 0.0
-	for _, v := range p.hist() {
-		if v > maxSeen {
-			maxSeen = v
-		}
-	}
-	ceiling := spot.NextTickAbove(1.25 * maxSeen)
-	if ceiling < bid0 {
-		ceiling = bid0
-	}
+	ceiling := p.ceiling(bid0)
+	limit := bid0 * span
 	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step}
-	for bid := bid0; ; bid *= p.params.TableRatio {
-		tb := spot.RoundToTick(bid)
-		if tb > ceiling {
-			tb = ceiling
-		}
+	for bid := bid0; bid <= limit+1e-12; bid *= tableRatio {
+		tb := min(spot.RoundToTick(bid), ceiling)
 		tick := uint32(spot.Ticks(tb))
 		if n := len(s.Bids); n == 0 || s.Bids[n-1] < tick {
 			g, _ := p.GuaranteeFor(tb)
@@ -91,13 +86,35 @@ func (p *Predictor) Surface() (*AdviseSurface, bool) {
 		if tb >= ceiling {
 			break
 		}
-		if len(s.Bids) > maxSurfaceEntries {
-			return nil, false
-		}
 	}
 	s.finish()
-	mSurfaceBuilds.Load().Inc()
 	return s, true
+}
+
+// Table reads the published bid table for time at off the walk: the
+// minimum bid, then 5% increments up to 4x the minimum (§3.3). A bid up
+// to the ceiling is a walk entry and takes its guarantee. A bid above the
+// ceiling takes the ceiling's: no retained price reaches either, so every
+// episode at both is censored and the duration scan returns the same
+// value. Durations are made monotone non-decreasing in the bid.
+func (s *AdviseSurface) Table(at time.Time) BidTable {
+	t := BidTable{At: at, Probability: s.Probability}
+	bid0 := spot.FromTicks(int(s.Bids[0]))
+	limit := bid0 * tableSpanMult
+	i := 0
+	for bid := bid0; bid <= limit+1e-12; bid *= tableRatio {
+		tb := spot.RoundToTick(bid)
+		if n := len(t.Points); n > 0 && t.Points[n-1].Bid >= tb {
+			continue
+		}
+		tick := uint32(spot.Ticks(tb))
+		for i+1 < len(s.Bids) && s.Bids[i] < tick {
+			i++
+		}
+		t.Points = append(t.Points, BidPoint{Bid: tb, Duration: time.Duration(s.Guar[i]) * s.Step})
+	}
+	enforceMonotone(t.Points)
+	return t
 }
 
 // NewAdviseSurface reassembles a surface from its wire arrays (a replica
@@ -189,7 +206,7 @@ func firstCovering(max []uint32, k uint32) int {
 	return lo
 }
 
-// Lookup answers AdviseContext's question from the surface: the quote at
+// Lookup answers Advise's question from the surface: the quote at
 // the first escalation entry guaranteeing d, bit-identical to what the scan
 // would return over the same history. ok is false when d is non-positive or
 // no bid up to the ceiling can guarantee it (the scan's error cases); the
@@ -262,7 +279,7 @@ func (s *AdviseSurface) quoteAt(i int) Quote {
 }
 
 // Best returns the quote at the ceiling bid — the strongest guarantee the
-// surface can make, and the "best" the scan path reports when refusing.
+// surface can make, and the "best" Advise reports when refusing.
 func (s *AdviseSurface) Best() Quote {
 	if len(s.Bids) == 0 {
 		return Quote{}
@@ -271,8 +288,8 @@ func (s *AdviseSurface) Best() Quote {
 }
 
 // CannotGuarantee builds the refusal for a failed Lookup, byte-identical to
-// AdviseContext's error so surface-serving nodes render the same envelope
-// the scan path would.
+// Advise's error, so surface-serving nodes render the envelope Advise
+// would.
 func (s *AdviseSurface) CannotGuarantee(d time.Duration) error {
 	best := s.Best()
 	return fmt.Errorf("core: cannot guarantee %v at p=%v (best: %v at bid %.4f)",

@@ -223,12 +223,10 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) 
 // revisit a few ladder rungs.
 func priceQBETSConfig(p Params) qbets.Config {
 	return qbets.Config{
-		Kind:          qbets.UpperBound,
-		Quantile:      p.PriceQuantile(),
-		Confidence:    p.Confidence,
-		MaxHistory:    p.MaxHistory,
-		NoChangePoint: p.DisableChangePoints,
-		NoAutocorr:    p.DisableAutocorr,
+		Kind:       qbets.UpperBound,
+		Quantile:   p.PriceQuantile(),
+		Confidence: p.Confidence,
+		MaxHistory: p.MaxHistory,
 		NewStore: func() qbets.OrderStats {
 			return qbets.NewLevelStore(spot.PriceTick)
 		},

@@ -50,7 +50,8 @@ type Config struct {
 	MaxHistory int
 	// AutocorrEvery controls how often (in observations) the lag-1
 	// autocorrelation is re-estimated for the effective-sample-size
-	// correction. 0 disables the correction entirely. Default 128.
+	// correction. Zero selects the default, 128; a negative value or
+	// NoAutocorr disables the correction.
 	AutocorrEvery int
 	// NoAutocorr disables the autocorrelation correction even with the
 	// default AutocorrEvery (used by the ablation benchmarks).

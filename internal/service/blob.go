@@ -69,13 +69,12 @@ type encodedTables struct {
 	combos []byte // pre-encoded /v1/combos response body (no trailing newline)
 	bytes  int    // total pre-encoded payload bytes, for the gauge
 
-	// bidTables and preds are the writer's core tables and the predictors
-	// that produced them: the input to snapshots, WAL compaction, and the
-	// next incremental refresh. Writer-only — nil on replica epochs, which
-	// are rebuilt from the wire — and excluded from Checksum, since every
-	// byte a node serves is already derived from them.
-	bidTables map[tableKey]core.BidTable
-	preds     map[tableKey]*core.Predictor
+	// preds are the predictors every table and surface derives from: the
+	// input to snapshots, WAL compaction, and the next incremental refresh.
+	// Writer-only — nil on replica epochs, which are rebuilt from the wire —
+	// and excluded from Checksum, since every byte a node serves is already
+	// derived from them.
+	preds map[tableKey]*core.Predictor
 
 	// surfaces holds the precomputed advise surfaces (surface.go); fleet
 	// indexes them per probability spelling for /v1/fleet.
@@ -107,6 +106,11 @@ type viewKey struct {
 	phys, visible, typ, prob string
 }
 
+// blob is the key a table's blob and surface are stored under.
+func (k tableKey) blob() blobKey {
+	return blobKey{zone: string(k.combo.Zone), typ: string(k.combo.Type), prob: probKey(k.prob)}
+}
+
 // probKey formats a probability level the way the service addresses blobs:
 // the shortest round-trip representation, which matches how clients
 // naturally spell query values ("0.99", "0.95").
@@ -127,17 +131,14 @@ func epochETag(asOf time.Time, n int) string {
 }
 
 // encodeTables builds one writer epoch: every table and the combo listing
-// pre-encoded, the advise surfaces attached, and the core tables and
-// predictors retained. Prebuilt surfaces may be passed in (the refresh path
-// builds them before stamping asOf, so surface construction time doesn't
-// age the epoch); nil surfaces are derived from preds here.
+// pre-encoded, the advise surfaces attached, and the predictors both derive
+// from retained.
 func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time) (*encodedTables, error) {
 	et := &encodedTables{
-		asOf:      asOf,
-		etag:      epochETag(asOf, len(tables)),
-		tables:    make(map[blobKey][]byte, len(tables)),
-		bidTables: tables,
-		preds:     preds,
+		asOf:   asOf,
+		etag:   epochETag(asOf, len(tables)),
+		tables: make(map[blobKey][]byte, len(tables)),
+		preds:  preds,
 	}
 	et.etagH = []string{et.etag}
 	seen := make(map[spot.Combo]bool)
@@ -146,11 +147,7 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 		if err != nil {
 			return nil, fmt.Errorf("service: encoding table for %s/p=%v: %w", k.combo, k.prob, err)
 		}
-		et.tables[blobKey{
-			zone: string(k.combo.Zone),
-			typ:  string(k.combo.Type),
-			prob: probKey(k.prob),
-		}] = body
+		et.tables[k.blob()] = body
 		et.bytes += len(body)
 		seen[k.combo] = true
 	}
@@ -160,9 +157,6 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 	}
 	et.combos = combos
 	et.bytes += len(combos)
-	if surfaces == nil {
-		surfaces = buildSurfaces(tables, preds)
-	}
 	et.attachSurfaces(surfaces)
 	return et, nil
 }

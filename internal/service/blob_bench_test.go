@@ -109,10 +109,11 @@ func BenchmarkNotModified(b *testing.B) {
 // BenchmarkRefreshFull and BenchmarkRefreshIncremental bracket the refresh
 // cost: full recompute of every window versus clone + no new ticks.
 func BenchmarkRefreshFull(b *testing.B) {
-	srv, err := New(Config{Source: benchStore(b), MaxHistory: 9000, IncrementalMaxTicks: -1})
+	srv, err := New(Config{Source: benchStore(b), MaxHistory: 9000})
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv.incrementalMax = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := srv.Refresh(); err != nil {

@@ -347,10 +347,11 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 	}
 
 	// A from-scratch server over the identical grown store.
-	fresh, err := New(Config{Source: st, MaxHistory: 9000, IncrementalMaxTicks: -1})
+	fresh, err := New(Config{Source: st, MaxHistory: 9000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh.incrementalMax = 0
 	if err := fresh.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -535,15 +536,15 @@ func TestEncodeFailureKeepsEpoch(t *testing.T) {
 	good := srv.blobs.Load()
 	seq := srv.CurrentEpoch().Seq()
 
-	poisoned := make(map[tableKey]core.BidTable, len(good.bidTables))
-	for k, table := range good.bidTables {
-		poisoned[k] = table
+	poisoned := make(map[tableKey]core.BidTable, len(good.preds))
+	for k, pred := range good.preds {
+		poisoned[k], _ = pred.Table()
 	}
 	key := tableKey{combo: testCombos[0], prob: 0.99}
 	table := poisoned[key]
 	table.Points = append([]core.BidPoint{{Bid: math.NaN(), Duration: time.Hour}}, table.Points...)
 	poisoned[key] = table
-	if err := srv.install(poisoned, good.preds, nil, time.Now().UTC(), "", nil); err == nil {
+	if err := srv.install(poisoned, good.preds, good.surfaces, time.Now().UTC(), "", nil); err == nil {
 		t.Fatal("install accepted a table with a NaN bid")
 	}
 

@@ -116,9 +116,9 @@ func (e *Epoch) Combos() []byte { return e.et.combos }
 // key order. Two nodes at the same checksum answer every cached read —
 // tables, combos, advise, and fleet alike — byte-identically. The sequence
 // number is deliberately excluded — it is writer-local bookkeeping, not
-// content — and so are the writer-only core tables and predictors, from
-// which all of the above derives, and the per-account views each node
-// builds from the tables and its own mappings.
+// content — and so are the writer-only predictors, from which all of the
+// above derives, and the per-account views each node builds from the
+// tables and its own mappings.
 func (e *Epoch) Checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

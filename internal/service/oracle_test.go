@@ -11,9 +11,8 @@ import (
 // The renderers in this file are the service's original per-request read
 // paths, kept as test oracles for the epoch-served handlers: they parse
 // with net/url, resolve accounts with their own copy of the resolution
-// rules, and marshal JSON from the installed epoch's core tables and
-// predictors (running the bid-escalation scan for advise) on every
-// request. The equivalence tests hold Handler byte-identical to
+// rules, and marshal JSON from the installed epoch's predictors (running
+// the bid-escalation scan for advise) on every request. The equivalence tests hold Handler byte-identical to
 // marshalHandler over the same epoch.
 
 // marshalHandler serves /v1/predictions, /v1/combos and /v1/advise through
@@ -102,7 +101,7 @@ func (s *Server) handlePredictionsMarshal(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	table, ok := et.bidTables[tableKey{combo: combo, prob: prob}]
+	pred, ok := et.preds[tableKey{combo: combo, prob: prob}]
 	if !ok {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s at probability %v", combo, prob)
 		return
@@ -110,6 +109,7 @@ func (s *Server) handlePredictionsMarshal(w http.ResponseWriter, r *http.Request
 	if !s.checkStaleness(w, et.asOf) {
 		return
 	}
+	table, _ := pred.Table()
 	// Answer under the client's own zone name.
 	writeJSON(w, http.StatusOK, toJSON(spot.Combo{Zone: visible, Type: combo.Type}, table))
 }
@@ -122,7 +122,7 @@ func (s *Server) handleCombosMarshal(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	seen := make(map[spot.Combo]bool)
-	for k := range et.bidTables {
+	for k := range et.preds {
 		seen[k.combo] = true
 	}
 	if !s.checkStaleness(w, et.asOf) {

@@ -21,14 +21,17 @@ type Durable interface {
 	CompactBefore(oldest time.Time) (int, error)
 }
 
-// serviceSnapshot is the wire form of the server's serving state: every
-// published bid table plus the online predictor that produced it. Entries
-// are sorted (zone, type, probability) so encoding is deterministic.
+// serviceSnapshot is the wire form of the server's serving state: the
+// online predictor behind every published (combo, probability), with the
+// epoch identity. Entries are sorted (zone, type, probability) so encoding
+// is deterministic.
 //
-// The snapshot holds only state the WAL cannot rebuild. Price windows are
-// not in it: each predictor records its window's length and checksum, and
-// RestoreSnapshot re-slices the window from the history series the WAL
-// replay produced (Config.Source).
+// The snapshot holds only state nothing else can rebuild. Tables and advise
+// surfaces are not in it: RestoreSnapshot derives both from the restored
+// predictors, exactly as the refresh that installed them did. Price windows
+// are not in it either: each predictor records its window's length and
+// checksum, and RestoreSnapshot re-slices the window from the history
+// series the WAL replay produced (Config.Source).
 type serviceSnapshot struct {
 	Version int       `json:"version"`
 	AsOf    time.Time `json:"as_of"`
@@ -44,37 +47,27 @@ type snapshotEntry struct {
 	Zone        string          `json:"zone"`
 	Type        string          `json:"instance_type"`
 	Probability float64         `json:"probability"`
-	At          time.Time       `json:"as_of"`
-	Points      []snapshotPoint `json:"points"`
 	Predictor   json.RawMessage `json:"predictor"`
 }
 
-// snapshotPoint stores the guaranteed duration in integer nanoseconds so a
-// restored table is bit-identical to the saved one (float seconds would
-// round-trip through a division).
-type snapshotPoint struct {
-	Bid        float64 `json:"bid_usd_per_hour"`
-	DurationNS int64   `json:"guaranteed_duration_ns"`
-}
-
 // snapshotVersion is the only format RestoreSnapshot reads. Any other
-// version, including 1 (which carried price windows inline), fails the
-// restore, and the daemon cold-starts.
-const snapshotVersion = 2
+// version fails the restore, and the daemon cold-starts: 1 carried price
+// windows inline, 2 carried every table next to its predictor.
+const snapshotVersion = 3
 
-// EncodeSnapshot serializes the installed epoch's tables and predictors.
-// It returns an error when there is nothing to snapshot yet, and on a
-// replica, whose epochs carry no predictors.
+// EncodeSnapshot serializes the installed epoch's predictors. It returns
+// an error when there is nothing to snapshot yet, and on a replica, whose
+// epochs carry no predictors.
 func (s *Server) EncodeSnapshot() ([]byte, error) {
 	et := s.blobs.Load()
-	if et == nil || len(et.bidTables) == 0 {
+	if et == nil || len(et.preds) == 0 {
 		return nil, fmt.Errorf("service: no tables to snapshot")
 	}
 	s.mu.Lock()
 	lastErr := s.lastErr
 	s.mu.Unlock()
-	keys := make([]tableKey, 0, len(et.bidTables))
-	for k := range et.bidTables {
+	keys := make([]tableKey, 0, len(et.preds))
+	for k := range et.preds {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -94,43 +87,29 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 		LastErr:  lastErr,
 	}
 	for _, k := range keys {
-		table := et.bidTables[k]
-		entry := snapshotEntry{
+		var buf bytes.Buffer
+		if err := et.preds[k].Save(&buf); err != nil {
+			return nil, fmt.Errorf("service: saving predictor for %s/p=%v: %w", k.combo, k.prob, err)
+		}
+		snap.Entries = append(snap.Entries, snapshotEntry{
 			Zone:        string(k.combo.Zone),
 			Type:        string(k.combo.Type),
 			Probability: k.prob,
-			At:          table.At,
-		}
-		for _, p := range table.Points {
-			entry.Points = append(entry.Points, snapshotPoint{
-				Bid:        p.Bid,
-				DurationNS: int64(p.Duration),
-			})
-		}
-		pred := et.preds[k]
-		if pred == nil {
-			return nil, fmt.Errorf("service: no predictor for %s/p=%v", k.combo, k.prob)
-		}
-		var buf bytes.Buffer
-		if err := pred.Save(&buf); err != nil {
-			return nil, fmt.Errorf("service: saving predictor for %s/p=%v: %w", k.combo, k.prob, err)
-		}
-		entry.Predictor = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-		snap.Entries = append(snap.Entries, entry)
+			Predictor:   json.RawMessage(bytes.TrimSpace(buf.Bytes())),
+		})
 	}
 	return json.Marshal(snap)
 }
 
 // RestoreSnapshot installs a previously encoded serving state. Each
 // predictor's price window is re-sliced from its combo's Source series,
-// then the predictor is fed the history ticks newer than its last
-// observation (the WAL tail that arrived after the snapshot was cut). A
-// series that cannot reproduce a saved window (too short, off the
+// and its table and advise surface are derived from it as the refresh that
+// installed it did, so the restored epoch is the pre-crash epoch byte for
+// byte. A series that cannot reproduce a saved window (too short, off the
 // predictor's grid, or failing the window checksum) fails the restore, and
-// so does an entry without a predictor: every restored table must get its
-// advise surface. The tables themselves are installed exactly as saved — a warm restart serves
-// the same bytes it served before the crash until the next refresh
-// replaces them.
+// so does an entry without a predictor. Ticks newer than the snapshot (the
+// WAL tail) are not fed here: the restored predictors sit at the snapshot's
+// clock, and the first refresh extends them like any installed predictor.
 func (s *Server) RestoreSnapshot(payload []byte) error {
 	var snap serviceSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
@@ -144,7 +123,7 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	}
 	tables := make(map[tableKey]core.BidTable, len(snap.Entries))
 	preds := make(map[tableKey]*core.Predictor, len(snap.Entries))
-	replayed := 0
+	surfaces := make(map[blobKey]*surfaceEntry, len(snap.Entries))
 	var (
 		series      *history.Series
 		seriesCombo spot.Combo
@@ -154,14 +133,6 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 			combo: spot.Combo{Zone: spot.Zone(e.Zone), Type: spot.InstanceType(e.Type)},
 			prob:  e.Probability,
 		}
-		table := core.BidTable{At: e.At, Probability: e.Probability}
-		for _, p := range e.Points {
-			table.Points = append(table.Points, core.BidPoint{
-				Bid:      p.Bid,
-				Duration: time.Duration(p.DurationNS),
-			})
-		}
-		tables[k] = table
 		if len(e.Predictor) == 0 || string(e.Predictor) == "null" {
 			return fmt.Errorf("service: snapshot entry %s/p=%v has no predictor", k.combo, k.prob)
 		}
@@ -174,8 +145,11 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("service: restoring predictor for %s/p=%v: %w", k.combo, k.prob, err)
 		}
-		replayed += replayTail(series, pred)
-		preds[k] = pred
+		table, se, ok := ladder(pred)
+		if !ok {
+			return fmt.Errorf("service: restored predictor for %s/p=%v has no price history", k.combo, k.prob)
+		}
+		tables[k], preds[k], surfaces[k.blob()] = table, pred, se
 	}
 	// Resume the epoch counter where the snapshot left it, so the install
 	// below publishes as EpochSeq+1 and replication sequence numbers stay
@@ -183,33 +157,12 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	if cur := s.epochSeq.Load(); snap.EpochSeq > cur {
 		s.epochSeq.CompareAndSwap(cur, snap.EpochSeq)
 	}
-	// Install the restored tables under the snapshot's original epoch:
-	// the warm restart serves the same bytes — and the same ETag, so client
-	// caches keep revalidating successfully — it served before the crash.
-	if err := s.install(tables, preds, nil, snap.AsOf, snap.LastErr, nil); err != nil {
+	// Install under the snapshot's original epoch: the warm restart serves
+	// the same bytes — and the same ETag, so client caches keep
+	// revalidating successfully — it served before the crash.
+	if err := s.install(tables, preds, surfaces, snap.AsOf, snap.LastErr, nil); err != nil {
 		return fmt.Errorf("service: installing restored tables: %w", err)
 	}
-	s.logger.Info("snapshot restored",
-		"tables", len(tables), "predictors", len(preds),
-		"tail_ticks_replayed", replayed, "as_of", snap.AsOf)
+	s.logger.Info("snapshot restored", "tables", len(tables), "as_of", snap.AsOf)
 	return nil
-}
-
-// replayTail feeds pred every series tick strictly newer than its last
-// observation, returning how many it consumed. The predictor knows its own
-// clock (Now), so no separate watermark travels in the snapshot.
-func replayTail(series *history.Series, pred *core.Predictor) int {
-	if series == nil {
-		return 0
-	}
-	next := series.IndexOf(pred.Now()) + 1
-	if next < 0 {
-		next = 0
-	}
-	n := 0
-	for i := next; i < series.Len(); i++ {
-		pred.Observe(series.Prices[i])
-		n++
-	}
-	return n
 }

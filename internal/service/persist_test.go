@@ -122,8 +122,9 @@ func TestSnapshotRestoreResumesEpochSeq(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreReplaysTail verifies that predictors restored from a
-// snapshot catch up on history ticks appended after the snapshot was cut.
+// TestSnapshotRestoreReplaysTail pins where the history ticks appended
+// after the snapshot was cut go: a restore leaves every predictor at the
+// snapshot's clock, and the first refresh feeds it the tail.
 func TestSnapshotRestoreReplaysTail(t *testing.T) {
 	hist := testStore(t)
 	srv, err := New(Config{Source: hist, MaxHistory: 9000})
@@ -153,17 +154,23 @@ func TestSnapshotRestoreReplaysTail(t *testing.T) {
 	if err := restored.RestoreSnapshot(payload); err != nil {
 		t.Fatal(err)
 	}
-	wantNow := t0.Add(time.Duration(9000+extra-1) * spot.UpdatePeriod)
-	preds := restored.blobs.Load().preds
-	if len(preds) == 0 {
-		t.Fatal("no predictors restored")
-	}
-	for k, pred := range preds {
-		if !pred.Now().Equal(wantNow) {
-			t.Errorf("%s/p=%v: predictor clock %v, want %v (tail not replayed)",
-				k.combo, k.prob, pred.Now(), wantNow)
+	clocks := func(want time.Time, when string) {
+		t.Helper()
+		preds := restored.blobs.Load().preds
+		if len(preds) == 0 {
+			t.Fatal("no predictors restored")
+		}
+		for k, pred := range preds {
+			if !pred.Now().Equal(want) {
+				t.Errorf("%s/p=%v %s: predictor clock %v, want %v", k.combo, k.prob, when, pred.Now(), want)
+			}
 		}
 	}
+	clocks(t0.Add(time.Duration(9000-1)*spot.UpdatePeriod), "after restore")
+	if err := restored.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	clocks(t0.Add(time.Duration(9000+extra-1)*spot.UpdatePeriod), "after the first refresh")
 }
 
 func TestSnapshotRejectsDefects(t *testing.T) {
@@ -184,25 +191,32 @@ func TestSnapshotRejectsDefects(t *testing.T) {
 		`"instance_type":"c4.large","probability":0.95,"as_of":"2016-10-01T00:00:00Z",` +
 		`"points":[{"bid_usd_per_hour":0.1,"guaranteed_duration_ns":3600000000000}],` +
 		`"predictor":{"version":1,"params":{"Probability":0.95},"step_ns":300000000000,"count":2,"prices":[0.1,0.1]}}]}`)
+	// A version-2 snapshot carried every table next to its predictor.
+	v2 := []byte(`{"version":2,"as_of":"2016-10-01T00:00:00Z","entries":[{"zone":"us-east-1b",` +
+		`"instance_type":"c4.large","probability":0.95,"as_of":"2016-10-01T00:00:00Z",` +
+		`"points":[{"bid_usd_per_hour":0.1,"guaranteed_duration_ns":3600000000000}],"predictor":{}}]}`)
 	for name, in := range map[string][]byte{
 		"garbage":     []byte("not json"),
 		"bad-version": []byte(`{"version":99,"entries":[{}]}`),
-		"empty":       []byte(`{"version":2,"entries":[]}`),
+		"empty":       []byte(`{"version":3,"entries":[]}`),
 		"v1":          v1,
+		"v2":          v2,
 	} {
 		if err := fresh().RestoreSnapshot(in); err == nil {
 			t.Errorf("RestoreSnapshot accepted %s", name)
 		}
 	}
-	if err := fresh().RestoreSnapshot(v1); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
-		t.Errorf("v1 snapshot: got %v, want an unsupported snapshot version error", err)
+	for v, in := range [][]byte{v1, v2} {
+		if err := fresh().RestoreSnapshot(in); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", v+1)) {
+			t.Errorf("v%d snapshot: got %v, want an unsupported snapshot version error", v+1, err)
+		}
 	}
 	if err := fresh().RestoreSnapshot(payload); err != nil {
 		t.Errorf("RestoreSnapshot rejected a valid snapshot: %v", err)
 	}
 
-	// Every restored table must get its advise surface, so an entry
-	// without a predictor fails the restore.
+	// Tables and surfaces derive from the predictors, so an entry without
+	// a predictor fails the restore.
 	var snap serviceSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		t.Fatal(err)

@@ -263,9 +263,69 @@ func TestRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// sameEpoch reports every way two epochs' served content differs: table
+// blobs, advise surfaces, and the checksum over both and the refresh time.
+func sameEpoch(t *testing.T, what string, got, want *Epoch) {
+	t.Helper()
+	if len(got.Keys()) != len(want.Keys()) || len(got.SurfaceKeys()) != len(want.SurfaceKeys()) {
+		t.Fatalf("%s: %d tables and %d surfaces, want %d and %d", what,
+			len(got.Keys()), len(got.SurfaceKeys()), len(want.Keys()), len(want.SurfaceKeys()))
+	}
+	for _, k := range want.Keys() {
+		a, _ := want.Blob(k)
+		if b, ok := got.Blob(k); !ok || !bytes.Equal(a, b) {
+			t.Errorf("%s: table %v differs", what, k)
+		}
+	}
+	for _, k := range want.SurfaceKeys() {
+		a, _ := want.Surface(k)
+		if b, ok := got.Surface(k); !ok || !bytes.Equal(a, b) {
+			t.Errorf("%s: advise surface %v differs", what, k)
+		}
+	}
+	if got.Checksum() != want.Checksum() {
+		t.Errorf("%s: checksum %x, want %x", what, got.Checksum(), want.Checksum())
+	}
+}
+
+// TestRestoreIsPreCrashEpoch restarts a writer whose WAL holds a 100-tick
+// tail newer than its last snapshot. The restored epoch must be the
+// pre-crash epoch byte for byte — tables, surfaces and checksum — and after
+// one refresh it must equal the epoch of a writer that never stopped.
+func TestRestoreIsPreCrashEpoch(t *testing.T) {
+	r := newRecoveryRig(t)
+	w := r.writer()
+	at := time.Now().UTC()
+	w.now = func() time.Time { return at }
+	for i := 0; i < 2; i++ {
+		if err := w.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.announce(100); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := r.recover()
+	if err != nil {
+		t.Fatalf("RestoreSnapshot: %v", err)
+	}
+	sameEpoch(t, "restored epoch", restored.CurrentEpoch(), w.CurrentEpoch())
+
+	// The reference writer keeps running; it no longer owns the store.
+	w.cfg.PreRefresh = nil
+	w.cfg.Durable = nil
+	restored.now = w.now
+	for _, srv := range []*Server{w, restored} {
+		if err := srv.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameEpoch(t, "epoch after the first refresh", restored.CurrentEpoch(), w.CurrentEpoch())
+}
+
 // TestSnapshotSizeAtDefaultScale bounds the snapshot at draftsd's default
-// scale, 60 combos x 90 days: without price windows it holds only tables
-// and detector state.
+// scale, 60 combos x 90 days: without tables or price windows it holds
+// only detector state.
 func TestSnapshotSizeAtDefaultScale(t *testing.T) {
 	combos := spot.Combos()[:60]
 	hist := history.NewStore()

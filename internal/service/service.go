@@ -57,16 +57,6 @@ type Config struct {
 	// Smaller values trade refresh latency for a quieter machine — useful
 	// when draftsd shares a host.
 	RefreshWorkers int
-	// IncrementalMaxTicks caps how many new price ticks a combo may have
-	// accumulated since the last refresh for the incremental path to apply:
-	// instead of re-ingesting the whole history window (~26k ticks for three
-	// months), the refresh clones the previously installed predictor and
-	// feeds it only the new ticks. Incremental results are byte-identical to
-	// a full recompute (enforced by TestIncrementalRefreshEquivalence); the
-	// cap only bounds the clone cost spent before falling back to the flat
-	// full scan. Zero selects DefaultIncrementalMaxTicks; negative disables
-	// the incremental path entirely.
-	IncrementalMaxTicks int
 	// Durable, when non-nil, receives the encoded serving state after every
 	// successful refresh (for crash recovery) and a retention-compaction
 	// request aligned with the history window. Persistence failures are
@@ -152,20 +142,27 @@ type Config struct {
 	OnEpoch func(*Epoch)
 }
 
-// DefaultIncrementalMaxTicks is the default cap on the incremental refresh
-// path: one day of 5-minute ticks. A refresh loop running anywhere near its
-// default 15-minute period accumulates ~3 ticks per cycle, so in steady
-// state every refresh is incremental; the cap only matters after long
-// outages, where a full recompute is no slower than replaying the gap.
-const DefaultIncrementalMaxTicks = 24 * 12
+// incrementalMaxTicks caps how many new price ticks a combo may have
+// accumulated since the last refresh for the incremental path to apply:
+// instead of re-ingesting the whole history window (~26k ticks for three
+// months), the refresh clones the previously installed predictor and feeds
+// it only the new ticks. One day of 5-minute ticks: a refresh loop running
+// anywhere near its default 15-minute period accumulates ~3 ticks per
+// cycle, so in steady state every refresh is incremental; the cap only
+// matters after long outages, where a full recompute is no slower than
+// replaying the gap. Incremental results are byte-identical to a full
+// recompute (TestIncrementalRefreshEquivalence).
+const incrementalMaxTicks = 24 * 12
 
 // Server computes and serves bid tables and advise surfaces. All serving
 // state lives in the installed epoch (blobs); the writer's epochs also
 // carry the predictors the next incremental refresh extends.
 type Server struct {
-	cfg            Config
-	logger         *slog.Logger
-	metrics        *serviceMetrics
+	cfg     Config
+	logger  *slog.Logger
+	metrics *serviceMetrics
+	// incrementalMax is incrementalMaxTicks; tests set it to 0 to force
+	// full recomputes.
 	incrementalMax int
 
 	// role is "writer" or "replica"; epochSeq is the writer-local epoch
@@ -240,13 +237,6 @@ func newServer(cfg Config, role string) (*Server, error) {
 	if cfg.RefreshWorkers < 0 {
 		return nil, fmt.Errorf("service: negative refresh workers")
 	}
-	incrementalMax := cfg.IncrementalMaxTicks
-	switch {
-	case incrementalMax == 0:
-		incrementalMax = DefaultIncrementalMaxTicks
-	case incrementalMax < 0:
-		incrementalMax = 0 // disabled
-	}
 	if cfg.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("service: negative max concurrent")
 	}
@@ -273,7 +263,7 @@ func newServer(cfg Config, role string) (*Server, error) {
 		cfg:            cfg,
 		logger:         logger,
 		metrics:        newServiceMetrics(cfg.Metrics),
-		incrementalMax: incrementalMax,
+		incrementalMax: incrementalMaxTicks,
 		role:           role,
 		breaker: resilience.NewBreaker(cfg.BreakerThreshold,
 			cfg.BreakerBackoff, cfg.BreakerMaxBackoff, time.Now().UnixNano()),
@@ -297,11 +287,12 @@ func newServer(cfg Config, role string) (*Server, error) {
 
 // Refresh recomputes every combo's bid tables from the current histories,
 // fanned out across RefreshWorkers goroutines (GOMAXPROCS by default).
-// Combos whose history advanced by at most IncrementalMaxTicks since the
+// Combos whose history advanced by at most a day of ticks since the
 // previous refresh take the incremental path: the installed predictor is
 // cloned and fed only the new ticks, producing byte-identical tables at a
-// fraction of the full-window cost. The fresh tables, their predictors, and
-// their advise surfaces are then installed as one new epoch.
+// fraction of the full-window cost. Each predictor's table and advise
+// surface come from one guarantee walk inside the fan-out, and the three
+// are installed together as one new epoch.
 //
 // Refreshes are best-effort per combo: a predictor failure is counted,
 // logged, and surfaced through /healthz and the refresh metrics, but the
@@ -332,8 +323,10 @@ func (s *Server) Refresh() error {
 		}
 	}
 	combos := s.cfg.Source.Combos()
-	fresh := make(map[tableKey]core.BidTable, len(combos)*len(s.cfg.Probabilities))
-	freshPreds := make(map[tableKey]*core.Predictor, len(combos)*len(s.cfg.Probabilities))
+	n := len(combos) * len(s.cfg.Probabilities)
+	fresh := make(map[tableKey]core.BidTable, n)
+	freshPreds := make(map[tableKey]*core.Predictor, n)
+	surfaces := make(map[blobKey]*surfaceEntry, n)
 
 	// The installed epoch's predictors feed the incremental path. An epoch
 	// is immutable, so reading them during the fan-out needs no lock.
@@ -367,7 +360,7 @@ func (s *Server) Refresh() error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// One span covers the whole fan-out: the per-combo qbets updates and
-	// table builds run inside it (per-combo spans would blow the fixed
+	// guarantee walks run inside it (per-combo spans would blow the fixed
 	// span budget at fleet scale).
 	buildSpan := tr.StartSpan("tables.build")
 	work := make(chan spot.Combo)
@@ -412,16 +405,16 @@ func (s *Server) Refresh() error {
 						}
 						pred.ObserveSeries(series)
 					}
-					if table, ok := pred.Table(); ok {
-						mu.Lock()
+					table, se, ok := ladder(pred)
+					mu.Lock()
+					if ok {
 						fresh[key] = table
 						freshPreds[key] = pred
-						mu.Unlock()
+						surfaces[key.blob()] = se
 					} else {
-						mu.Lock()
 						skipped++
-						mu.Unlock()
 					}
+					mu.Unlock()
 				}
 			}
 		}()
@@ -442,13 +435,6 @@ func (s *Server) Refresh() error {
 	if len(fresh) == 0 && errCount > 0 {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr))
 	}
-
-	// Surfaces are built before asOf is stamped: their construction cost
-	// (a GuaranteeFor per escalation entry per table) must not age the
-	// epoch it describes.
-	surfSpan := tr.StartSpan("surfaces.build")
-	surfaces := buildSurfaces(fresh, freshPreds)
-	surfSpan.End()
 
 	now := s.now().UTC()
 	errStr := ""

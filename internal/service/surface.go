@@ -88,34 +88,14 @@ func decodeSurface(p []byte) (*core.AdviseSurface, error) {
 	return core.NewAdviseSurface(prob, step, bids, guar)
 }
 
-// buildSurfaces materializes one surface per table whose predictor is
-// available. Combos without a predictor (replica-built epochs use
-// NewEpochFull instead; a writer always has them) simply get no surface —
-// their advise requests fall back to the scan path.
-func buildSurfaces(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor) map[blobKey]*surfaceEntry {
-	if len(preds) == 0 {
-		return nil
+// ladder derives a predictor's table and advise surface from its one
+// guarantee walk; ok is false while the predictor has no price history.
+func ladder(pred *core.Predictor) (core.BidTable, *surfaceEntry, bool) {
+	surf, ok := pred.Surface()
+	if !ok {
+		return core.BidTable{}, nil, false
 	}
-	surfaces := make(map[blobKey]*surfaceEntry, len(tables))
-	for k := range tables {
-		pred := preds[k]
-		if pred == nil {
-			continue
-		}
-		surf, ok := pred.Surface()
-		if !ok {
-			continue
-		}
-		surfaces[blobKey{
-			zone: string(k.combo.Zone),
-			typ:  string(k.combo.Type),
-			prob: probKey(k.prob),
-		}] = &surfaceEntry{surf: surf, enc: encodeSurface(surf)}
-	}
-	if len(surfaces) == 0 {
-		return nil
-	}
-	return surfaces
+	return surf.Table(pred.Now()), &surfaceEntry{surf: surf, enc: encodeSurface(surf)}, true
 }
 
 // buildFleetIndex groups surfaces by probability spelling and sorts each

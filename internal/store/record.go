@@ -12,7 +12,7 @@ import (
 
 // Record is one durable price tick: the market price announced for a combo
 // at a grid instant. It is the only WAL payload type; everything else the
-// daemon persists (bid tables, predictor state) travels in snapshots.
+// daemon persists (predictor state) travels in snapshots.
 type Record struct {
 	Combo spot.Combo
 	At    time.Time

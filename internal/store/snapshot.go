@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// Snapshots are opaque payloads (the service serializes its served tables
-// and predictor state into one) in a self-validating container:
+// Snapshots are opaque payloads (the service serializes its predictor
+// state into one) in a self-validating container:
 //
 //	8 bytes    magic "DSNAP\x00\x00\x01" (name + format version)
 //	uint32 LE  payload length

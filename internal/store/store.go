@@ -11,13 +11,13 @@
 //     (CRC-checksummed, length-prefixed records in numbered segment
 //     files) under a configurable fsync policy;
 //   - after each successful refresh the service writes a snapshot of its
-//     bid tables and per-combo predictor state through WriteSnapshot
-//     (write-temp + rename, checksummed, newest-valid-wins);
-//   - recovery replays the WAL into a history archive (ReplayHistory),
-//     restores the newest valid snapshot, and feeds each restored
-//     predictor the WAL ticks newer than its last observation — so the
-//     process serves its pre-crash tables immediately while the first
-//     fresh refresh runs.
+//     per-combo predictor state through WriteSnapshot (write-temp +
+//     rename, checksummed, newest-valid-wins);
+//   - recovery replays the WAL into a history archive (ReplayHistory) and
+//     restores the newest valid snapshot, so the process serves its
+//     pre-crash tables immediately; the first fresh refresh then feeds
+//     each restored predictor the WAL ticks newer than its last
+//     observation.
 //
 // Segment rotation plus CompactBefore bound the log's footprint: once
 // every record in a sealed segment is older than the caller's cutoff the
