@@ -134,8 +134,8 @@ func runReplica(logger *slog.Logger, opts options) error {
 
 // runRouter serves nothing locally: every read is forwarded to the ring
 // node that owns its key, with clockwise failover on the same conditions
-// the client retries on. Advise goes to the writer, which alone holds the
-// predictors.
+// the client retries on. Advise is placed by combo like predictions:
+// every node answers it from its epoch's surfaces.
 func runRouter(logger *slog.Logger, opts options) error {
 	if opts.peers == "" {
 		return fmt.Errorf("-role=router requires -peers=<node URL>[,<node URL>...]")

@@ -31,7 +31,7 @@ func newRealWriter(t *testing.T) (*service.Server, *Shipper) {
 	if err := (pricegen.Generator{Seed: 31}).Populate(st, clusterCombos, start, 9000); err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+	sh := testShipper(10 * time.Millisecond)
 	srv, err := service.New(service.Config{
 		Source:     st,
 		MaxHistory: 9000,

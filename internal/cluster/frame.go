@@ -39,6 +39,18 @@ import (
 	"github.com/drafts-go/drafts/internal/service"
 )
 
+// The cluster's timings, each one fact shared by every side that needs it.
+const (
+	// pollInterval paces membership's status polls (and bounds each probe)
+	// and a replica's retries after an error or an idle writer (±50%
+	// jitter there).
+	pollInterval = 2 * time.Second
+	// longPoll is how long an up-to-date replica's ship request parks at
+	// the writer awaiting the next epoch; the replica bounds its request
+	// past it.
+	longPoll = 25 * time.Second
+)
+
 // Wire framing for the epoch stream. Every frame is length-prefixed and
 // CRC-checksummed — the same armor the store's WAL uses — so a connection
 // cut at any byte leaves a detectable torn tail, never a silently wrong

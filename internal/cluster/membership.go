@@ -31,19 +31,11 @@ type MembershipConfig struct {
 	// Self is this node's own advertised address; it is reported in
 	// status but never polled.
 	Self string
-	// Peers are the node base URLs to poll (writers and replicas alike).
+	// Peers are the node base URLs to poll (writers and replicas alike),
+	// every pollInterval.
 	Peers []string
-	// Interval is the poll period (default 2s).
-	Interval time.Duration
-	// ProbeTimeout bounds one peer's status probe (default: Interval).
-	// Probes run concurrently, so one whole poll also takes at most
-	// roughly this long — a black-holed peer cannot stall ring updates
-	// for the others.
-	ProbeTimeout time.Duration
 	// HTTPClient performs the polls (default http.DefaultClient).
 	HTTPClient *http.Client
-	// VirtualNodes configures the ring (default hashring's own).
-	VirtualNodes int
 	// Logger receives membership transitions. Nil discards them.
 	Logger *slog.Logger
 }
@@ -56,6 +48,11 @@ type MembershipConfig struct {
 // many keys that moves.
 type Membership struct {
 	cfg MembershipConfig
+	// probeTimeout bounds one peer's status probe (pollInterval; tests
+	// shorten it). Probes run concurrently, so one whole poll also takes
+	// at most roughly this long — a black-holed peer cannot stall ring
+	// updates for the others.
+	probeTimeout time.Duration
 
 	mu    sync.Mutex
 	peers map[string]PeerStatus
@@ -67,26 +64,20 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: membership needs at least one peer")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.Interval
-	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = http.DefaultClient
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.NopLogger()
 	}
-	return &Membership{cfg: cfg, peers: make(map[string]PeerStatus)}, nil
+	return &Membership{cfg: cfg, probeTimeout: pollInterval, peers: make(map[string]PeerStatus)}, nil
 }
 
 // Run polls until ctx is cancelled. The first poll happens immediately so
 // the ring is populated before the first request needs it.
 func (m *Membership) Run(ctx context.Context) {
 	m.Poll(ctx)
-	t := time.NewTicker(m.cfg.Interval)
+	t := time.NewTicker(pollInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -99,7 +90,7 @@ func (m *Membership) Run(ctx context.Context) {
 }
 
 // Poll refreshes every peer's status once and rebuilds the ring. Peers
-// are probed concurrently, each bounded by ProbeTimeout, so a single
+// are probed concurrently, each bounded by probeTimeout, so a single
 // unresponsive peer delays the poll by at most one timeout rather than
 // stalling ring updates for everyone behind it.
 func (m *Membership) Poll(ctx context.Context) {
@@ -127,11 +118,11 @@ func (m *Membership) Poll(ctx context.Context) {
 	m.rebuild()
 }
 
-// probe fetches one peer's /v1/cluster/status, bounded by ProbeTimeout
+// probe fetches one peer's /v1/cluster/status, bounded by probeTimeout
 // (cfg.HTTPClient defaults to http.DefaultClient, which has none of its
 // own).
 func (m *Membership) probe(ctx context.Context, addr string) PeerStatus {
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, m.probeTimeout)
 	defer cancel()
 	ps := PeerStatus{Addr: addr}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/cluster/status", nil)
@@ -177,7 +168,7 @@ func (m *Membership) rebuild() {
 		}
 	}
 	sort.Strings(members)
-	m.ring = hashring.New(m.cfg.VirtualNodes, members...)
+	m.ring = hashring.New(members...)
 }
 
 // Ring returns the current read ring (possibly empty, never nil).
@@ -185,7 +176,7 @@ func (m *Membership) Ring() *hashring.Ring {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.ring == nil {
-		return hashring.New(m.cfg.VirtualNodes)
+		return hashring.New()
 	}
 	return m.ring
 }

@@ -83,7 +83,7 @@ func TestMembershipPollBuildsRing(t *testing.T) {
 
 // TestPollBoundedByProbeTimeout pins the failure isolation: a black-holed
 // peer (accepts the connection, never answers) cannot stall the poll —
-// probes are bounded by ProbeTimeout and run concurrently, so the healthy
+// probes are bounded by probeTimeout and run concurrently, so the healthy
 // peers still make it onto the ring promptly.
 func TestPollBoundedByProbeTimeout(t *testing.T) {
 	healthy := newFakeNode(t, "writer", 1, "ok")
@@ -93,12 +93,12 @@ func TestPollBoundedByProbeTimeout(t *testing.T) {
 	t.Cleanup(hung.Close)
 
 	m, err := NewMembership(MembershipConfig{
-		Peers:        []string{hung.URL, healthy.ts.URL}, // hung peer first
-		ProbeTimeout: 50 * time.Millisecond,
+		Peers: []string{hung.URL, healthy.ts.URL}, // hung peer first
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.probeTimeout = 50 * time.Millisecond
 	start := time.Now()
 	m.Poll(t.Context())
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -144,7 +144,7 @@ func routerGet(t *testing.T, base, path string) (int, string, string) {
 	return resp.StatusCode, string(body), resp.Header.Get("X-Served-By")
 }
 
-func TestRouterPlacementMatchesClient(t *testing.T) {
+func TestRouterPlacesReadsOnRingOwner(t *testing.T) {
 	a := newFakeNode(t, "writer", 3, "node-a")
 	b := newFakeNode(t, "replica", 3, "node-b")
 	m, err := NewMembership(MembershipConfig{Peers: []string{a.ts.URL, b.ts.URL}})
@@ -157,7 +157,7 @@ func TestRouterPlacementMatchesClient(t *testing.T) {
 	// Every request for one combo lands on the ring owner — the same node
 	// every time, and the node the ring itself names.
 	path := "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99"
-	owner, _ := m.Ring().Lookup(RouteKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"))
+	owner, _ := m.Ring().Lookup(routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"))
 	for i := 0; i < 5; i++ {
 		code, _, served := routerGet(t, ts.URL, path)
 		if code != http.StatusOK {
@@ -184,7 +184,7 @@ func TestRouterFailsOverOnRetryableStatus(t *testing.T) {
 	ts := newTestRouter(t, m)
 
 	path := "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99"
-	key := RouteKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99")
+	key := routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99")
 	owner, _ := m.Ring().Lookup(key)
 	ownerNode, otherNode := a, b
 	if owner == b.ts.URL {
@@ -240,8 +240,8 @@ func TestRouterAdviseGoesToRingOwner(t *testing.T) {
 	ts := newTestRouter(t, m)
 
 	path := "/v1/advise?zone=us-east-1b&type=c4.large&duration=2h"
-	key := RouteKey("/v1/advise", "zone=us-east-1b&type=c4.large&duration=2h")
-	if want := RouteKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"); key != want {
+	key := routeKey("/v1/advise", "zone=us-east-1b&type=c4.large&duration=2h")
+	if want := routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"); key != want {
 		t.Fatalf("advise key %q, want the predictions key %q", key, want)
 	}
 	owner, _ := m.Ring().Lookup(key)

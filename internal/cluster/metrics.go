@@ -21,7 +21,6 @@ var (
 	mShipErrors     atomic.Pointer[telemetry.Counter]
 	mCatchupSeconds atomic.Pointer[telemetry.Histogram]
 	mRouterForward  atomic.Pointer[telemetry.Counter]
-	mRouterLocal    atomic.Pointer[telemetry.Counter]
 	mRouterFailover atomic.Pointer[telemetry.Counter]
 )
 
@@ -50,8 +49,6 @@ func RegisterMetrics(r *telemetry.Registry) {
 		"Duration of one replication cycle, first fetch to installed epoch.", nil))
 	mRouterForward.Store(r.Counter("drafts_cluster_router_forward_total",
 		"Reads forwarded to the owning node by the router."))
-	mRouterLocal.Store(r.Counter("drafts_cluster_router_local_total",
-		"Reads the router answered from its own blob store."))
 	mRouterFailover.Store(r.Counter("drafts_cluster_router_failover_total",
 		"Forwards that failed over to the next ring candidate."))
 }

@@ -48,12 +48,6 @@ type ReceiverConfig struct {
 	Now func() time.Time
 	// HTTPClient performs the pulls (default http.DefaultClient).
 	HTTPClient *http.Client
-	// PollInterval paces retries after an error or an idle writer
-	// (default 2s, ±50% jitter).
-	PollInterval time.Duration
-	// LongPoll is how long an up-to-date replica's ship request may park
-	// at the writer awaiting the next epoch (default 25s).
-	LongPoll time.Duration
 	// Seed seeds the retry jitter.
 	Seed int64
 	// Tracer, when non-nil, records each replication cycle as a forced
@@ -89,6 +83,9 @@ type Receiver struct {
 	cfg     ReceiverConfig
 	rng     *rand.Rand
 	shipURL string
+	// pollInterval paces retries (the package's pollInterval; tests
+	// shorten it).
+	pollInterval time.Duration
 
 	mu        sync.Mutex
 	staging   *staging
@@ -122,19 +119,14 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = http.DefaultClient
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * time.Second
-	}
-	if cfg.LongPoll <= 0 {
-		cfg.LongPoll = 25 * time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.NopLogger()
 	}
 	return &Receiver{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		shipURL: cfg.Writer + "/v1/cluster/ship",
+		cfg:          cfg,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		shipURL:      cfg.Writer + "/v1/cluster/ship",
+		pollInterval: pollInterval,
 	}, nil
 }
 
@@ -182,7 +174,7 @@ func (rc *Receiver) Run(ctx context.Context) {
 
 // sleep pauses one jittered poll interval (d/2 .. 3d/2) or until cancel.
 func (rc *Receiver) sleep(ctx context.Context) {
-	d := rc.cfg.PollInterval
+	d := rc.pollInterval
 	d = d/2 + time.Duration(rc.rng.Int63n(int64(d)))
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -321,7 +313,7 @@ func (rc *Receiver) fetch(ctx context.Context, have uint64, etag string) (*http.
 	rc.mu.Unlock()
 	// Bound the request past the writer's long-poll window so a hung
 	// connection cannot park the loop forever.
-	rctx, cancel := context.WithTimeout(ctx, rc.cfg.LongPoll+rc.cfg.PollInterval+10*time.Second)
+	rctx, cancel := context.WithTimeout(ctx, longPoll+pollInterval+10*time.Second)
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, rc.shipURL+"?"+q.Encode(), nil)
 	if err != nil {
 		cancel()

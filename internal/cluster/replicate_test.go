@@ -81,6 +81,13 @@ type shipProxy struct {
 	offsets     []string // "offset" query param per request ("" when absent)
 }
 
+// testShipper is a shipper whose long-polls park at most wait.
+func testShipper(wait time.Duration) *Shipper {
+	sh := NewShipper(ShipperConfig{})
+	sh.maxWait = wait
+	return sh
+}
+
 func newShipProxy(sh *Shipper) *shipProxy {
 	return &shipProxy{inner: sh.ShipHandler(), truncateAt: -1, corruptAt: -1}
 }
@@ -157,21 +164,20 @@ func newTestReplica(t *testing.T, url string, client *http.Client) (*service.Ser
 		t.Fatal(err)
 	}
 	rc, err := NewReceiver(ReceiverConfig{
-		Writer:       url,
-		Server:       srv,
-		Now:          testClock,
-		HTTPClient:   client,
-		PollInterval: 5 * time.Millisecond,
-		LongPoll:     20 * time.Millisecond,
+		Writer:     url,
+		Server:     srv,
+		Now:        testClock,
+		HTTPClient: client,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc.pollInterval = 5 * time.Millisecond
 	return srv, rc
 }
 
 func TestReplicateFullThenDelta(t *testing.T) {
-	sh := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+	sh := testShipper(10 * time.Millisecond)
 	ts := httptest.NewServer(newShipProxy(sh))
 	defer ts.Close()
 	srv, rc := newTestReplica(t, ts.URL, ts.Client())
@@ -239,7 +245,7 @@ func TestKillPointsEveryFrameBoundary(t *testing.T) {
 
 	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("cut_%d_of_%d", cut, len(stream)), func(t *testing.T) {
-			sh := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+			sh := testShipper(10 * time.Millisecond)
 			sh.Publish(ep)
 			proxy := newShipProxy(sh)
 			ts := httptest.NewServer(proxy)
@@ -283,7 +289,7 @@ func TestKillPointsEveryFrameBoundary(t *testing.T) {
 
 func TestCorruptFrameDiscardsStaging(t *testing.T) {
 	ep := testEpoch(t, 1, blobsFor(1))
-	sh := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+	sh := testShipper(10 * time.Millisecond)
 	sh.Publish(ep)
 	proxy := newShipProxy(sh)
 	ts := httptest.NewServer(proxy)
@@ -315,7 +321,7 @@ func TestCorruptFrameDiscardsStaging(t *testing.T) {
 // partition, and on heal the replica converges to a byte-identical
 // current epoch via a delta against its last installed one.
 func TestPartitionMidStreamHealConverge(t *testing.T) {
-	sh := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+	sh := testShipper(10 * time.Millisecond)
 	proxy := newShipProxy(sh)
 	ts := httptest.NewServer(proxy)
 	defer ts.Close()
@@ -363,7 +369,8 @@ func TestPartitionMidStreamHealConverge(t *testing.T) {
 // installed epoch has aged out of the writer's retained digest history
 // receives a full snapshot, not a delta.
 func TestEvictedBaseFallsBackToFull(t *testing.T) {
-	sh := NewShipper(ShipperConfig{History: 1, MaxWait: 10 * time.Millisecond})
+	sh := testShipper(10 * time.Millisecond)
+	sh.history = 1
 	ts := httptest.NewServer(newShipProxy(sh))
 	defer ts.Close()
 	srv, rc := newTestReplica(t, ts.URL, ts.Client())
@@ -375,7 +382,7 @@ func TestEvictedBaseFallsBackToFull(t *testing.T) {
 	}
 	sh.Publish(testEpoch(t, 2, blobsFor(2)))
 	e3 := testEpoch(t, 3, blobsFor(3))
-	sh.Publish(e3) // History=1: only e3's digest survives; base e1 is gone
+	sh.Publish(e3) // history=1: only e3's digest survives; base e1 is gone
 
 	if _, err := rc.step(ctx); err != nil {
 		t.Fatal(err)
@@ -390,7 +397,7 @@ func TestEvictedBaseFallsBackToFull(t *testing.T) {
 // live writer and waits for convergence — the integration smoke for the
 // loop's pacing, staging, and shutdown paths.
 func TestRunLoopConverges(t *testing.T) {
-	sh := NewShipper(ShipperConfig{MaxWait: 20 * time.Millisecond})
+	sh := testShipper(20 * time.Millisecond)
 	ts := httptest.NewServer(newShipProxy(sh))
 	defer ts.Close()
 	srv, rc := newTestReplica(t, ts.URL, ts.Client())
@@ -506,7 +513,7 @@ func TestReplicateSurvivesWriterRestart(t *testing.T) {
 	srv, rc := newTestReplica(t, ts.URL, ts.Client())
 	ctx := t.Context()
 
-	sh1 := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+	sh1 := testShipper(10 * time.Millisecond)
 	current.Store(sh1)
 	sh1.Publish(testEpoch(t, 5, blobsFor(5)))
 	if _, err := rc.step(ctx); err != nil {
@@ -518,7 +525,7 @@ func TestReplicateSurvivesWriterRestart(t *testing.T) {
 
 	// Writer restarts behind the same URL: empty shipper, first epoch
 	// renumbered to 1 with content from a newer refresh.
-	sh2 := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
+	sh2 := testShipper(10 * time.Millisecond)
 	fresh, err := service.NewEpochFull(1, frameT0.Add(time.Hour),
 		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobsFor(6), nil)
 	if err != nil {

@@ -16,23 +16,15 @@ import (
 type RouterConfig struct {
 	// Membership supplies the ring.
 	Membership *Membership
-	// Self, when this router is also a serving node (writer or replica
-	// running -role with routing on), is its own ring address: keys it
-	// owns are answered by Local instead of a forwarded hop.
-	Self string
-	// Local is the local server's handler, used when Self owns the key.
-	Local http.Handler
 	// HTTPClient performs forwards (default http.DefaultClient).
 	HTTPClient *http.Client
 	// Logger receives forward failures. Nil discards them.
 	Logger *slog.Logger
 }
 
-// Router is the server-side half of the read tier: it owns no tables,
-// just forwards each read to the ring node that does. Placement matches
-// the client exactly — same hash, same key derivation — so a fleet can
-// mix router-fronted and ring-aware clients freely. Failover walks the
-// ring clockwise on the same conditions the client retries on: transport
+// Router is the read tier's one placement path: it owns no tables, just
+// forwards each read to the ring node that does. Failover walks the ring
+// clockwise on the same conditions service.Client retries on: transport
 // errors and 502/503/504 (the envelope-less gateway statuses plus the
 // overloaded/stale family).
 type Router struct {
@@ -53,8 +45,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return &Router{cfg: cfg}, nil
 }
 
-// RouteKey derives the placement key for a request — exported because
-// service.Client must derive the identical key client-side.
+// routeKey derives the placement key for a request:
 //
 //	/v1/predictions  zone "/" type   (one combo, the cacheable read)
 //	/v1/advise       zone "/" type   (answered from the combo's surface)
@@ -62,7 +53,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 //	other            the path itself (stable, spreads uniformly)
 //
 // An empty key means "any node" (e.g. /v1/combos, identical everywhere).
-func RouteKey(path, rawQuery string) string {
+func routeKey(path, rawQuery string) string {
 	q, err := url.ParseQuery(rawQuery)
 	if err != nil {
 		return ""
@@ -91,7 +82,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "stale", "no serving nodes on the ring")
 		return
 	}
-	key := RouteKey(r.URL.Path, r.URL.RawQuery)
+	key := routeKey(r.URL.Path, r.URL.RawQuery)
 	if key == "" {
 		key = r.URL.Path
 	}
@@ -103,10 +94,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // smaller; the cap matches the server's own read limit).
 const maxForwardBody = 1 << 20
 
-// forwardTo tries each candidate in ring order, serving locally when the
-// candidate is this node, and failing over before the first response
-// byte is written. A request body is buffered once up front so every
-// attempt — and a local serve — replays identical bytes.
+// forwardTo tries each candidate in ring order, failing over before the
+// first response byte is written. A request body is buffered once up
+// front so every attempt replays identical bytes.
 func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, candidates []string) {
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
@@ -124,14 +114,6 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, candidates [
 	for i, addr := range candidates {
 		if i > 0 {
 			mRouterFailover.Load().Inc()
-		}
-		if rt.cfg.Self != "" && addr == rt.cfg.Self && rt.cfg.Local != nil {
-			mRouterLocal.Load().Inc()
-			if body != nil {
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			}
-			rt.cfg.Local.ServeHTTP(w, r)
-			return
 		}
 		resp, err := rt.forwardOnce(r, addr, body)
 		if err != nil {

@@ -18,21 +18,20 @@ type WALTail interface {
 	ReadWALTail(c store.Cursor, maxBytes int) ([]byte, store.Cursor, error)
 }
 
+const (
+	// shipHistory is how many past epoch digests a shipper retains as
+	// delta bases.
+	shipHistory = 8
+	// shipChunkBytes is the epoch stream's flush granularity.
+	shipChunkBytes = 32 << 10
+)
+
 // ShipperConfig parameterizes the writer-side epoch shipper.
 type ShipperConfig struct {
-	// History is how many past epoch digests to retain as delta bases
-	// (default 8). A replica whose installed epoch has aged out of the
-	// history receives a full snapshot instead of a delta.
-	History int
 	// WAL, when non-nil, additionally serves GET /v1/cluster/wal so
 	// replicas can mirror the writer's price-tick log. Nil disables the
 	// endpoint (404) — epoch shipping does not need it.
 	WAL WALTail
-	// MaxWait caps one long-poll (default 25s): an up-to-date replica's
-	// ship request parks until the next epoch publishes or this expires.
-	MaxWait time.Duration
-	// ChunkBytes is the streaming flush granularity (default 32 KiB).
-	ChunkBytes int
 	// Logger receives ship outcomes. Nil discards them.
 	Logger *slog.Logger
 }
@@ -44,6 +43,13 @@ type ShipperConfig struct {
 // simply asks again from nothing).
 type Shipper struct {
 	cfg ShipperConfig
+	// history is how many past epoch digests to retain as delta bases
+	// (shipHistory). A replica whose installed epoch has aged out of it
+	// receives a full snapshot instead of a delta. maxWait caps one
+	// long-poll (longPoll): an up-to-date replica's ship request parks
+	// until the next epoch publishes or this expires. Tests shorten both.
+	history int
+	maxWait time.Duration
 
 	mu      sync.Mutex
 	cur     *service.Epoch
@@ -68,20 +74,13 @@ type ShipStats struct {
 // NewShipper validates the configuration and returns an empty shipper;
 // epochs arrive via Publish.
 func NewShipper(cfg ShipperConfig) *Shipper {
-	if cfg.History <= 0 {
-		cfg.History = 8
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 25 * time.Second
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 32 << 10
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.NopLogger()
 	}
 	return &Shipper{
 		cfg:     cfg,
+		history: shipHistory,
+		maxWait: longPoll,
 		digests: make(map[uint64]*epochDigest),
 		notify:  make(chan struct{}),
 	}
@@ -101,7 +100,7 @@ func (sh *Shipper) Publish(ep *service.Epoch) {
 	if _, dup := sh.digests[d.seq]; !dup {
 		sh.digests[d.seq] = d
 		sh.order = append(sh.order, d.seq)
-		for len(sh.order) > sh.cfg.History {
+		for len(sh.order) > sh.history {
 			delete(sh.digests, sh.order[0])
 			sh.order = sh.order[1:]
 		}
@@ -168,7 +167,7 @@ func (sh *Shipper) ShipHandler() http.Handler {
 		etag := r.URL.Query().Get("etag")
 		cur, notify := sh.snapshot()
 		if cur != nil && cur.Seq() == have && cur.ETag() == etag && r.URL.Query().Get("wait") == "1" {
-			timer := time.NewTimer(sh.cfg.MaxWait)
+			timer := time.NewTimer(sh.maxWait)
 			select {
 			case <-notify:
 			case <-timer.C:
@@ -229,7 +228,7 @@ func (sh *Shipper) ShipHandler() http.Handler {
 	})
 }
 
-// writeChunks streams b in ChunkBytes pieces, flushing between them so a
+// writeChunks streams b in shipChunkBytes pieces, flushing between them so a
 // receiver makes progress (and can persist a resume cursor) before the
 // stream completes. Returns how many bytes were written before the first
 // error — a cut connection simply ends the transfer; the replica resumes
@@ -238,7 +237,7 @@ func (sh *Shipper) writeChunks(w http.ResponseWriter, b []byte) int {
 	fl, _ := w.(http.Flusher)
 	sent := 0
 	for sent < len(b) {
-		end := sent + sh.cfg.ChunkBytes
+		end := sent + shipChunkBytes
 		if end > len(b) {
 			end = len(b)
 		}

@@ -153,7 +153,7 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 // bid up to the walk's ceiling. Durations are monotone non-decreasing in
 // the bid.
 func (p *Predictor) Table() (BidTable, bool) {
-	s, ok := p.walk(tableSpanMult)
+	s, ok := p.walk(tableSpanMult, 0)
 	if !ok {
 		return BidTable{}, false
 	}
@@ -174,11 +174,12 @@ func (p *Predictor) ceiling(bid0 float64) float64 {
 }
 
 // Advise returns the smallest bid that guarantees the requested duration
-// with the configured probability. The search escalates in 5% steps from
-// the minimum bid, beyond the service's table span if necessary, up to the
-// ceiling: one tick above 1.25x the highest retained price. An error is
-// returned if even that cannot promise d — the caller should fall back to
-// a reliable (On-demand) instance, per the §4.4 cost-optimization strategy.
+// with the configured probability. It runs the advise walk (Surface)
+// from the minimum bid, beyond the service's table span if necessary, and
+// stops at the first entry covering d or at the ceiling: one tick above
+// 1.25x the highest retained price. An error is returned if even that
+// cannot promise d — the caller should fall back to a reliable
+// (On-demand) instance, per the §4.4 cost-optimization strategy.
 //
 // Advise scans the history at every step; the service answers the same
 // question from a precomputed AdviseSurface instead.
@@ -187,28 +188,16 @@ func (p *Predictor) Advise(d time.Duration) (Quote, error) {
 	if d <= 0 {
 		return Quote{}, fmt.Errorf("core: non-positive duration %v", d)
 	}
-	bid0, ok := p.MinBid()
+	s, ok := p.walk(math.Inf(1), d)
 	if !ok {
 		return Quote{}, fmt.Errorf("core: no price history")
 	}
-	ceiling := p.ceiling(bid0)
-	span := bid0 * tableSpanMult
-	escalated := false
-	var last Quote
-	for bid := bid0; ; bid *= tableRatio {
-		tb := min(spot.RoundToTick(bid), ceiling)
-		if tb > span && !escalated {
-			escalated = true
-			mAdviseEscalations.Load().Inc()
-		}
-		g, _ := p.GuaranteeFor(tb)
-		last = Quote{Bid: tb, Duration: g, Probability: p.params.Probability}
-		if g >= d {
-			return last, nil
-		}
-		if tb >= ceiling {
-			return last, fmt.Errorf("core: cannot guarantee %v at p=%v (best: %v at bid %.4f)",
-				d, p.params.Probability, last.Duration, last.Bid)
-		}
+	last := s.Best()
+	if last.Bid > spot.FromTicks(int(s.Bids[0]))*tableSpanMult {
+		mAdviseEscalations.Load().Inc()
 	}
+	if last.Duration < d {
+		return last, s.CannotGuarantee(d)
+	}
+	return last, nil
 }

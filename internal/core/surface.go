@@ -16,13 +16,12 @@ import (
 // are collapsed, keeping the first, which is the entry the scan would
 // return); Guar holds the guaranteed duration at that bid in grid steps.
 // Lookup answers the same question as Advise — the first escalation
-// entry whose guarantee covers the requested duration — in O(1) for grid
-// durations and O(log n) within one grid cell otherwise, without touching
-// price history.
+// entry whose guarantee covers the requested duration — with one binary
+// search, without touching price history.
 //
 // Surfaces are immutable after construction. Build them only through
 // (*Predictor).Surface or NewAdviseSurface; a hand-assembled literal lacks
-// the internal running-max and grid indexes and will not answer lookups.
+// the internal running-max index and will not answer lookups.
 type AdviseSurface struct {
 	// Probability is the durability target every guarantee is made at.
 	Probability float64
@@ -38,14 +37,6 @@ type AdviseSurface struct {
 	// the request — is exactly the first index where the running max
 	// crosses the requested step count, which is binary-searchable.
 	max []uint32
-	// gridK is the fixed duration grid in steps (hourly to one day,
-	// 6-hourly to one week, daily to 90 days); gridAt[g] is the first
-	// escalation index covering gridK[g], or -1 when even the ceiling bid
-	// cannot guarantee it. A grid hit answers with one array read; an
-	// off-grid duration binary-searches only between its two grid
-	// neighbours' answers.
-	gridK  []uint32
-	gridAt []int32
 }
 
 // Surface materializes the Advise escalation for the predictor's current
@@ -56,7 +47,7 @@ type AdviseSurface struct {
 // published table off the same walk. ok is false when there is no price
 // history yet (the scan would also refuse).
 func (p *Predictor) Surface() (*AdviseSurface, bool) {
-	s, ok := p.walk(math.Inf(1))
+	s, ok := p.walk(math.Inf(1), 0)
 	if ok {
 		mSurfaceBuilds.Load().Inc()
 	}
@@ -65,9 +56,10 @@ func (p *Predictor) Surface() (*AdviseSurface, bool) {
 
 // walk runs one duration scan per distinct bid from the minimum bid up to
 // the ceiling, or only while the unrounded bid stays within span times the
-// minimum bid. The fixed 5% ratio bounds it to ~15k entries even over the
-// whole float range.
-func (p *Predictor) walk(span float64) (*AdviseSurface, bool) {
+// minimum bid. A positive cover also stops it at the first entry whose
+// guarantee reaches cover. The fixed 5% ratio bounds it to ~15k entries
+// even over the whole float range.
+func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, bool) {
 	bid0, ok := p.MinBid()
 	if !ok {
 		return nil, false
@@ -82,6 +74,9 @@ func (p *Predictor) walk(span float64) (*AdviseSurface, bool) {
 			g, _ := p.GuaranteeFor(tb)
 			s.Bids = append(s.Bids, tick)
 			s.Guar = append(s.Guar, uint32(g/p.step))
+			if cover > 0 && g >= cover {
+				break
+			}
 		}
 		if tb >= ceiling {
 			break
@@ -144,7 +139,7 @@ func NewAdviseSurface(probability float64, step time.Duration, bids, guar []uint
 	return s, nil
 }
 
-// finish builds the running-max and duration-grid indexes.
+// finish builds the running-max index.
 func (s *AdviseSurface) finish() {
 	s.max = make([]uint32, len(s.Guar))
 	var m uint32
@@ -154,38 +149,6 @@ func (s *AdviseSurface) finish() {
 		}
 		s.max[i] = m
 	}
-	s.gridK = buildSurfaceGrid(s.Step)
-	s.gridAt = make([]int32, len(s.gridK))
-	for gi, k := range s.gridK {
-		s.gridAt[gi] = int32(firstCovering(s.max, k))
-	}
-}
-
-// buildSurfaceGrid returns the fixed duration grid in steps: hourly through
-// one day, 6-hourly through one week, daily through 90 days. Grid points
-// that collapse under a coarse step are deduplicated.
-func buildSurfaceGrid(step time.Duration) []uint32 {
-	ks := make([]uint32, 0, 131)
-	add := func(h int) {
-		k := StepsFor(time.Duration(h)*time.Hour, step)
-		if k <= 0 {
-			return
-		}
-		if n := len(ks); n > 0 && ks[n-1] >= uint32(k) {
-			return
-		}
-		ks = append(ks, uint32(k))
-	}
-	for h := 1; h <= 24; h++ {
-		add(h)
-	}
-	for h := 30; h <= 168; h += 6 {
-		add(h)
-	}
-	for h := 192; h <= 2160; h += 24 {
-		add(h)
-	}
-	return ks
 }
 
 // firstCovering returns the first index whose running-max guarantee reaches
@@ -219,50 +182,11 @@ func (s *AdviseSurface) Lookup(d time.Duration) (Quote, bool) {
 	if k <= 0 || len(s.Bids) == 0 {
 		return Quote{}, false
 	}
-	kk := uint32(k)
-	// Grid snap: locate the largest grid duration not exceeding the request.
-	lo, hi := 0, len(s.gridK)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.gridK[mid] <= kk {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	gf := lo - 1
-	lo, hi = 0, len(s.max)
-	if gf >= 0 {
-		i := s.gridAt[gf]
-		if i < 0 {
-			// Even a shorter grid duration is unguaranteeable, so d is too.
-			return Quote{}, false
-		}
-		if s.gridK[gf] == kk {
-			// Exact grid hit: one precomputed read.
-			return s.quoteAt(int(i)), true
-		}
-		lo = int(i)
-	}
-	if gc := gf + 1; gc < len(s.gridAt) {
-		if i := s.gridAt[gc]; i >= 0 {
-			hi = int(i) + 1
-		}
-	}
-	// Off-grid refinement: first covering entry between the grid
-	// neighbours' answers.
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.max[mid] >= kk {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo >= len(s.max) || s.max[lo] < kk {
+	i := firstCovering(s.max, uint32(k))
+	if i < 0 {
 		return Quote{}, false
 	}
-	return s.quoteAt(lo), true
+	return s.quoteAt(i), true
 }
 
 // quoteAt renders escalation entry i as a quote. At any index Lookup

@@ -48,8 +48,9 @@ func TestSurfaceShape(t *testing.T) {
 }
 
 // TestSurfaceMatchesScan is the core equivalence property: for any
-// duration, Lookup answers exactly what the escalation scan answers —
-// same quote on success, refusal with the same error text on failure.
+// duration, Advise and Lookup answer exactly what the escalation scan
+// answers — same quote on success, refusal with the same error text on
+// failure.
 func TestSurfaceMatchesScan(t *testing.T) {
 	for _, prob := range []float64{0.95, 0.99} {
 		p, s := surfaceFixture(t, prob)
@@ -63,7 +64,12 @@ func TestSurfaceMatchesScan(t *testing.T) {
 			durations = append(durations, time.Duration(1+rng.Int63n(int64(40*24*time.Hour))))
 		}
 		for _, d := range durations {
-			want, wantErr := p.Advise(d)
+			want, wantErr := scanAdvise(p, d)
+			adv, advErr := p.Advise(d)
+			if adv != want || (advErr == nil) != (wantErr == nil) ||
+				(wantErr != nil && advErr.Error() != wantErr.Error()) {
+				t.Fatalf("p=%v d=%v: Advise (%+v, %v) != scan (%+v, %v)", prob, d, adv, advErr, want, wantErr)
+			}
 			got, ok := s.Lookup(d)
 			if wantErr == nil {
 				if !ok {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/drafts-go/drafts/internal/pricegen"
 	"github.com/drafts-go/drafts/internal/spot"
@@ -32,6 +33,33 @@ func scanTable(p *Predictor) (BidTable, bool) {
 	}
 	enforceMonotone(t.Points)
 	return t, true
+}
+
+// scanAdvise is the escalation loop Advise ran before it read its answer
+// off the walk: one full-window duration scan per 5% step, duplicate
+// ticks included, from the minimum bid up to the ceiling. It stays as the
+// oracle Advise and AdviseSurface.Lookup must reproduce bit for bit.
+func scanAdvise(p *Predictor, d time.Duration) (Quote, error) {
+	if d <= 0 {
+		return Quote{}, fmt.Errorf("core: non-positive duration %v", d)
+	}
+	bid0, ok := p.MinBid()
+	if !ok {
+		return Quote{}, fmt.Errorf("core: no price history")
+	}
+	ceiling := p.ceiling(bid0)
+	for bid := bid0; ; bid *= tableRatio {
+		tb := min(spot.RoundToTick(bid), ceiling)
+		g, _ := p.GuaranteeFor(tb)
+		last := Quote{Bid: tb, Duration: g, Probability: p.params.Probability}
+		if g >= d {
+			return last, nil
+		}
+		if tb >= ceiling {
+			return last, fmt.Errorf("core: cannot guarantee %v at p=%v (best: %v at bid %.4f)",
+				d, p.params.Probability, last.Duration, last.Bid)
+		}
+	}
 }
 
 // sameTable reports where two tables first differ bit for bit, or "".

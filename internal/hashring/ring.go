@@ -1,12 +1,10 @@
 // Package hashring is a minimal consistent-hash ring: it maps string keys
 // onto a set of members (node addresses) such that membership changes move
-// as few keys as possible. The read tier uses it twice — the router picks
-// the replica that owns a combo, and service.Client does the same hash
-// locally — so both must agree byte-for-byte on the placement function,
-// which is why it lives in its own dependency-free package.
+// as few keys as possible. The read tier's router uses it to pick the
+// node that owns a combo.
 //
 // The construction is the textbook one: each member is hashed onto the
-// ring at VirtualNodes points ("member#0", "member#1", ...), the points
+// ring at virtualNodes points ("member#0", "member#1", ...), the points
 // are sorted, and a key belongs to the first point clockwise from its own
 // hash. Virtual nodes smooth the load split; removing a member reassigns
 // only the keys that mapped to its points.
@@ -22,10 +20,10 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-member point count used when New is given
-// zero. 64 points keeps the max/mean load ratio within a few percent for
-// small clusters while the ring stays tiny (a 3-node ring is 192 points).
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-member point count. 64 points keeps the max/mean
+// load ratio within a few percent for small clusters while the ring stays
+// tiny (a 3-node ring is 192 points).
+const virtualNodes = 64
 
 type point struct {
 	hash   uint64
@@ -39,13 +37,10 @@ type Ring struct {
 	points  []point
 }
 
-// New builds a ring over members with vnodes virtual points each (0 means
-// DefaultVirtualNodes). Duplicate and empty member strings are dropped;
-// the member order does not affect placement (only the strings do).
-func New(vnodes int, members ...string) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// New builds a ring over members with virtualNodes points each. Duplicate
+// and empty member strings are dropped; the member order does not affect
+// placement (only the strings do).
+func New(members ...string) *Ring {
 	seen := make(map[string]bool, len(members))
 	uniq := make([]string, 0, len(members))
 	for _, m := range members {
@@ -56,9 +51,9 @@ func New(vnodes int, members ...string) *Ring {
 		uniq = append(uniq, m)
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, points: make([]point, 0, len(uniq)*vnodes)}
+	r := &Ring{members: uniq, points: make([]point, 0, len(uniq)*virtualNodes)}
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, point{hash: hash(m + "#" + strconv.Itoa(v)), member: i})
 		}
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 func TestLookupDeterministic(t *testing.T) {
-	a := New(0, "n1", "n2", "n3")
-	b := New(0, "n3", "n1", "n2") // construction order must not matter
+	a := New("n1", "n2", "n3")
+	b := New("n3", "n1", "n2") // construction order must not matter
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("zone-%d/type-%d", i%7, i)
 		ma, ok := a.Lookup(key)
@@ -22,7 +22,7 @@ func TestLookupDeterministic(t *testing.T) {
 }
 
 func TestLookupSpreads(t *testing.T) {
-	r := New(0, "n1", "n2", "n3")
+	r := New("n1", "n2", "n3")
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -42,8 +42,8 @@ func TestLookupSpreads(t *testing.T) {
 }
 
 func TestMinimalMovement(t *testing.T) {
-	before := New(0, "n1", "n2", "n3")
-	after := New(0, "n1", "n2", "n3", "n4")
+	before := New("n1", "n2", "n3")
+	after := New("n1", "n2", "n3", "n4")
 	const n = 2000
 	moved := 0
 	for i := 0; i < n; i++ {
@@ -65,7 +65,7 @@ func TestMinimalMovement(t *testing.T) {
 }
 
 func TestCandidatesDistinctAndOwnedFirst(t *testing.T) {
-	r := New(0, "n1", "n2", "n3")
+	r := New("n1", "n2", "n3")
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		cands := r.Candidates(key, 3)
@@ -94,14 +94,14 @@ func TestEmptyAndNil(t *testing.T) {
 	if nilRing.Len() != 0 || len(nilRing.Candidates("k", 2)) != 0 {
 		t.Error("nil ring not empty")
 	}
-	empty := New(0)
+	empty := New()
 	if _, ok := empty.Lookup("k"); ok {
 		t.Error("empty ring returned a member")
 	}
 }
 
 func TestDuplicateMembersDeduped(t *testing.T) {
-	r := New(0, "n1", "n1", "n2")
+	r := New("n1", "n1", "n2")
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}

@@ -66,7 +66,8 @@ func (st *Store) Combos() []spot.Combo {
 }
 
 // Full returns the complete retained series for a combo (no retention
-// clipping; internal experiment use). The result is a deep copy.
+// clipping): the service's refresh and snapshot restore read it, as do
+// the experiments. The result is a deep copy.
 func (st *Store) Full(c spot.Combo) (*Series, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

@@ -11,8 +11,8 @@ import (
 )
 
 // /v1/advise answers from the epoch's precomputed surfaces: a query
-// substring parse, one map lookup, an O(1) grid snap (or an O(log n)
-// refinement for off-grid durations), and a pooled-buffer write — no
+// substring parse, one map lookup, one binary search over the surface's
+// running-max guarantees, and a pooled-buffer write — no
 // predictor scan, no deadline, no allocation. The bid-escalation scan the
 // surfaces replaced survives only as a test oracle;
 // TestAdviseSurfaceScanEquivalence holds the two byte-identical over

@@ -107,15 +107,18 @@ func BenchmarkNotModified(b *testing.B) {
 }
 
 // BenchmarkRefreshFull and BenchmarkRefreshIncremental bracket the refresh
-// cost: full recompute of every window versus clone + no new ticks.
+// cost: full recompute of every window (a fresh server's first refresh)
+// versus clone + no new ticks.
 func BenchmarkRefreshFull(b *testing.B) {
-	srv, err := New(Config{Source: benchStore(b), MaxHistory: 9000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv.incrementalMax = 0
+	st := benchStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := New(Config{Source: st, MaxHistory: 9000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if err := srv.Refresh(); err != nil {
 			b.Fatal(err)
 		}

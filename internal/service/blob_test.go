@@ -351,7 +351,6 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.incrementalMax = 0
 	if err := fresh.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -397,12 +396,6 @@ func TestExtendPredictorDeclines(t *testing.T) {
 	if srv.extendPredictor(old, want, shifted) != nil {
 		t.Error("grid-misaligned series extended")
 	}
-	saved := srv.incrementalMax
-	srv.incrementalMax = 0
-	if srv.extendPredictor(old, want, series) != nil {
-		t.Error("disabled incremental path extended")
-	}
-	srv.incrementalMax = saved
 }
 
 // TestRestoreInstallsBlobs ensures a snapshot restore re-arms the fast

@@ -142,13 +142,10 @@ func refreshStampedAt(t *testing.T, srv *Server, fs *faults.Set, asOf time.Time)
 func TestChaosBreakerTripAndRecovery(t *testing.T) {
 	fs := faults.New(7)
 	srv, err := New(Config{
-		Source:            testStore(t),
-		MaxHistory:        9000,
-		RefreshEvery:      10 * time.Millisecond,
-		BreakerThreshold:  2,
-		BreakerBackoff:    5 * time.Millisecond,
-		BreakerMaxBackoff: 20 * time.Millisecond,
-		Faults:            fs,
+		Source:       testStore(t),
+		MaxHistory:   9000,
+		RefreshEvery: 10 * time.Millisecond,
+		Faults:       fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +171,7 @@ func TestChaosBreakerTripAndRecovery(t *testing.T) {
 	}
 
 	fired := fs.Fired("service.refresh")
-	if fired < 2 {
+	if fired < breakerThreshold {
 		t.Errorf("outage fired %d times, want at least the breaker threshold", fired)
 	}
 	fs.Disable("service.refresh")

@@ -11,11 +11,9 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
-	"github.com/drafts-go/drafts/internal/hashring"
 	"github.com/drafts-go/drafts/internal/spot"
 	"github.com/drafts-go/drafts/internal/trace"
 )
@@ -41,14 +39,11 @@ type Client struct {
 	Timeout time.Duration
 	// Retries is how many extra attempts follow a retryable failure — a
 	// transport error, an "overloaded", "stale", or "rate_limited" API
-	// error, or a 502/503/504 — before giving up. Each retry backs off exponentially
-	// from RetryBackoff with ±50% jitter, never sleeping less than the
-	// server's Retry-After hint. Application errors (4xx, 5xx other than
-	// the above) never retry.
+	// error, or a 502/503/504 — before giving up. Each retry backs off
+	// exponentially from retryBackoff with ±50% jitter, never sleeping less
+	// than the server's Retry-After hint. Application errors (4xx, 5xx
+	// other than the above) never retry.
 	Retries int
-	// RetryBackoff is the base delay before the first retry (default
-	// 250ms).
-	RetryBackoff time.Duration
 	// HTTPClient defaults to a client with Timeout.
 	HTTPClient *http.Client
 	// Tracer, when non-nil, traces each logical request (all retry
@@ -57,25 +52,13 @@ type Client struct {
 	// adopts the client's trace ID, and its X-Request-Id — in logs, error
 	// envelopes, and /debug/flight — matches the ID the client holds.
 	Tracer *trace.Tracer
-	// Replicas, when non-empty, enables client-side read routing: the
-	// client hashes each keyed read (a combo, for /v1/predictions,
-	// /v1/tables and /v1/advise) onto a consistent-hash ring over these
-	// base URLs — the same FNV ring the cluster router uses, so
-	// client-routed and router-fronted fleets place keys identically.
-	// Every node answers advise from its installed epoch's surfaces, so
-	// advise routes like predictions. Retries walk the ring clockwise
-	// (the node that would own the key next), then fall back to BaseURL;
-	// unkeyed reads (/v1/combos, /debug/flight) go to BaseURL as always.
-	// The per-code retry rules are unchanged — routing only changes WHERE
-	// each attempt goes.
-	Replicas []string
 
 	// sleep is the retry delay; tests stub it to run instantly.
 	sleep func(time.Duration)
-
-	ringOnce sync.Once
-	ring     *hashring.Ring
 }
+
+// retryBackoff is the base delay before a client's first retry.
+const retryBackoff = 250 * time.Millisecond
 
 func (c *Client) http() *http.Client {
 	if c.HTTPClient != nil {
@@ -167,7 +150,7 @@ func retryAfter(err error) time.Duration {
 }
 
 func (c *Client) get(path string, query url.Values, out any) error {
-	return c.getKeyed("", path, query, out)
+	return c.do(http.MethodGet, path, query, nil, out)
 }
 
 // GetJSON performs one GET against the service with the client's full
@@ -175,83 +158,47 @@ func (c *Client) get(path string, query url.Values, out any) error {
 // It exists for endpoints outside the typed surface — draftsctl's cluster
 // status rendering being the canonical caller.
 func (c *Client) GetJSON(path string, query url.Values, out any) error {
-	return c.getKeyed("", path, query, out)
+	return c.get(path, query, out)
 }
 
-// bases returns the base URLs to try, in order, for a read placed by key.
-// With no replica list (or no key) every attempt goes to BaseURL; with
-// one, attempts walk the key's ring candidates — owner first, then the
-// nodes that would inherit the key — and BaseURL is the last resort when
-// it is not already on the ring.
-func (c *Client) bases(key string) []string {
-	if len(c.Replicas) == 0 || key == "" {
-		return []string{c.BaseURL}
+// do is the request engine behind every typed call: method + body
+// generalize get so POST endpoints (/v1/fleet) share the identical
+// retry/backoff/tracing machinery. A non-nil body is replayed from a fresh
+// reader on every attempt.
+func (c *Client) do(method, path string, query url.Values, body []byte, out any) (err error) {
+	u, err := url.Parse(c.BaseURL)
+	if err != nil {
+		return fmt.Errorf("service client: bad base URL %q: %w", c.BaseURL, err)
 	}
-	c.ringOnce.Do(func() {
-		c.ring = hashring.New(0, c.Replicas...)
-	})
-	out := c.ring.Candidates(key, c.ring.Len())
-	for _, b := range out {
-		if b == c.BaseURL {
-			return out
-		}
-	}
-	return append(out, c.BaseURL)
-}
-
-// getKeyed is get with read placement: key (a combo, normally) selects
-// which node each attempt targets via the client-side ring.
-func (c *Client) getKeyed(key, path string, query url.Values, out any) error {
-	return c.doKeyed(http.MethodGet, key, path, query, nil, out)
-}
-
-// doKeyed is the request engine behind every typed call: method + body
-// generalize getKeyed so POST endpoints (/v1/fleet) share the identical
-// retry/backoff/placement/tracing machinery. A non-nil body is replayed
-// from a fresh reader on every attempt.
-func (c *Client) doKeyed(method, key, path string, query url.Values, body []byte, out any) (err error) {
-	bases := c.bases(key)
-	targets := make([]string, len(bases))
-	for i, base := range bases {
-		u, uerr := url.Parse(base)
-		if uerr != nil {
-			return fmt.Errorf("service client: bad base URL %q: %w", base, uerr)
-		}
-		u.Path = path
-		u.RawQuery = query.Encode()
-		targets[i] = u.String()
-	}
+	u.Path = path
+	u.RawQuery = query.Encode()
+	target := u.String()
 
 	tr := c.Tracer.StartTrace("client")
 	defer tr.End()
 	tr.SetRoute(path)
 	defer func() { tr.Fail(err) }() // Fail(nil) no-ops; runs before End
 
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
 	sleep := c.sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
 	var rng *rand.Rand
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		lastErr = c.doOnce(method, targets[attempt%len(targets)], tr, body, out)
-		if lastErr == nil || attempt >= c.Retries || !retryable(lastErr) {
-			return lastErr
+		err = c.doOnce(method, target, tr, body, out)
+		if err == nil || attempt >= c.Retries || !retryable(err) {
+			return err
 		}
 		// Exponential backoff with ±50% jitter so a fleet of clients
 		// retrying against a restarting service doesn't stampede it. The
 		// server's Retry-After hint is a floor, never a ceiling: backing
 		// off longer than asked is always safe.
-		d := backoff << attempt
+		d := retryBackoff << attempt
 		if rng == nil {
 			rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 		}
 		wait := d/2 + time.Duration(rng.Int63n(int64(d)))
-		if floor := retryAfter(lastErr); wait < floor {
+		if floor := retryAfter(err); wait < floor {
 			wait = floor
 		}
 		sleep(wait)
@@ -354,8 +301,7 @@ func (c *Client) Predictions(combo spot.Combo, probability float64) (core.BidTab
 		q.Set("account", c.Account)
 	}
 	var tj TableJSON
-	key := string(combo.Zone) + "/" + string(combo.Type)
-	if err := c.getKeyed(key, "/v1/predictions", q, &tj); err != nil {
+	if err := c.get("/v1/predictions", q, &tj); err != nil {
 		return core.BidTable{}, err
 	}
 	_, table := FromJSON(tj)
@@ -379,7 +325,7 @@ func (c *Client) Tables(combos []spot.Combo, probability float64) ([]TableJSON, 
 	q.Set("combos", strings.Join(parts, ","))
 	q.Set("probability", strconv.FormatFloat(probability, 'f', -1, 64))
 	var out []TableJSON
-	if err := c.getKeyed(parts[0], "/v1/tables", q, &out); err != nil {
+	if err := c.get("/v1/tables", q, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -397,8 +343,7 @@ func (c *Client) Advise(combo spot.Combo, probability float64, d time.Duration) 
 		q.Set("account", c.Account)
 	}
 	var qj QuoteJSON
-	key := string(combo.Zone) + "/" + string(combo.Type)
-	if err := c.getKeyed(key, "/v1/advise", q, &qj); err != nil {
+	if err := c.get("/v1/advise", q, &qj); err != nil {
 		return core.Quote{}, err
 	}
 	return core.Quote{
@@ -410,9 +355,6 @@ func (c *Client) Advise(combo spot.Combo, probability float64, d time.Duration) 
 
 // Fleet asks the catalog-wide advisor (POST /v1/fleet) for the cheapest
 // compliant combos carrying the request's duration at its probability.
-// Any surface-bearing node answers identically for the same epoch, so
-// with Replicas configured the call is placed on the ring under the
-// stable key "/v1/fleet" (retries walk the ring like every keyed read).
 // Page through deep result sets by feeding each response's NextCursor
 // back as the next request's Cursor.
 func (c *Client) Fleet(req FleetRequest) (FleetResponse, error) {
@@ -421,7 +363,7 @@ func (c *Client) Fleet(req FleetRequest) (FleetResponse, error) {
 		return FleetResponse{}, fmt.Errorf("service client: encoding fleet request: %w", err)
 	}
 	var resp FleetResponse
-	if err := c.doKeyed(http.MethodPost, "/v1/fleet", "/v1/fleet", nil, body, &resp); err != nil {
+	if err := c.do(http.MethodPost, "/v1/fleet", nil, body, &resp); err != nil {
 		return FleetResponse{}, err
 	}
 	return resp, nil

@@ -149,9 +149,9 @@ type fleetCandidate struct {
 }
 
 // handleFleet serves POST /v1/fleet. The scan is cheap — one surface
-// lookup per catalog combo, each an O(1) grid snap or O(log n)
-// refinement — so every page recomputes the full ranking and resumes at
-// the cursor; no per-client state is held.
+// lookup per catalog combo, each one binary search — so every page
+// recomputes the full ranking and resumes at the cursor; no per-client
+// state is held.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	var req FleetRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxFleetBody)).Decode(&req); err != nil {

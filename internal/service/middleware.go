@@ -218,7 +218,7 @@ func (s *Server) serve(sw *statusWriter, r *http.Request, mux *http.ServeMux, ro
 // exactly the one someone will come looking for.
 func (s *Server) shed(sw *statusWriter, route string, err error) {
 	sw.tr.Fail(err)
-	s.setRetryAfter(sw)
+	setRetryAfter(sw)
 	writeErr(sw, http.StatusServiceUnavailable, codeOverloaded,
 		"request shed: %v", err)
 	s.metrics.shed.With(route).Inc()
@@ -226,14 +226,10 @@ func (s *Server) shed(sw *statusWriter, route string, err error) {
 		"route", route, "request_id", sw.requestID(), "err", err)
 }
 
-// setRetryAfter stamps the configured Retry-After hint (whole seconds,
-// minimum 1) on a 503 the client should retry.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+// setRetryAfter stamps the Retry-After hint on a 503 the client should
+// retry.
+func setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 }
 
 // checkStaleness applies the serve-stale policy to a read answered from
@@ -252,7 +248,7 @@ func (s *Server) checkStaleness(w http.ResponseWriter, asOf time.Time) bool {
 		return true
 	}
 	if s.cfg.MaxStaleness > 0 && age > s.cfg.MaxStaleness {
-		s.setRetryAfter(w)
+		setRetryAfter(w)
 		writeErr(w, http.StatusServiceUnavailable, codeStale,
 			"tables are %s old, beyond the %s staleness bound",
 			age.Round(time.Second), s.cfg.MaxStaleness)

@@ -32,7 +32,6 @@ func TestOverloadAdmissionControl(t *testing.T) {
 		MaxConcurrent: 4,
 		MaxQueue:      4,
 		QueueWait:     time.Second,
-		RetryAfter:    2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +121,8 @@ func TestOverloadAdmissionControl(t *testing.T) {
 		len(accepted), shed, 100*float64(shed)/float64(shed+len(accepted)), baseP99)
 
 	// Shed responses carry the full overload contract.
-	if got := firstShed.Header().Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", got)
+	if got := firstShed.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	var env errorEnvelope
 	if err := json.Unmarshal(firstShed.Body.Bytes(), &env); err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -288,39 +289,44 @@ func sameEpoch(t *testing.T, what string, got, want *Epoch) {
 	}
 }
 
-// TestRestoreIsPreCrashEpoch restarts a writer whose WAL holds a 100-tick
-// tail newer than its last snapshot. The restored epoch must be the
-// pre-crash epoch byte for byte — tables, surfaces and checksum — and after
-// one refresh it must equal the epoch of a writer that never stopped.
+// TestRestoreIsPreCrashEpoch restarts a writer whose WAL holds a tail
+// newer than its last snapshot: 100 ticks, and 300, more than a day of
+// them. The restored epoch must be the pre-crash epoch byte for byte —
+// tables, surfaces and checksum — and after one refresh it must equal the
+// epoch of a writer that never stopped.
 func TestRestoreIsPreCrashEpoch(t *testing.T) {
-	r := newRecoveryRig(t)
-	w := r.writer()
-	at := time.Now().UTC()
-	w.now = func() time.Time { return at }
-	for i := 0; i < 2; i++ {
-		if err := w.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.announce(100); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := r.recover()
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	sameEpoch(t, "restored epoch", restored.CurrentEpoch(), w.CurrentEpoch())
+	for _, tail := range []int{100, 300} {
+		t.Run(fmt.Sprintf("tail_%d", tail), func(t *testing.T) {
+			r := newRecoveryRig(t)
+			w := r.writer()
+			at := time.Now().UTC()
+			w.now = func() time.Time { return at }
+			for i := 0; i < 2; i++ {
+				if err := w.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.announce(tail); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := r.recover()
+			if err != nil {
+				t.Fatalf("RestoreSnapshot: %v", err)
+			}
+			sameEpoch(t, "restored epoch", restored.CurrentEpoch(), w.CurrentEpoch())
 
-	// The reference writer keeps running; it no longer owns the store.
-	w.cfg.PreRefresh = nil
-	w.cfg.Durable = nil
-	restored.now = w.now
-	for _, srv := range []*Server{w, restored} {
-		if err := srv.Refresh(); err != nil {
-			t.Fatal(err)
-		}
+			// The reference writer keeps running; it no longer owns the store.
+			w.cfg.PreRefresh = nil
+			w.cfg.Durable = nil
+			restored.now = w.now
+			for _, srv := range []*Server{w, restored} {
+				if err := srv.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameEpoch(t, "epoch after the first refresh", restored.CurrentEpoch(), w.CurrentEpoch())
+		})
 	}
-	sameEpoch(t, "epoch after the first refresh", restored.CurrentEpoch(), w.CurrentEpoch())
 }
 
 // TestSnapshotSizeAtDefaultScale bounds the snapshot at draftsd's default

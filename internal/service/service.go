@@ -45,9 +45,6 @@ type Source interface {
 // Config parameterizes the service.
 type Config struct {
 	Source Source
-	// Probabilities to precompute tables for (default 0.95 and 0.99, the
-	// levels the production service publishes).
-	Probabilities []float64
 	// RefreshEvery is the recomputation period (default 15 minutes).
 	RefreshEvery time.Duration
 	// MaxHistory caps the history fed to each predictor (default three
@@ -112,17 +109,6 @@ type Config struct {
 	// 503/stale refusals once the tables age past it. 0 serves stale
 	// tables indefinitely.
 	MaxStaleness time.Duration
-	// RetryAfter is the Retry-After hint stamped on shed and stale 503s
-	// (default 1s, whole seconds).
-	RetryAfter time.Duration
-	// BreakerThreshold is how many consecutive refresh failures trip the
-	// refresh circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerBackoff is the breaker's base probe delay once open (default
-	// RefreshEvery/4); successive failed probes double it up to
-	// BreakerMaxBackoff (default RefreshEvery), both with ±50% jitter.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
 	// Faults optionally injects failures at the "service.refresh"
 	// operation point. nil (the production default) disables injection.
 	Faults *faults.Set
@@ -142,17 +128,19 @@ type Config struct {
 	OnEpoch func(*Epoch)
 }
 
-// incrementalMaxTicks caps how many new price ticks a combo may have
-// accumulated since the last refresh for the incremental path to apply:
-// instead of re-ingesting the whole history window (~26k ticks for three
-// months), the refresh clones the previously installed predictor and feeds
-// it only the new ticks. One day of 5-minute ticks: a refresh loop running
-// anywhere near its default 15-minute period accumulates ~3 ticks per
-// cycle, so in steady state every refresh is incremental; the cap only
-// matters after long outages, where a full recompute is no slower than
-// replaying the gap. Incremental results are byte-identical to a full
-// recompute (TestIncrementalRefreshEquivalence).
-const incrementalMaxTicks = 24 * 12
+// probabilities are the levels every combo's tables and advise surfaces
+// are computed at: the two the production service publishes (§3.3).
+var probabilities = [...]float64{0.95, 0.99}
+
+const (
+	// retryAfterSeconds is the Retry-After hint stamped on shed and stale
+	// 503s.
+	retryAfterSeconds = 1
+	// breakerThreshold is how many consecutive refresh failures trip the
+	// refresh circuit breaker. Once open it probes after RefreshEvery/4,
+	// doubling up to RefreshEvery, both with ±50% jitter.
+	breakerThreshold = 3
+)
 
 // Server computes and serves bid tables and advise surfaces. All serving
 // state lives in the installed epoch (blobs); the writer's epochs also
@@ -161,9 +149,6 @@ type Server struct {
 	cfg     Config
 	logger  *slog.Logger
 	metrics *serviceMetrics
-	// incrementalMax is incrementalMaxTicks; tests set it to 0 to force
-	// full recomputes.
-	incrementalMax int
 
 	// role is "writer" or "replica"; epochSeq is the writer-local epoch
 	// counter (replicas mirror the writer's value on install). Both exist
@@ -217,14 +202,6 @@ func New(cfg Config) (*Server, error) {
 
 // newServer is the shared construction path behind New and NewReplica.
 func newServer(cfg Config, role string) (*Server, error) {
-	if len(cfg.Probabilities) == 0 {
-		cfg.Probabilities = []float64{0.95, 0.99}
-	}
-	for _, p := range cfg.Probabilities {
-		if !(p > 0 && p < 1) {
-			return nil, fmt.Errorf("service: probability %v outside (0,1)", p)
-		}
-	}
 	if cfg.RefreshEvery == 0 {
 		cfg.RefreshEvery = 15 * time.Minute
 	}
@@ -246,27 +223,17 @@ func newServer(cfg Config, role string) (*Server, error) {
 	if cfg.MaxConcurrent > 0 && cfg.QueueWait == 0 {
 		cfg.QueueWait = time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerBackoff <= 0 {
-		cfg.BreakerBackoff = cfg.RefreshEvery / 4
-	}
-	if cfg.BreakerMaxBackoff <= 0 {
-		cfg.BreakerMaxBackoff = cfg.RefreshEvery
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = telemetry.NopLogger()
 	}
 	s := &Server{
-		cfg:            cfg,
-		logger:         logger,
-		metrics:        newServiceMetrics(cfg.Metrics),
-		incrementalMax: incrementalMaxTicks,
-		role:           role,
-		breaker: resilience.NewBreaker(cfg.BreakerThreshold,
-			cfg.BreakerBackoff, cfg.BreakerMaxBackoff, time.Now().UnixNano()),
+		cfg:     cfg,
+		logger:  logger,
+		metrics: newServiceMetrics(cfg.Metrics),
+		role:    role,
+		breaker: resilience.NewBreaker(breakerThreshold,
+			cfg.RefreshEvery/4, cfg.RefreshEvery, time.Now().UnixNano()),
 		now: time.Now,
 	}
 	if cfg.MaxConcurrent > 0 {
@@ -287,10 +254,10 @@ func newServer(cfg Config, role string) (*Server, error) {
 
 // Refresh recomputes every combo's bid tables from the current histories,
 // fanned out across RefreshWorkers goroutines (GOMAXPROCS by default).
-// Combos whose history advanced by at most a day of ticks since the
-// previous refresh take the incremental path: the installed predictor is
-// cloned and fed only the new ticks, producing byte-identical tables at a
-// fraction of the full-window cost. Each predictor's table and advise
+// Combos whose installed predictor sits on the history's grid take the
+// incremental path: the predictor is cloned and fed only the ticks that
+// arrived since, producing byte-identical tables at a fraction of the
+// full-window cost (TestIncrementalRefreshEquivalence). Each predictor's table and advise
 // surface come from one guarantee walk inside the fan-out, and the three
 // are installed together as one new epoch.
 //
@@ -323,7 +290,7 @@ func (s *Server) Refresh() error {
 		}
 	}
 	combos := s.cfg.Source.Combos()
-	n := len(combos) * len(s.cfg.Probabilities)
+	n := len(combos) * len(probabilities)
 	fresh := make(map[tableKey]core.BidTable, n)
 	freshPreds := make(map[tableKey]*core.Predictor, n)
 	surfaces := make(map[blobKey]*surfaceEntry, n)
@@ -339,8 +306,8 @@ func (s *Server) Refresh() error {
 	// level: an installed predictor is reusable only if its parameters match
 	// exactly. A Params validation error here would also fail NewPredictor
 	// below, so it is left for the worker loop to report.
-	wantParams := make([]core.Params, len(s.cfg.Probabilities))
-	for i, prob := range s.cfg.Probabilities {
+	var wantParams [len(probabilities)]core.Params
+	for i, prob := range probabilities {
 		if p, err := (core.Params{Probability: prob, MaxHistory: s.cfg.MaxHistory}).WithDefaults(); err == nil {
 			wantParams[i] = p
 		}
@@ -376,7 +343,7 @@ func (s *Server) Refresh() error {
 					mu.Unlock()
 					continue
 				}
-				for i, prob := range s.cfg.Probabilities {
+				for i, prob := range probabilities {
 					key := tableKey{combo: c, prob: prob}
 					pred := s.extendPredictor(prevPreds[key], wantParams[i], series)
 					if pred != nil {
@@ -478,8 +445,9 @@ func (s *Server) setLastErr(msg string) {
 
 // extendPredictor attempts the incremental refresh path for one combo: if
 // the previously installed predictor has matching parameters and the series
-// has advanced by no more than incrementalMax ticks on the same grid, it
-// returns a clone of that predictor extended with exactly the new ticks.
+// continues it on the same grid, it returns a clone of that predictor
+// extended with exactly the new ticks, however many arrived. A clone plus
+// the gap never costs more than re-observing the whole series.
 // Installed predictors are shared with in-flight /v1/advise requests and
 // must never be mutated, which is why the clone is mandatory. A nil return
 // means the caller must rebuild from the full window.
@@ -489,14 +457,14 @@ func (s *Server) setLastErr(msg string) {
 // byte-identical to a full recompute — TestIncrementalRefreshEquivalence
 // enforces this across randomized tick sequences.
 func (s *Server) extendPredictor(old *core.Predictor, want core.Params, series *history.Series) *core.Predictor {
-	if old == nil || s.incrementalMax <= 0 || old.Len() == 0 || old.Params() != want {
+	if old == nil || old.Len() == 0 || old.Params() != want {
 		return nil
 	}
 	// Map the predictor's watermark onto the series grid; the tick at
 	// next-1 must be exactly the predictor's latest observation time or the
 	// grids have diverged (source swapped, series rebuilt from scratch).
 	next := series.IndexOf(old.Now()) + 1
-	if next < 1 || next > series.Len() || series.Len()-next > s.incrementalMax {
+	if next < 1 || next > series.Len() {
 		return nil
 	}
 	if !series.TimeAt(next - 1).Equal(old.Now()) {
@@ -571,10 +539,10 @@ func (s *Server) walCutoff(now time.Time) time.Time {
 // background instead of blocking startup.
 //
 // Periodic refreshes are best-effort: the previous tables keep serving if
-// a recomputation fails. Consecutive failures (BreakerThreshold of them)
+// a recomputation fails. Consecutive failures (breakerThreshold of them)
 // trip a circuit breaker, after which the loop stops hammering the failing
 // source on the normal cadence and instead probes it on a jittered
-// exponential backoff (BreakerBackoff doubling up to BreakerMaxBackoff).
+// exponential backoff (RefreshEvery/4 doubling up to RefreshEvery).
 // While the breaker is open the service is in degraded, serve-stale mode:
 // reads carry X-Drafts-Staleness once the tables age past two refresh
 // periods and /healthz reports "degraded". The first successful probe

@@ -47,9 +47,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := New(Config{Source: history.NewStore(), Probabilities: []float64{1.5}}); err == nil {
-		t.Error("bad probability accepted")
-	}
 	if _, err := New(Config{Source: history.NewStore(), RefreshEvery: -time.Minute}); err == nil {
 		t.Error("negative refresh accepted")
 	}

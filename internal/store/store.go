@@ -45,18 +45,21 @@ import (
 	"github.com/drafts-go/drafts/internal/spot"
 )
 
+const (
+	// fsyncEvery is the FsyncInterval flush period.
+	fsyncEvery = time.Second
+	// keepSnapshots is how many published snapshots a store retains: the
+	// newest plus one fallback should the newest prove defective.
+	keepSnapshots = 2
+)
+
 // Options configure a Store. The zero value means: interval fsync every
-// second, 8 MiB segments, two retained snapshots.
+// second and 8 MiB segments.
 type Options struct {
 	// Fsync selects the WAL durability policy.
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval flush period (default 1s).
-	FsyncEvery time.Duration
 	// SegmentBytes caps a WAL segment before rotation (default 8 MiB).
 	SegmentBytes int64
-	// KeepSnapshots is how many published snapshots to retain (default 2:
-	// the newest plus one fallback should the newest prove defective).
-	KeepSnapshots int
 	// Faults optionally injects failures at the "wal.append", "wal.fsync"
 	// and "snapshot.write" operation points. nil (the production default)
 	// disables injection.
@@ -64,14 +67,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = time.Second
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	return o
 }
@@ -103,7 +100,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	wal, err := openWAL(filepath.Join(dir, "wal"), walOptions{
 		segmentBytes: opt.SegmentBytes,
 		policy:       opt.Fsync,
-		every:        opt.FsyncEvery,
+		every:        fsyncEvery,
 		faults:       opt.Faults,
 	})
 	if err != nil {
@@ -238,7 +235,7 @@ func (s *Store) WriteSnapshot(payload []byte) error {
 	}
 	s.snapSeq = seq
 	mSnapshotBytes.Load().Set(float64(len(payload)))
-	return pruneSnapshots(snapDir, s.opt.KeepSnapshots)
+	return pruneSnapshots(snapDir, keepSnapshots)
 }
 
 // LoadSnapshot returns the newest snapshot payload that validates; ok is
