@@ -191,136 +191,203 @@ func comboSeed(master int64, c spot.Combo) int64 {
 // Series generates n grid steps of market price for combo c starting at
 // start.
 func (g Generator) Series(c spot.Combo, start time.Time, n int) (*history.Series, error) {
-	od, err := spot.ODPrice(c.Type, c.Zone.Region())
+	cur, err := newCursor(g.Seed, c, start)
 	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("pricegen: non-positive length %d", n)
 	}
-	a := ArchetypeFor(c)
-	p := paramsFor(a)
-	rng := stats.NewRNG(comboSeed(g.Seed, c))
-
 	s := history.NewSeries(start)
-	if a == Hostile {
-		genHostile(s, rng, od, p, n)
-		return s, nil
-	}
-
-	floor := p.floorFrac * od
-	rung := func(k int) float64 {
-		return floor * math.Pow(1+p.rungStep, float64(k))
-	}
-	bandTop := rung(p.bandRungs - 1)
-	excLevel := func() float64 {
-		if p.excRungs > 0 {
-			// Recurring excursion ladder: the market clears at the same
-			// handful of elevated levels again and again.
-			r := 1 + rng.Intn(p.excRungs)
-			return bandTop * math.Pow(1+p.excStep, float64(r))
-		}
-		// Continuous heavy-tailed magnitudes: every big excursion sets a
-		// novel level (the spiky archetype).
-		mag := rng.LogNormal(p.excMagMu, p.excMagSd)
-		if mag < 1.3 {
-			mag = 1.3
-		}
-		return bandTop * mag
-	}
-
-	k := p.bandRungs / 2 // current rung
-	pref := k            // preferred rung (slow drift)
-	excLeft := 0
-	excPrice := 0.0
-	maxPrice := p.maxFrac * od
-
-	for i := 0; i < n; i++ {
-		// Slow preference drift: demand regimes lasting days.
-		if p.driftEvery > 0 && rng.Bernoulli(1/p.driftEvery) {
-			pref = rng.Intn(p.bandRungs)
-		}
-		// Diurnal demand raises the preferred rung in the afternoon; the
-		// daytime peak (11:00-17:00) pins the target to the band ceiling —
-		// the recurring business-hours high that real Spot ladders showed,
-		// which keeps the band top prominent in every multi-week sample.
-		eff := pref
-		h := hourOfDay(s.TimeAt(i))
-		if p.diurnal > 0 {
-			eff += int(float64(p.diurnal) * (1 + math.Cos(2*math.Pi*(h-15)/24)) / 2)
-			if eff >= p.bandRungs {
-				eff = p.bandRungs - 1
-			}
-		}
-		if p.peakHours && h >= 11 && h < 17 {
-			eff = p.bandRungs - 1
-		}
-		// Biased rung walk, reflected at the band edges.
-		if !rng.Bernoulli(p.stayProb) {
-			pUp := 0.5
-			switch {
-			case eff > k:
-				pUp = 0.75
-			case eff < k:
-				pUp = 0.25
-			}
-			if rng.Bernoulli(pUp) {
-				k++
-			} else {
-				k--
-			}
-			if k < 0 {
-				k = 0
-			}
-			if k >= p.bandRungs {
-				k = p.bandRungs - 1
-			}
-		}
-
-		price := rung(k)
-		if excLeft > 0 {
-			excLeft--
-			if excPrice > price {
-				price = excPrice
-			}
-		} else if p.pExc > 0 && rng.Bernoulli(p.pExc) {
-			excPrice = excLevel()
-			excLeft = 1 + int(rng.Exponential(p.excDur-1))
-			if excPrice > price {
-				price = excPrice
-			}
-		}
-		price = clamp(price, spot.PriceTick, maxPrice)
-		s.Append(spot.RoundToTick(price))
-	}
+	cur.emit(s, n)
 	return s, nil
 }
 
-// genHostile emits a series pinned at least one tick above On-demand,
-// reproducing the cg1.4xlarge behaviour: the lowest observed price in the
-// paper was exactly one tenth of a cent above the On-demand price.
-func genHostile(s *history.Series, rng *stats.RNG, od float64, p params, n int) {
-	x := 0.0
-	floor := spot.NextTickAbove(od)
-	for i := 0; i < n; i++ {
-		x = 0.9*x + rng.Normal(0, 0.004)
-		price := od * (1.004 + math.Abs(x))
-		if price < floor {
-			price = floor
+// minutesPerDay sizes the per-archetype target-shift tables.
+const minutesPerDay = 24 * 60
+
+// targetShift[a][m] is how many rungs above its preferred rung archetype
+// a's walk aims at minute-of-day m. Diurnal demand raises the target in the
+// afternoon; the daytime peak (11:00-17:00) shifts it by a whole band, which
+// pins it to the band ceiling — the recurring business-hours high that real
+// Spot ladders showed, which keeps the band top prominent in every
+// multi-week sample. The table is built once, so a walk step costs a clock
+// decomposition and a lookup, not a cosine.
+var targetShift = func() (t [Cheap + 1][minutesPerDay]int8) {
+	for a := range t {
+		p := paramsFor(Archetype(a))
+		for m := range t[a] {
+			h := float64(m/60) + float64(m%60)/60
+			shift := 0
+			if p.diurnal > 0 {
+				shift = int(float64(p.diurnal) * (1 + math.Cos(2*math.Pi*(h-15)/24)) / 2)
+			}
+			if p.peakHours && h >= 11 && h < 17 {
+				shift = p.bandRungs
+			}
+			t[a][m] = int8(shift)
 		}
-		if price > p.maxFrac*od {
-			price = p.maxFrac * od
-		}
-		price = spot.RoundToTick(price)
-		if price <= od {
-			price = floor
-		}
-		s.Append(price)
+	}
+	return t
+}()
+
+// cursor is one combo's price walk paused between two grid steps: the RNG,
+// every piece of walk state, and the grid index of the next step. The walk
+// is a sequential recurrence, so the price at index i exists only after
+// steps 0..i-1 have drawn from the RNG; a cursor makes that prefix a cost
+// paid once rather than on every extension.
+type cursor struct {
+	rng      *stats.RNG
+	p        params
+	start    time.Time
+	pos      int // grid index of the next step
+	hostile  bool
+	od       float64
+	maxPrice float64
+	floor    float64              // Hostile's floor: one tick above On-demand
+	rungs    []float64            // the band's rung prices, floor·(1+rungStep)^k
+	shift    *[minutesPerDay]int8 // the archetype's row of targetShift
+
+	k, pref  int     // current and preferred rung
+	excLeft  int     // steps left in the running excursion
+	excPrice float64 // the running excursion's level
+	x        float64 // Hostile's AR(1) state
+}
+
+// newCursor positions a fresh walk for combo c at grid index 0.
+func newCursor(seed int64, c spot.Combo, start time.Time) (*cursor, error) {
+	od, err := spot.ODPrice(c.Type, c.Zone.Region())
+	if err != nil {
+		return nil, err
+	}
+	a := ArchetypeFor(c)
+	p := paramsFor(a)
+	cur := &cursor{
+		rng:      stats.NewRNG(comboSeed(seed, c)),
+		p:        p,
+		start:    start,
+		hostile:  a == Hostile,
+		od:       od,
+		maxPrice: p.maxFrac * od,
+		floor:    spot.NextTickAbove(od),
+		rungs:    make([]float64, p.bandRungs),
+		shift:    &targetShift[a],
+		k:        p.bandRungs / 2,
+		pref:     p.bandRungs / 2,
+	}
+	bottom := p.floorFrac * od
+	for k := range cur.rungs {
+		cur.rungs[k] = bottom * math.Pow(1+p.rungStep, float64(k))
+	}
+	return cur, nil
+}
+
+// emit appends the next n prices to s.
+func (c *cursor) emit(s *history.Series, n int) {
+	for ; n > 0; n-- {
+		s.Append(c.step())
 	}
 }
 
-func hourOfDay(t time.Time) float64 {
-	return float64(t.Hour()) + float64(t.Minute())/60
+// skip advances the walk n steps, discarding the prices.
+func (c *cursor) skip(n int) {
+	for ; n > 0; n-- {
+		c.step()
+	}
+}
+
+// step returns the price at grid index c.pos and advances the walk past it.
+func (c *cursor) step() float64 {
+	i := c.pos
+	c.pos++
+	if c.hostile {
+		return c.hostileStep()
+	}
+	p := &c.p
+	// Slow preference drift: demand regimes lasting days.
+	if p.driftEvery > 0 && c.rng.Bernoulli(1/p.driftEvery) {
+		c.pref = c.rng.Intn(p.bandRungs)
+	}
+	hour, min, _ := c.start.Add(time.Duration(i) * spot.UpdatePeriod).Clock()
+	eff := c.pref + int(c.shift[hour*60+min])
+	if eff >= p.bandRungs {
+		eff = p.bandRungs - 1
+	}
+	// Biased rung walk, reflected at the band edges.
+	if !c.rng.Bernoulli(p.stayProb) {
+		pUp := 0.5
+		switch {
+		case eff > c.k:
+			pUp = 0.75
+		case eff < c.k:
+			pUp = 0.25
+		}
+		if c.rng.Bernoulli(pUp) {
+			c.k++
+		} else {
+			c.k--
+		}
+		if c.k < 0 {
+			c.k = 0
+		}
+		if c.k >= p.bandRungs {
+			c.k = p.bandRungs - 1
+		}
+	}
+
+	price := c.rungs[c.k]
+	if c.excLeft > 0 {
+		c.excLeft--
+		if c.excPrice > price {
+			price = c.excPrice
+		}
+	} else if p.pExc > 0 && c.rng.Bernoulli(p.pExc) {
+		c.excPrice = c.excLevel()
+		c.excLeft = 1 + int(c.rng.Exponential(p.excDur-1))
+		if c.excPrice > price {
+			price = c.excPrice
+		}
+	}
+	return spot.RoundToTick(clamp(price, spot.PriceTick, c.maxPrice))
+}
+
+// excLevel draws the price an excursion above the band clears at.
+func (c *cursor) excLevel() float64 {
+	p := &c.p
+	bandTop := c.rungs[p.bandRungs-1]
+	if p.excRungs > 0 {
+		// Recurring excursion ladder: the market clears at the same
+		// handful of elevated levels again and again.
+		r := 1 + c.rng.Intn(p.excRungs)
+		return bandTop * math.Pow(1+p.excStep, float64(r))
+	}
+	// Continuous heavy-tailed magnitudes: every big excursion sets a
+	// novel level (the spiky archetype).
+	mag := c.rng.LogNormal(p.excMagMu, p.excMagSd)
+	if mag < 1.3 {
+		mag = 1.3
+	}
+	return bandTop * mag
+}
+
+// hostileStep is the Hostile walk: a series pinned at least one tick above
+// On-demand, reproducing the cg1.4xlarge behaviour — the lowest observed
+// price in the paper was exactly one tenth of a cent above the On-demand
+// price.
+func (c *cursor) hostileStep() float64 {
+	c.x = 0.9*c.x + c.rng.Normal(0, 0.004)
+	price := c.od * (1.004 + math.Abs(c.x))
+	if price < c.floor {
+		price = c.floor
+	}
+	if price > c.maxPrice {
+		price = c.maxPrice
+	}
+	price = spot.RoundToTick(price)
+	if price <= c.od {
+		price = c.floor
+	}
+	return price
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -376,13 +443,58 @@ func (g Generator) Populate(st *history.Store, combos []spot.Combo, start time.T
 	}
 }
 
+// memoCap bounds the cursors Continue keeps, at about 5 KB each (mostly
+// the RNG's state): twice the 452-combo catalog, so feeding the whole
+// catalog never evicts its own cursors. On overflow the memo is cleared
+// and refills as the feeds come back.
+const memoCap = 2 * 452
+
+// memoKey names one walk: the generator seed, the combo and the grid start.
+// The start keeps its Location, which the walk's clock reads, and loses any
+// monotonic reading (Round(0)), which == would otherwise compare.
+type memoKey struct {
+	seed  int64
+	combo spot.Combo
+	start time.Time
+}
+
+// memo holds the cursors Continue paused. It is package-level because
+// feeds build a fresh Generator per cycle; like a sync.Pool it is a cache
+// only, so no result depends on what it holds. A caller takes its cursor
+// out while advancing it and puts it back after, so concurrent calls for
+// one walk never share a cursor: the one that finds the slot empty
+// rebuilds its own.
+var memo = struct {
+	sync.Mutex
+	m map[memoKey]*cursor
+}{m: make(map[memoKey]*cursor)}
+
+func takeCursor(k memoKey) *cursor {
+	memo.Lock()
+	defer memo.Unlock()
+	cur := memo.m[k]
+	delete(memo.m, k)
+	return cur
+}
+
+func putCursor(k memoKey, cur *cursor) {
+	memo.Lock()
+	defer memo.Unlock()
+	if len(memo.m) >= memoCap {
+		clear(memo.m)
+	}
+	memo.m[k] = cur
+}
+
 // Continue returns grid steps [have, have+n) of c's deterministic series
 // from start: the ticks a live market would have announced since the last
-// one the caller holds. The generator's price walk is a sequential
-// recurrence, so continuation regenerates the prefix with the same seed and
-// slices off the extension — prices already held are reproduced exactly,
-// which is what lets a restarted daemon extend a WAL-recovered history
-// without forking the market's trajectory.
+// one the caller holds. The prices are exactly those Series(c, start,
+// have+n) would end with, so a restarted daemon extends a WAL-recovered
+// history without forking the market's trajectory. Continue resumes the
+// cursor its last call for (seed, c, start) left behind: a feed that asks
+// for the ticks after the ones it was last given pays for the new ticks
+// only, a later have skips forward, and an earlier have rebuilds the walk
+// from index 0.
 func (g Generator) Continue(c spot.Combo, start time.Time, have, n int) (*history.Series, error) {
 	if err := g.Faults.Check("pricegen.continue"); err != nil {
 		return nil, fmt.Errorf("pricegen: continuing %v: %w", c, err)
@@ -393,9 +505,18 @@ func (g Generator) Continue(c spot.Combo, start time.Time, have, n int) (*histor
 	if n <= 0 {
 		return nil, fmt.Errorf("pricegen: non-positive extension length %d", n)
 	}
-	full, err := g.Series(c, start, have+n)
-	if err != nil {
-		return nil, err
+	key := memoKey{seed: g.Seed, combo: c, start: start.Round(0)}
+	cur := takeCursor(key)
+	if cur == nil || cur.pos > have {
+		var err error
+		if cur, err = newCursor(g.Seed, c, key.start); err != nil {
+			return nil, err
+		}
 	}
-	return full.Slice(have, have+n), nil
+	cur.skip(have - cur.pos)
+	s := history.NewSeries(start.Add(time.Duration(have) * spot.UpdatePeriod))
+	s.Prices = make([]float64, 0, n)
+	cur.emit(s, n)
+	putCursor(key, cur)
+	return s, nil
 }

@@ -1,7 +1,11 @@
 package pricegen
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -296,5 +300,206 @@ func TestContinueErrors(t *testing.T) {
 	}
 	if _, err := (Generator{Seed: 1}).Continue(c, t0, 5, 0); err == nil {
 		t.Error("zero-length extension accepted")
+	}
+}
+
+// TestSeriesGolden pins the walk to the bits it produced before it became
+// a resumable cursor: FNV-64a over the little-endian float64 bits of every
+// catalog combo's 20000-step series, in catalog order.
+func TestSeriesGolden(t *testing.T) {
+	h := fnv.New64a()
+	var b [8]byte
+	start := time.Date(2016, 7, 2, 0, 0, 0, 0, time.UTC)
+	for _, c := range spot.Combos() {
+		s, err := Generator{Seed: 42}.Series(c, start, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range s.Prices {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(p))
+			h.Write(b[:])
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "e31e32ab0c5d9a5d"; got != want {
+		t.Errorf("Series hash = %s, want %s", got, want)
+	}
+}
+
+// oneComboPerArchetype returns the first catalog combo of each archetype.
+func oneComboPerArchetype(t testing.TB) []spot.Combo {
+	t.Helper()
+	var out []spot.Combo
+	seen := map[Archetype]bool{}
+	for _, c := range spot.Combos() {
+		if a := ArchetypeFor(c); !seen[a] {
+			seen[a] = true
+			out = append(out, c)
+		}
+	}
+	if len(out) != int(Cheap)+1 {
+		t.Fatalf("catalog covers %d archetypes, want %d", len(out), int(Cheap)+1)
+	}
+	return out
+}
+
+// sameBits fails unless got holds exactly want's float64 bits and starts
+// at the time of want's first step.
+func sameBits(t *testing.T, got, want *history.Series, what string) {
+	t.Helper()
+	if !got.Start.Equal(want.Start) || got.Step != want.Step {
+		t.Fatalf("%s: grid %v/%v, want %v/%v", what, got.Start, got.Step, want.Start, want.Step)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d steps, want %d", what, got.Len(), want.Len())
+	}
+	for i := range want.Prices {
+		if math.Float64bits(got.Prices[i]) != math.Float64bits(want.Prices[i]) {
+			t.Fatalf("%s: step %d is %v, want %v", what, i, got.Prices[i], want.Prices[i])
+		}
+	}
+}
+
+// TestContinueMatchesSeries splits each archetype's series at seeded
+// random points and checks the concatenated Continue stream against
+// Series bit for bit, then replays a rewind and a gap on the warm memo.
+func TestContinueMatchesSeries(t *testing.T) {
+	const total = 4000
+	rng := stats.NewRNG(7)
+	g := Generator{Seed: 11}
+	for _, c := range oneComboPerArchetype(t) {
+		want, err := g.Series(c, t0, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for have := 0; have < total; {
+			n := 1 + rng.Intn(300)
+			if have+n > total {
+				n = total - have
+			}
+			got, err := g.Continue(c, t0, have, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, got, want.Slice(have, have+n), fmt.Sprintf("%v [%d,%d)", c, have, have+n))
+			have += n
+		}
+		// The memo's cursor now sits at total: rewind behind it, then
+		// jump a gap ahead of it.
+		for _, r := range [][2]int{{1000, 50}, {100, 10}, {3000, 700}, {0, total}} {
+			got, err := g.Continue(c, t0, r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, got, want.Slice(r[0], r[0]+r[1]), fmt.Sprintf("%v [%d,%d)", c, r[0], r[0]+r[1]))
+		}
+	}
+}
+
+// TestContinueConcurrentSameWalk runs one walk's Continue from several
+// goroutines at once: each call gets its own cursor (the memo hands one
+// out at a time), so every result equals Series.
+func TestContinueConcurrentSameWalk(t *testing.T) {
+	c := spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}
+	g := Generator{Seed: 12}
+	want, err := g.Series(c, t0, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for have := w; have+20 <= want.Len(); have += 97 + w {
+				got, err := g.Continue(c, t0, have, 20)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, p := range got.Prices {
+					if math.Float64bits(p) != math.Float64bits(want.Prices[have+i]) {
+						errs <- fmt.Errorf("worker %d: step %d is %v, want %v", w, have+i, p, want.Prices[have+i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestContinueMemoBounded checks the memo never holds more than memoCap
+// cursors, however many walks are continued.
+func TestContinueMemoBounded(t *testing.T) {
+	c := spot.Combo{Zone: "us-east-1b", Type: "c4.large"}
+	for seed := int64(0); seed <= memoCap; seed++ {
+		if _, err := (Generator{Seed: 1000 + seed}).Continue(c, t0, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memo.Lock()
+	n := len(memo.m)
+	memo.Unlock()
+	if n > memoCap {
+		t.Errorf("memo holds %d cursors, cap %d", n, memoCap)
+	}
+}
+
+// TestContinueCostIndependentOfUptime shows a warm Continue does not redo
+// the prefix: extending a 90-day history allocates exactly what extending
+// a 1-day history does, and less than a cold call, which builds a cursor.
+func TestContinueCostIndependentOfUptime(t *testing.T) {
+	c := spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}
+	g := Generator{Seed: 13}
+	allocs := func(have int) float64 {
+		// AllocsPerRun's warm-up call builds the cursor; each timed call
+		// then asks for the three ticks after the last ones served.
+		return testing.AllocsPerRun(50, func() {
+			if _, err := g.Continue(c, t0, have, 3); err != nil {
+				t.Fatal(err)
+			}
+			have += 3
+		})
+	}
+	day, quarter := allocs(288), allocs(90*288)
+	if day != quarter {
+		t.Errorf("warm Continue allocates %v at 1 day, %v at 90 days", day, quarter)
+	}
+	cold := testing.AllocsPerRun(5, func() {
+		if _, err := (Generator{Seed: 14}).Continue(c, t0, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if day >= cold {
+		t.Errorf("warm Continue allocates %v, no fewer than a cold one (%v)", day, cold)
+	}
+}
+
+// BenchmarkContinue is one feed cycle at the ingest shape: three new ticks
+// for each of 60 combos holding 90 days of history.
+func BenchmarkContinue(b *testing.B) {
+	combos := spot.Combos()[:60]
+	g := Generator{Seed: 15}
+	have := 90 * 288
+	for _, c := range combos {
+		if _, err := g.Continue(c, t0, have, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	have += 3
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range combos {
+			if _, err := g.Continue(c, t0, have, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+		have += 3
 	}
 }

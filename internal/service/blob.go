@@ -263,12 +263,15 @@ func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping)
 // failure the previous epoch keeps serving: the failure is recorded as the
 // last refresh error and returned, and the serve-stale and breaker paths
 // take it from there. The refresh trace (nil for restores) gets blob.encode
-// and blob.views spans.
-func (s *Server) install(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace) error {
+// and blob.views spans; a refresh also records the blob.encode stage.
+func (s *Server) install(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace, refresh bool) error {
 	began := time.Now()
 	sp := tr.StartSpan("blob.encode")
 	et, err := encodeTables(tables, preds, surfaces, asOf)
 	sp.EndErr(err)
+	if refresh {
+		s.metrics.observeStage(stageEncode, began)
+	}
 	if err != nil {
 		s.setLastErr(err.Error())
 		return err

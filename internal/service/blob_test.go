@@ -537,7 +537,7 @@ func TestEncodeFailureKeepsEpoch(t *testing.T) {
 	table := poisoned[key]
 	table.Points = append([]core.BidPoint{{Bid: math.NaN(), Duration: time.Hour}}, table.Points...)
 	poisoned[key] = table
-	if err := srv.install(poisoned, good.preds, good.surfaces, time.Now().UTC(), "", nil); err == nil {
+	if err := srv.install(poisoned, good.preds, good.surfaces, time.Now().UTC(), "", nil, false); err == nil {
 		t.Fatal("install accepted a table with a NaN bid")
 	}
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/drafts-go/drafts/internal/telemetry"
 	"github.com/drafts-go/drafts/internal/tenant"
@@ -22,6 +23,7 @@ type serviceMetrics struct {
 	latency  *telemetry.HistogramVec // route
 
 	refreshDuration    *telemetry.Histogram
+	refreshStage       [len(refreshStages)]*telemetry.Histogram
 	refreshErrors      *telemetry.Counter
 	comboErrors        *telemetry.Counter
 	combosComputed     *telemetry.Counter
@@ -43,18 +45,40 @@ type serviceMetrics struct {
 	rateLimited  *telemetry.Counter
 }
 
+// refreshStages names the refresh cycle's stages as its trace spans do,
+// in cycle order and indexed by the stage constants below;
+// drafts_refresh_stage_seconds has one series per stage.
+var refreshStages = [...]string{
+	"ticks.ingest", "tables.build", "blob.encode",
+	"snapshot.encode", "snapshot.write", "wal.compact",
+}
+
+const (
+	stageIngest = iota
+	stageBuild
+	stageEncode
+	stageSnapshotEncode
+	stageSnapshotWrite
+	stageCompact
+)
+
+// observeStage records one refresh stage that ran from began until now.
+func (m *serviceMetrics) observeStage(stage int, began time.Time) {
+	m.refreshStage[stage].Observe(time.Since(began).Seconds())
+}
+
 func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 	if r == nil {
 		return &serviceMetrics{}
 	}
-	return &serviceMetrics{
+	m := &serviceMetrics{
 		on: true,
 		requests: r.CounterVec("drafts_http_requests_total",
 			"HTTP requests served, by route and status class.", "route", "code"),
 		latency: r.HistogramVec("drafts_http_request_seconds",
 			"HTTP request latency in seconds, by route.", nil, "route"),
 		refreshDuration: r.Histogram("drafts_refresh_duration_seconds",
-			"Duration of bid-table refresh cycles in seconds.", nil),
+			"Duration of bid-table refresh cycles in seconds, tick ingest through WAL compaction.", nil),
 		refreshErrors: r.Counter("drafts_refresh_errors_total",
 			"Refresh cycles that failed outright (produced no tables)."),
 		comboErrors: r.Counter("drafts_refresh_combo_errors_total",
@@ -89,6 +113,12 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 		rateLimited: r.Counter("drafts_rate_limited_total",
 			"Requests refused 429 rate_limited by per-tenant quotas (all tenants; see drafts_tenant_rate_limited_total)."),
 	}
+	stages := r.HistogramVec("drafts_refresh_stage_seconds",
+		"Duration of each refresh cycle stage in seconds, by stage (the refresh trace's span names).", nil, "stage")
+	for i, name := range refreshStages {
+		m.refreshStage[i] = stages.With(name)
+	}
+	return m
 }
 
 // statusWriter captures the status code a handler writes, and whether it

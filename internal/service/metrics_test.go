@@ -282,3 +282,42 @@ func TestRefreshCountsSkippedCombos(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshStageMetrics checks that one durable refresh records each of
+// its stages once, and that drafts_refresh_duration_seconds times the
+// whole cycle: every stage lies inside it.
+func TestRefreshStageMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, err := New(Config{
+		Source:     testStore(t),
+		MaxHistory: 9000,
+		Metrics:    reg,
+		Durable:    &memDurable{},
+		PreRefresh: func() error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stageSum := 0.0
+	for i, name := range refreshStages {
+		want := `drafts_refresh_stage_seconds_count{stage="` + name + `"} 1`
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %s", want)
+		}
+		stageSum += srv.metrics.refreshStage[i].Sum()
+	}
+	cycle := srv.metrics.refreshDuration
+	if cycle.Count() != 1 {
+		t.Fatalf("refresh duration observed %d times, want 1", cycle.Count())
+	}
+	if stageSum > cycle.Sum() {
+		t.Errorf("stages sum to %gs, more than the %gs cycle", stageSum, cycle.Sum())
+	}
+}

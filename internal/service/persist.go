@@ -160,7 +160,7 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	// Install under the snapshot's original epoch: the warm restart serves
 	// the same bytes — and the same ETag, so client caches keep
 	// revalidating successfully — it served before the crash.
-	if err := s.install(tables, preds, surfaces, snap.AsOf, snap.LastErr, nil); err != nil {
+	if err := s.install(tables, preds, surfaces, snap.AsOf, snap.LastErr, nil, false); err != nil {
 		return fmt.Errorf("service: installing restored tables: %w", err)
 	}
 	s.logger.Info("snapshot restored", "tables", len(tables), "as_of", snap.AsOf)

@@ -281,10 +281,13 @@ func (s *Server) Refresh() error {
 	if err := s.cfg.Faults.Check("service.refresh"); err != nil {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh failed: %w", err))
 	}
+	defer func() { s.metrics.refreshDuration.Observe(time.Since(began).Seconds()) }()
 	if s.cfg.PreRefresh != nil {
+		t := time.Now()
 		sp := tr.StartSpan("ticks.ingest")
 		err := s.cfg.PreRefresh()
 		sp.EndErr(err)
+		s.metrics.observeStage(stageIngest, t)
 		if err != nil {
 			s.logger.Warn("refresh: pre-refresh hook failed; using histories as they stand", "err", err)
 		}
@@ -329,6 +332,7 @@ func (s *Server) Refresh() error {
 	// One span covers the whole fan-out: the per-combo qbets updates and
 	// guarantee walks run inside it (per-combo spans would blow the fixed
 	// span budget at fleet scale).
+	buildBegan := time.Now()
 	buildSpan := tr.StartSpan("tables.build")
 	work := make(chan spot.Combo)
 	for w := 0; w < workers; w++ {
@@ -392,9 +396,9 @@ func (s *Server) Refresh() error {
 	close(work)
 	wg.Wait()
 	buildSpan.End()
+	s.metrics.observeStage(stageBuild, buildBegan)
 
 	elapsed := time.Since(began)
-	s.metrics.refreshDuration.Observe(elapsed.Seconds())
 	s.metrics.combosComputed.Add(uint64(len(fresh)))
 	s.metrics.combosSkipped.Add(uint64(skipped))
 	s.metrics.refreshIncremental.Add(uint64(incremental))
@@ -408,7 +412,7 @@ func (s *Server) Refresh() error {
 	if errCount > 0 {
 		errStr = fmt.Sprintf("%d combo failures, last: %v", errCount, lastErr)
 	}
-	if err := s.install(fresh, freshPreds, surfaces, now, errStr, tr); err != nil {
+	if err := s.install(fresh, freshPreds, surfaces, now, errStr, tr, true); err != nil {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh kept the previous epoch: %w", err))
 	}
 	s.metrics.lastSuccess.SetTime(now)
@@ -487,23 +491,29 @@ func (s *Server) persist(now time.Time, tr *trace.Trace) {
 	if s.cfg.Durable == nil {
 		return
 	}
+	t := time.Now()
 	sp := tr.StartSpan("snapshot.encode")
 	payload, err := s.EncodeSnapshot()
 	sp.EndErr(err)
+	s.metrics.observeStage(stageSnapshotEncode, t)
 	if err != nil {
 		s.logger.Error("refresh: encoding snapshot failed", "err", err)
 		return
 	}
+	t = time.Now()
 	wsp := tr.StartSpan("snapshot.write")
 	err = s.cfg.Durable.WriteSnapshot(payload)
 	wsp.EndErr(err)
+	s.metrics.observeStage(stageSnapshotWrite, t)
 	if err != nil {
 		s.logger.Error("refresh: writing snapshot failed", "err", err)
 		return
 	}
+	t = time.Now()
 	csp := tr.StartSpan("wal.compact")
 	removed, err := s.cfg.Durable.CompactBefore(s.walCutoff(now))
 	csp.EndErr(err)
+	s.metrics.observeStage(stageCompact, t)
 	if err != nil {
 		s.logger.Warn("refresh: WAL compaction failed", "err", err)
 		return
