@@ -122,7 +122,7 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 			if params.MaxHistory > 0 && len(win) > params.MaxHistory {
 				win = win[len(win)-params.MaxHistory:]
 			}
-			if steps, ok := durationBoundScan(win, bid0, &minBidRank); ok {
+			if steps, _, ok := durationBoundScan(win, bid0, &minBidRank, nil); ok {
 				table.Points = append(table.Points, BidPoint{
 					Bid:      bid0,
 					Duration: time.Duration(steps) * s.Step,

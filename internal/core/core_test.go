@@ -223,7 +223,8 @@ func TestDurationBoundScanEmptyAndDegenerate(t *testing.T) {
 // trackers and of Batch are checked against.
 func scanBound(prices []float64, level, qd, c float64) (int, bool) {
 	rank := durationRank(qd, c)
-	return durationBoundScan(prices, level, &rank)
+	steps, _, ok := durationBoundScan(prices, level, &rank, nil)
+	return steps, ok
 }
 
 // TestTrackerMatchesScan: the incremental tracker and the single-shot scan

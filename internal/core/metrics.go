@@ -14,6 +14,7 @@ import (
 var (
 	mObservations      atomic.Pointer[telemetry.Counter]
 	mCensoredEpisodes  atomic.Pointer[telemetry.Counter]
+	mDurationScans     atomic.Pointer[telemetry.Counter]
 	mAdviseCalls       atomic.Pointer[telemetry.Counter]
 	mAdviseEscalations atomic.Pointer[telemetry.Counter]
 	mSurfaceBuilds     atomic.Pointer[telemetry.Counter]
@@ -27,7 +28,9 @@ func RegisterMetrics(r *telemetry.Registry) {
 	mObservations.Store(r.Counter("drafts_predictor_observations_total",
 		"Price observations ingested by DrAFTS predictors."))
 	mCensoredEpisodes.Store(r.Counter("drafts_predictor_censored_episodes_total",
-		"Right-censored survival episodes entering duration samples."))
+		"Right-censored survival episodes entering duration samples, counted once per duration scan."))
+	mDurationScans.Store(r.Counter("drafts_predictor_duration_scans_total",
+		"Full-window duration scans run for guarantees."))
 	mAdviseCalls.Store(r.Counter("drafts_predictor_advise_total",
 		"Advise quote requests answered."))
 	mAdviseEscalations.Store(r.Counter("drafts_predictor_advise_escalations_total",

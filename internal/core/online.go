@@ -139,7 +139,7 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 		return 0, false
 	}
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
-	steps, ok := durationBoundScan(h, bid, &rank)
+	steps, _, ok := durationBoundScan(h, bid, &rank, nil)
 	if !ok {
 		return 0, false
 	}
@@ -149,9 +149,9 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 // Table builds the service-style bid table at the current moment: the
 // minimum bid, then 5% increments up to 4x the minimum (§3.3). Each
 // guarantee is read off the advise walk (Surface), here cut short at the
-// table's last bid, so a table costs one duration scan per distinct table
-// bid up to the walk's ceiling. Durations are monotone non-decreasing in
-// the bid.
+// table's last bid, so a table costs one duration scan per distinct
+// retained price its bids up to the walk's ceiling reach. Durations are
+// monotone non-decreasing in the bid.
 func (p *Predictor) Table() (BidTable, bool) {
 	s, ok := p.walk(tableSpanMult, 0)
 	if !ok {
@@ -161,15 +161,9 @@ func (p *Predictor) Table() (BidTable, bool) {
 }
 
 // ceiling is the highest bid the advise walk reaches: one tick above 1.25x
-// the highest retained price (a bid no observed market movement has ever
-// reached), and never below the minimum bid bid0.
-func (p *Predictor) ceiling(bid0 float64) float64 {
-	maxSeen := 0.0
-	for _, v := range p.hist() {
-		if v > maxSeen {
-			maxSeen = v
-		}
-	}
+// maxSeen, the highest retained price (a bid no observed market movement
+// has ever reached), and never below the minimum bid bid0.
+func ceiling(maxSeen, bid0 float64) float64 {
 	return max(spot.NextTickAbove(1.25*maxSeen), bid0)
 }
 
@@ -181,8 +175,9 @@ func (p *Predictor) ceiling(bid0 float64) float64 {
 // cannot promise d — the caller should fall back to a reliable
 // (On-demand) instance, per the §4.4 cost-optimization strategy.
 //
-// Advise scans the history at every step; the service answers the same
-// question from a precomputed AdviseSurface instead.
+// Advise scans the history once per distinct retained price the walk
+// passes; the service answers the same question from a precomputed
+// AdviseSurface instead.
 func (p *Predictor) Advise(d time.Duration) (Quote, error) {
 	mAdviseCalls.Load().Inc()
 	if d <= 0 {

@@ -54,31 +54,44 @@ func (p *Predictor) Surface() (*AdviseSurface, bool) {
 	return s, ok
 }
 
-// walk runs one duration scan per distinct bid from the minimum bid up to
-// the ceiling, or only while the unrounded bid stays within span times the
-// minimum bid. A positive cover also stops it at the first entry whose
-// guarantee reaches cover. The fixed 5% ratio bounds it to ~15k entries
-// even over the whole float range.
+// walk runs the escalation from the minimum bid up to the ceiling, or
+// only while the unrounded bid stays within span times the minimum bid. A
+// positive cover also stops it at the first entry whose guarantee reaches
+// cover. The fixed 5% ratio bounds it to ~15k entries even over the whole
+// float range.
+//
+// A guarantee depends only on which retained prices reach the bid, so the
+// walk runs one duration scan per distinct retained price, not per entry:
+// each scan also reports next, the smallest retained price at or above
+// its bid, and entries reuse its guarantee while their bid stays at or
+// below next. The first scan, at the minimum bid, also finds the highest
+// retained price that sets the ceiling.
 func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, bool) {
 	bid0, ok := p.MinBid()
 	if !ok {
 		return nil, false
 	}
-	ceiling := p.ceiling(bid0)
+	h := p.hist()
+	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
+	var maxSeen float64
+	g, next, _ := durationBoundScan(h, bid0, &rank, &maxSeen)
+	ceil := ceiling(maxSeen, bid0)
 	limit := bid0 * span
 	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step}
 	for bid := bid0; bid <= limit+1e-12; bid *= tableRatio {
-		tb := min(spot.RoundToTick(bid), ceiling)
+		tb := min(spot.RoundToTick(bid), ceil)
 		tick := uint32(spot.Ticks(tb))
 		if n := len(s.Bids); n == 0 || s.Bids[n-1] < tick {
-			g, _ := p.GuaranteeFor(tb)
+			if tb > next {
+				g, next, _ = durationBoundScan(h, tb, &rank, nil)
+			}
 			s.Bids = append(s.Bids, tick)
-			s.Guar = append(s.Guar, uint32(g/p.step))
-			if cover > 0 && g >= cover {
+			s.Guar = append(s.Guar, uint32(g))
+			if cover > 0 && time.Duration(g)*p.step >= cover {
 				break
 			}
 		}
-		if tb >= ceiling {
+		if tb >= ceil {
 			break
 		}
 	}

@@ -47,15 +47,21 @@ func scanAdvise(p *Predictor, d time.Duration) (Quote, error) {
 	if !ok {
 		return Quote{}, fmt.Errorf("core: no price history")
 	}
-	ceiling := p.ceiling(bid0)
+	maxSeen := 0.0
+	for _, v := range p.hist() {
+		if v > maxSeen {
+			maxSeen = v
+		}
+	}
+	ceil := ceiling(maxSeen, bid0)
 	for bid := bid0; ; bid *= tableRatio {
-		tb := min(spot.RoundToTick(bid), ceiling)
+		tb := min(spot.RoundToTick(bid), ceil)
 		g, _ := p.GuaranteeFor(tb)
 		last := Quote{Bid: tb, Duration: g, Probability: p.params.Probability}
 		if g >= d {
 			return last, nil
 		}
-		if tb >= ceiling {
+		if tb >= ceil {
 			return last, fmt.Errorf("core: cannot guarantee %v at p=%v (best: %v at bid %.4f)",
 				d, p.params.Probability, last.Duration, last.Bid)
 		}
@@ -151,17 +157,124 @@ func TestTableMatchesScanAcrossCatalog(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTableMatchesScanEdges covers the two degenerate walks: a minimum bid
-// above 1.25x the highest price, where the ceiling is the minimum bid and
-// every other table bid lies above it, and a constant series.
+// checkWalk is checkTable plus Advise and the surface's Lookup against
+// the escalation oracle, at one step, at every guarantee the walk makes
+// and one step either side of it, and far beyond the best.
+func checkWalk(t *testing.T, name string, p *Predictor) {
+	t.Helper()
+	checkTable(t, name, p)
+	s, ok := p.Surface()
+	if !ok {
+		return
+	}
+	durations := []time.Duration{s.Step, 10 * 365 * 24 * time.Hour}
+	for _, g := range s.Guar {
+		for k := max(int(g)-1, 1); k <= int(g)+1; k++ {
+			durations = append(durations, time.Duration(k)*s.Step)
+		}
+	}
+	for _, d := range durations {
+		want, wantErr := scanAdvise(p, d)
+		got, err := p.Advise(d)
+		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("%s d=%v: Advise (%+v, %v) != scan (%+v, %v)", name, d, got, err, want, wantErr)
+		}
+		q, qok := s.Lookup(d)
+		switch {
+		case qok != (wantErr == nil):
+			t.Errorf("%s d=%v: Lookup ok=%v, scan error %v", name, d, qok, wantErr)
+		case qok && q != want:
+			t.Errorf("%s d=%v: Lookup %+v != scan %+v", name, d, q, want)
+		case !qok && s.CannotGuarantee(d).Error() != wantErr.Error():
+			t.Errorf("%s d=%v: refusal %q != scan %q", name, d, s.CannotGuarantee(d), wantErr)
+		}
+	}
+}
+
+// observeAll feeds prices to a fresh predictor at probability prob.
+func observeAll(t *testing.T, prob float64, prices []float64) *Predictor {
+	t.Helper()
+	p, err := NewPredictor(testParams(prob), t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range prices {
+		p.Observe(v)
+	}
+	return p
+}
+
+// spiky is 6000 prices on the two lowest rungs of a ladder at $0.0100,
+// with every 1000th replaced by the next of spikes in turn: too rare to
+// move the minimum bid, so the walk's bids do not depend on their values.
+func spiky(spikes ...float64) []float64 {
+	rng := rand.New(rand.NewSource(9))
+	prices := make([]float64, 6000)
+	for i := range prices {
+		prices[i] = spot.FromTicks(100 + rng.Intn(2))
+		if i%1000 == 500 {
+			prices[i] = spikes[(i/1000)%len(spikes)]
+		}
+	}
+	return prices
+}
+
+// TestTableMatchesScanEdges holds the walk's table, Advise and Lookup
+// bit-identical to the per-bid scans where reusing a scan could go wrong:
+// bids exactly at and strictly between retained prices, every bid above
+// the highest price (a constant series is one such), and a one-entry walk
+// whose minimum bid lies above 1.25x the highest price.
 func TestTableMatchesScanEdges(t *testing.T) {
 	for _, prob := range []float64{0.95, 0.99} {
-		tiny, err := NewPredictor(testParams(prob), t0)
-		if err != nil {
-			t.Fatal(err)
+		// Spikes placed exactly on the third and sixth walk bids: the walk
+		// scans at the first bid, reuses it up to the third, scans again
+		// at the fourth and reuses that up to the sixth.
+		probe := observeAll(t, prob, spiky(0.05))
+		ps, _ := probe.Surface()
+		if len(ps.Bids) < 8 {
+			t.Fatalf("p=%v: probe walk has only %d entries", prob, len(ps.Bids))
 		}
+		at2, at5 := spot.FromTicks(int(ps.Bids[2])), spot.FromTicks(int(ps.Bids[5]))
+		p := observeAll(t, prob, spiky(at2, at5, 0.05))
+		var s *AdviseSurface
+		if n := scansDuring(t, func() { s, _ = p.Surface() }); n != 4 {
+			t.Errorf("p=%v: %d scans, want 4 (up to %v, up to %v, up to %v, above)", prob, n, at2, at5, 0.05)
+		}
+		for _, i := range []int{1, 2, 4, 5} {
+			if s.Bids[i] != ps.Bids[i] {
+				t.Fatalf("p=%v: spikes moved walk bid %d: %d, was %d", prob, i, s.Bids[i], ps.Bids[i])
+			}
+		}
+		if !(spot.FromTicks(int(s.Bids[1])) > spot.FromTicks(101) && spot.FromTicks(int(s.Bids[1])) < at2) {
+			t.Fatalf("p=%v: walk bid %d does not lie strictly between the rung and the spike at %v", prob, s.Bids[1], at2)
+		}
+		checkWalk(t, "bids at and between retained prices", p)
+
+		// Every bid above the highest price: one scan serves the walk.
+		high := observeAll(t, prob, nil)
+		for i := range 6000 {
+			high.Observe(spot.FromTicks(1000 + i%2))
+		}
+		if n := scansDuring(t, func() { s, _ = high.Surface() }); n != 1 || len(s.Bids) < 2 {
+			t.Errorf("p=%v: %d scans for %d entries, want 1 for several", prob, n, len(s.Bids))
+		}
+		if b := spot.FromTicks(int(s.Bids[0])); !(b > 0.1001) {
+			t.Fatalf("p=%v: minimum bid %v does not exceed the highest price", prob, b)
+		}
+		checkWalk(t, "every bid above the highest price", high)
+
+		flat := observeAll(t, prob, nil)
+		for range 3000 {
+			flat.Observe(0.05)
+		}
+		if n := scansDuring(t, func() { s, _ = flat.Surface() }); n != 1 || len(s.Bids) < 2 {
+			t.Errorf("p=%v: constant series: %d scans for %d entries, want 1 for several", prob, n, len(s.Bids))
+		}
+		checkWalk(t, "constant series", flat)
+
+		tiny := observeAll(t, prob, nil)
 		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 3000; i++ {
+		for range 3000 {
 			tiny.Observe(spot.FromTicks(1 + rng.Intn(2)))
 		}
 		bid0, _ := tiny.MinBid()
@@ -171,15 +284,6 @@ func TestTableMatchesScanEdges(t *testing.T) {
 		if s, _ := tiny.Surface(); len(s.Bids) != 1 {
 			t.Errorf("p=%v: walk has %d entries, want only the minimum bid", prob, len(s.Bids))
 		}
-		checkTable(t, "minimum bid above ceiling", tiny)
-
-		flat, err := NewPredictor(testParams(prob), t0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3000; i++ {
-			flat.Observe(0.05)
-		}
-		checkTable(t, "constant series", flat)
+		checkWalk(t, "minimum bid above ceiling", tiny)
 	}
 }

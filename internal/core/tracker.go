@@ -160,11 +160,18 @@ var scanScratch = sync.Pool{New: func() any { return new([]int) }}
 // prices[0..len-1], censored at the end of the slice, with the rank taken
 // from the durationRank cursor. It runs in O(n) time with pooled O(n)
 // scratch space.
-func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) (steps int, ok bool) {
+//
+// The scan tests only price >= level, so it also reports next, the
+// smallest price at or above level (+Inf when none is): every level in
+// (level, next] selects the same prices and gets the same bound. A non-nil
+// hi receives the highest price, at the cost of one more comparison per
+// price; only the guarantee walk's first scan asks for it.
+func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor, hi *float64) (steps int, next float64, ok bool) {
 	n := len(prices)
 	if n == 0 {
-		return 0, false
+		return 0, math.Inf(1), false
 	}
+	mDurationScans.Load().Inc()
 	// cnt[d] = number of resolved episodes with duration d.
 	bufp := scanScratch.Get().(*[]int)
 	defer scanScratch.Put(bufp)
@@ -176,19 +183,13 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) 
 		cnt = cnt[:n+1]
 		clear(cnt)
 	}
-	resolved := 0
-	r := 0
-	for i, p := range prices {
-		if p >= level {
-			for s := r; s < i; s++ {
-				cnt[i-s]++
-				resolved++
-			}
-			r = i + 1
-		}
+	var resolved, r int
+	if hi == nil {
+		resolved, r, next = countEpisodes(prices, level, cnt)
+	} else {
+		resolved, r, next, *hi = countEpisodesMax(prices, level, cnt)
 	}
-	t := n - 1
-	m := t - r // censored episodes, face values {1..m}
+	m := n - 1 - r // censored episodes, face values {1..m}
 	if m < 0 {
 		m = 0
 	}
@@ -197,7 +198,7 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) 
 	}
 	total := resolved + m
 	if total == 0 {
-		return 0, false
+		return 0, next, false
 	}
 	k, exists := rank.Index(total)
 	if !exists {
@@ -210,11 +211,49 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor) 
 			acc++
 		}
 		if acc >= k {
-			return d, true
+			return d, next, true
 		}
 	}
 	// Unreachable: acc reaches total >= k by d = n.
-	return n, true
+	return n, next, true
+}
+
+// countEpisodes adds to cnt the durations of the episodes that resolve at
+// level: a price at or above level at index i resolves every pending
+// start s in [r, i) with duration i-s. It returns the number resolved, the
+// first pending start r and next, the smallest price at or above level.
+func countEpisodes(prices []float64, level float64, cnt []int) (resolved, r int, next float64) {
+	next = math.Inf(1)
+	for i, p := range prices {
+		if p >= level {
+			for s := r; s < i; s++ {
+				cnt[i-s]++
+			}
+			resolved += i - r
+			r = i + 1
+			next = min(next, p)
+		}
+	}
+	return resolved, r, next
+}
+
+// countEpisodesMax is countEpisodes that also returns the highest price.
+func countEpisodesMax(prices []float64, level float64, cnt []int) (resolved, r int, next, hi float64) {
+	next = math.Inf(1)
+	for i, p := range prices {
+		if p > hi {
+			hi = p
+		}
+		if p >= level {
+			for s := r; s < i; s++ {
+				cnt[i-s]++
+			}
+			resolved += i - r
+			r = i + 1
+			next = min(next, p)
+		}
+	}
+	return resolved, r, next, hi
 }
 
 // priceQBETSConfig builds the QBETS configuration for the price series

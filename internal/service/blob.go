@@ -263,7 +263,8 @@ func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping)
 // failure the previous epoch keeps serving: the failure is recorded as the
 // last refresh error and returned, and the serve-stale and breaker paths
 // take it from there. The refresh trace (nil for restores) gets blob.encode
-// and blob.views spans; a refresh also records the blob.encode stage.
+// and blob.views spans; only a refresh records the blob.encode stage and
+// drafts_blob_encode_seconds.
 func (s *Server) install(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace, refresh bool) error {
 	began := time.Now()
 	sp := tr.StartSpan("blob.encode")
@@ -286,7 +287,9 @@ func (s *Server) install(tables map[tableKey]core.BidTable, preds map[tableKey]*
 	s.blobs.Store(et)
 	s.lastErr = lastErr
 	s.mu.Unlock()
-	s.metrics.encodeDuration.Observe(time.Since(began).Seconds())
+	if refresh {
+		s.metrics.encodeDuration.Observe(time.Since(began).Seconds())
+	}
 	s.published(et)
 	return nil
 }

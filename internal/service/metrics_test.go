@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -319,5 +321,87 @@ func TestRefreshStageMetrics(t *testing.T) {
 	}
 	if stageSum > cycle.Sum() {
 		t.Errorf("stages sum to %gs, more than the %gs cycle", stageSum, cycle.Sum())
+	}
+}
+
+// slowDurable is a memDurable whose snapshot write takes at least delay.
+type slowDurable struct {
+	memDurable
+	delay time.Duration
+}
+
+func (d *slowDurable) WriteSnapshot(p []byte) error {
+	time.Sleep(d.delay)
+	return d.memDurable.WriteSnapshot(p)
+}
+
+// TestRefreshLogsWholeCycle checks that the "refresh complete" log reports
+// the cycle drafts_refresh_duration_seconds observes, persist included: a
+// snapshot write that sleeps 40ms shows in the logged elapsed.
+func TestRefreshLogsWholeCycle(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	var logs bytes.Buffer
+	srv, err := New(Config{
+		Source:     testStore(t),
+		MaxHistory: 9000,
+		Metrics:    telemetry.NewRegistry(),
+		Durable:    &slowDurable{delay: delay},
+		Logger:     slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	var elapsed time.Duration
+	found := false
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg     string        `json:"msg"`
+			Elapsed time.Duration `json:"elapsed"`
+		}
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "refresh complete" {
+			elapsed, found = rec.Elapsed, true
+		}
+	}
+	if !found {
+		t.Fatalf("no refresh complete log in:\n%s", logs.String())
+	}
+	if elapsed < delay {
+		t.Errorf("logged elapsed %v misses the %v snapshot write", elapsed, delay)
+	}
+	cycle := time.Duration(srv.metrics.refreshDuration.Sum() * 1e9)
+	if diff := time.Duration(math.Abs(float64(elapsed - cycle))); diff > time.Millisecond {
+		t.Errorf("logged elapsed %v, but the cycle metric observed %v", elapsed, cycle)
+	}
+}
+
+// TestBlobEncodeObservedPerRefresh checks that drafts_blob_encode_seconds
+// and the blob.encode stage count refreshes, not snapshot restores.
+func TestBlobEncodeObservedPerRefresh(t *testing.T) {
+	durable := &memDurable{}
+	srv, err := New(Config{Source: testStore(t), MaxHistory: 9000, Metrics: telemetry.NewRegistry(), Durable: durable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.metrics.encodeDuration.Count(); n != 1 {
+		t.Errorf("one refresh observed blob encode %d times, want 1", n)
+	}
+	restored, err := New(Config{Source: testStore(t), MaxHistory: 9000, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreSnapshot(durable.snapshots[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := restored.metrics.encodeDuration.Count(); n != 0 {
+		t.Errorf("a snapshot restore observed blob encode %d times, want 0", n)
+	}
+	if n := restored.metrics.refreshStage[stageEncode].Count(); n != 0 {
+		t.Errorf("a snapshot restore recorded the blob.encode stage %d times, want 0", n)
 	}
 }

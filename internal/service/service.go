@@ -281,7 +281,14 @@ func (s *Server) Refresh() error {
 	if err := s.cfg.Faults.Check("service.refresh"); err != nil {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh failed: %w", err))
 	}
-	defer func() { s.metrics.refreshDuration.Observe(time.Since(began).Seconds()) }()
+	// The cycle ends at the first call: after persist on success, on the
+	// way out otherwise. The log reports the duration the metric observes.
+	endCycle := sync.OnceValue(func() time.Duration {
+		d := time.Since(began)
+		s.metrics.refreshDuration.Observe(d.Seconds())
+		return d
+	})
+	defer endCycle()
 	if s.cfg.PreRefresh != nil {
 		t := time.Now()
 		sp := tr.StartSpan("ticks.ingest")
@@ -398,7 +405,6 @@ func (s *Server) Refresh() error {
 	buildSpan.End()
 	s.metrics.observeStage(stageBuild, buildBegan)
 
-	elapsed := time.Since(began)
 	s.metrics.combosComputed.Add(uint64(len(fresh)))
 	s.metrics.combosSkipped.Add(uint64(skipped))
 	s.metrics.refreshIncremental.Add(uint64(incremental))
@@ -416,6 +422,8 @@ func (s *Server) Refresh() error {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh kept the previous epoch: %w", err))
 	}
 	s.metrics.lastSuccess.SetTime(now)
+	s.persist(now, tr)
+	elapsed := endCycle()
 	if s.cfg.Tracer != nil {
 		s.logger.Info("refresh complete",
 			"tables", len(fresh), "skipped", skipped, "combo_errors", errCount,
@@ -426,7 +434,6 @@ func (s *Server) Refresh() error {
 			"tables", len(fresh), "skipped", skipped, "combo_errors", errCount,
 			"incremental", incremental, "elapsed", elapsed.Round(time.Millisecond))
 	}
-	s.persist(now, tr)
 	return nil
 }
 
