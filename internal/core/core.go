@@ -150,33 +150,28 @@ func enforceMonotone(points []BidPoint) {
 	}
 }
 
-// Survival returns how many grid steps an instance launched at grid point
-// i of s with the given bid runs before the provider terminates it: the
-// distance to the first later grid point whose market price is at or above
-// the bid (the conservative "eligible to be terminated" reading of §3.2).
-// censored is true when the price never reaches the bid within the series;
-// steps is then the observed-so-far survival, s.Len()-1-i.
-func Survival(s *history.Series, i int, bid float64) (steps int, censored bool) {
-	if i < 0 || i >= s.Len() {
-		return 0, true
+// Survives reports whether an instance launched at grid point i of s with
+// the given bid completes `need` grid steps before a price termination at
+// the first later grid point whose market price is at or above the bid
+// (the conservative "eligible to be terminated" reading of §3.2). A
+// termination exactly `need` steps in comes after the work is done, so
+// only Prices[i+1 : i+need] are read: the scan is bounded by the request,
+// not by the rest of the series. The work must also end within recorded
+// history, i+need ≤ Len−1. need ≤ 0 always succeeds; otherwise a launch
+// point outside the series fails.
+func Survives(s *history.Series, i int, bid float64, need int) bool {
+	if need <= 0 {
+		return true
 	}
-	for j := i + 1; j < s.Len(); j++ {
-		if s.Prices[j] >= bid {
-			return j - i, false
+	if i < 0 || need > s.Len()-1-i {
+		return false
+	}
+	for _, p := range s.Prices[i+1 : i+need] {
+		if p >= bid {
+			return false
 		}
 	}
-	return s.Len() - 1 - i, true
-}
-
-// Survives reports whether an instance launched at grid point i with the
-// given bid completes `need` grid steps before a price termination.
-//
-// A censored survival ran to the end of recorded history, so it succeeds
-// iff the recorded span covers the requested duration: the same test as
-// for a price termination.
-func Survives(s *history.Series, i int, bid float64, need int) bool {
-	steps, _ := Survival(s, i, bid)
-	return steps >= need
+	return true
 }
 
 // StepsFor converts a wall-clock duration to grid steps, rounding up.

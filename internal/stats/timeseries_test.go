@@ -149,24 +149,6 @@ func TestAR1StationaryQuantile(t *testing.T) {
 	}
 }
 
-func TestAR1ForecastQuantileConvergesToStationary(t *testing.T) {
-	m := AR1{Mu: 2, Phi: 0.9, Sigma: 0.3}
-	x := 5.0
-	q975Stationary := m.StationaryQuantile(0.975)
-	far := m.ForecastQuantile(x, 500, 0.975)
-	if math.Abs(far-q975Stationary) > 1e-6 {
-		t.Errorf("long-horizon forecast %v should approach stationary %v", far, q975Stationary)
-	}
-	if got := m.ForecastQuantile(x, 0, 0.975); got != x {
-		t.Errorf("h=0 forecast = %v, want current value", got)
-	}
-	// One step ahead, mean should be mu + phi*(x-mu).
-	oneMedian := m.ForecastQuantile(x, 1, 0.5)
-	if math.Abs(oneMedian-(2+0.9*3)) > 1e-9 {
-		t.Errorf("one-step median = %v, want %v", oneMedian, 2+0.9*3)
-	}
-}
-
 func TestAR1UnitRootClamp(t *testing.T) {
 	// A random walk fits with phi ~ 1; the clamp must keep the stationary
 	// quantile finite.
