@@ -43,8 +43,10 @@ type Config struct {
 	HistoryLead int
 	// Seed makes the campaign reproducible.
 	Seed int64
-	// Workers bounds parallelism (default: half the CPUs, at most 8 — the
-	// per-combo working set is tens of megabytes).
+	// Workers bounds parallelism (default: half the CPUs, at most 8). At
+	// the backtest workload's shape (151 days of 5-minute prices, 300
+	// requests) a combo's working set is its 0.35 MB series plus the
+	// 1.7-3.1 MB its pass allocates.
 	Workers int
 }
 

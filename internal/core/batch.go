@@ -16,11 +16,20 @@ import (
 // predictor must be evaluated at hundreds of moments per (zone, type)
 // combination.
 //
-// It runs the step-1 price QBETS online over the series, maintains one
-// levelTracker per absolute bid-grid level for step 2, and snapshots
-// everything at the requested query indices. The per-query minimum bid
-// additionally gets an exact single-shot duration scan, since it falls
-// between grid levels.
+// It runs the step-1 price QBETS online over the series and, for step 2,
+// one runTracker per distinct price in the series plus one for the levels
+// above them all. A bid level selects the same ticks as the smallest
+// series price at or above it, so each absolute bid-grid level, and each
+// query's minimum bid (which falls between grid levels), reads that
+// price's tracker. A tick updates only the trackers at or below its price;
+// a query reads each tracker it needs once, in O(log² W) for a window of
+// W ticks, however many grid levels share it.
+//
+// The two kinds of entry keep their historical windows, one start apart.
+// A grid level counts the episodes starting in [i-W, i), W = MaxHistory;
+// the minimum-bid entry counts those starting in [i-W+1, i), the starts
+// within the W prices the step-1 predictor retains. Both exclude the
+// query tick i itself.
 type Batch struct {
 	Series *history.Series
 	Params Params
@@ -88,65 +97,96 @@ func (b *Batch) Tables(queries []int) ([]BidTable, error) {
 			lo = p
 		}
 	}
-	qd, c := params.DurationQuantile(), params.Confidence
+	qd, c, w := params.DurationQuantile(), params.Confidence, params.MaxHistory
 	grid := geometricGrid(lo+spot.PriceTick, b.MaxBid, tableRatio)
-	trackers := make([]*levelTracker, len(grid))
-	for i, lvl := range grid {
-		trackers[i] = newLevelTracker(lvl, params.MaxHistory, qd, c)
+
+	// One tracker per distinct price, ascending, then one that no price
+	// crosses for the levels above them all.
+	prices := distinctPrices(s.Prices)
+	trackers := make([]*runTracker, len(prices)+1)
+	for j := range trackers {
+		trackers[j] = newRunTracker(w, qd, c)
 	}
+	gridTracker := make([]int, len(grid))
+	for gi, lvl := range grid {
+		gridTracker[gi] = sort.SearchFloat64s(prices, lvl)
+	}
+	// Per-query memo of each tracker's grid guarantee: stamp[j] == qi+1
+	// once tracker j has answered query qi.
+	stamp := make([]int, len(trackers))
+	guarantee := make([]time.Duration, len(trackers))
 
 	pricePred, err := qbets.New(priceQBETSConfig(params))
 	if err != nil {
 		return nil, err
 	}
 
-	minBidRank := durationRank(qd, c)
 	out := make([]BidTable, 0, len(queries))
-	next := 0
+	next, touch, last := 0, 0, math.Float64bits(math.NaN())
 	for i, price := range s.Prices {
 		pricePred.Observe(price)
-		for _, tr := range trackers {
-			tr.observe(i, price)
+		if bits := math.Float64bits(price); bits != last {
+			// A tick crosses the trackers at or below its price.
+			touch, last = sort.SearchFloat64s(prices, price)+1, bits
+			if math.IsNaN(price) {
+				touch = 0
+			}
 		}
-		if next < len(queries) && queries[next] == i {
-			upper, ok := pricePred.Bound()
-			if !ok {
-				return nil, fmt.Errorf("core: no price bound at index %d", i)
-			}
-			bid0 := minBid(upper)
-			table := BidTable{At: s.TimeAt(i), Probability: params.Probability}
-
-			// Exact entry for the momentary minimum bid. The scan window
-			// matches the price predictor's retention.
-			win := s.Prices[:i+1]
-			if params.MaxHistory > 0 && len(win) > params.MaxHistory {
-				win = win[len(win)-params.MaxHistory:]
-			}
-			if steps, _, ok := durationBoundScan(win, bid0, &minBidRank, nil); ok {
-				table.Points = append(table.Points, BidPoint{
-					Bid:      bid0,
-					Duration: time.Duration(steps) * s.Step,
-				})
-			} else {
-				table.Points = append(table.Points, BidPoint{Bid: bid0})
-			}
-
-			for gi, lvl := range grid {
-				if lvl <= bid0 {
-					continue
-				}
-				steps, ok := trackers[gi].bound()
-				pt := BidPoint{Bid: lvl}
-				if ok {
-					pt.Duration = time.Duration(steps) * s.Step
-				}
-				table.Points = append(table.Points, pt)
-			}
-			sort.Slice(table.Points, func(a, b int) bool { return table.Points[a].Bid < table.Points[b].Bid })
-			enforceMonotone(table.Points)
-			out = append(out, table)
-			next++
+		for _, tr := range trackers[:touch] {
+			tr.cross(i)
 		}
+		if next == len(queries) || queries[next] != i {
+			continue
+		}
+		upper, ok := pricePred.Bound()
+		if !ok {
+			return nil, fmt.Errorf("core: no price bound at index %d", i)
+		}
+		bid0 := minBid(upper)
+		first := sort.Search(len(grid), func(gi int) bool { return grid[gi] > bid0 })
+		table := BidTable{At: s.TimeAt(i), Probability: params.Probability}
+		table.Points = make([]BidPoint, 1, 1+len(grid)-first)
+
+		// Grid levels count the starts in [i-w, i). They are read before
+		// the minimum-bid entry, whose horizon is one later, so no
+		// tracker's horizon ever decreases.
+		for gi := first; gi < len(grid); gi++ {
+			j := gridTracker[gi]
+			if stamp[j] != next+1 {
+				stamp[j] = next + 1
+				guarantee[j] = trackers[j].guarantee(i, max(i-w, 0), s.Step)
+			}
+			table.Points = append(table.Points, BidPoint{Bid: grid[gi], Duration: guarantee[j]})
+		}
+		// The minimum bid falls between grid levels and counts the starts
+		// in [i-w+1, i): the window of the price predictor's retention,
+		// which holds w ticks including tick i.
+		j0 := sort.SearchFloat64s(prices, bid0)
+		table.Points[0] = BidPoint{Bid: bid0, Duration: trackers[j0].guarantee(i, max(i-w+1, 0), s.Step)}
+		enforceMonotone(table.Points)
+		out = append(out, table)
+		next++
 	}
 	return out, nil
+}
+
+// distinctPrices returns the distinct non-NaN values of prices, ascending.
+// Spot prices hold for many ticks and revisit a few ladder rungs, so the
+// list is short and each new value is found by bisection.
+func distinctPrices(prices []float64) []float64 {
+	var out []float64
+	last := math.Float64bits(math.NaN())
+	for _, p := range prices {
+		bits := math.Float64bits(p)
+		if bits == last || math.IsNaN(p) {
+			continue
+		}
+		last = bits
+		if j := sort.SearchFloat64s(out, p); j == len(out) || out[j] > p {
+			out = append(out, 0)
+			copy(out[j+1:], out[j:])
+			out[j] = p
+		}
+	}
+	return out
 }

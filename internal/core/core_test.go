@@ -227,21 +227,29 @@ func scanBound(prices []float64, level, qd, c float64) (int, bool) {
 	return steps, ok
 }
 
-// TestTrackerMatchesScan: the incremental tracker and the single-shot scan
-// are two implementations of the same estimator and must agree exactly.
+// TestTrackerMatchesScan: the incremental trackers and the single-shot
+// scan are implementations of the same estimator and must agree exactly.
 func TestTrackerMatchesScan(t *testing.T) {
 	s := mustGen(t, spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}, 4000)
 	for _, level := range []float64{0.05, 0.12, 0.3, 0.8, 2.0} {
 		tr := newLevelTracker(level, 0, 0.025, 0.99)
+		rt := newRunTracker(s.Len(), 0.025, 0.99)
 		for i, p := range s.Prices {
 			tr.observe(i, p)
-			// Query every tick so the tracker's rank cursor walks the
+			if p >= level {
+				rt.cross(i)
+			}
+			// Query every tick so the trackers' rank cursors walk the
 			// sample sizes one step at a time, as in a batch pass.
 			got, gok := tr.bound()
+			runs, rok := rt.bound(i, 0)
 			if i%997 == 0 && i > 0 {
 				want, wok := scanBound(s.Prices[:i+1], level, 0.025, 0.99)
 				if wok != gok || (wok && want != got) {
 					t.Fatalf("level %v index %d: tracker %d,%v vs scan %d,%v", level, i, got, gok, want, wok)
+				}
+				if wok != rok || (wok && want != runs) {
+					t.Fatalf("level %v index %d: run tracker %d,%v vs scan %d,%v", level, i, runs, rok, want, wok)
 				}
 			}
 		}

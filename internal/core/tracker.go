@@ -3,141 +3,158 @@ package core
 import (
 	"math"
 	"sync"
+	"time"
 
 	"github.com/drafts-go/drafts/internal/qbets"
 	"github.com/drafts-go/drafts/internal/spot"
 	"github.com/drafts-go/drafts/internal/stats"
 )
 
-// levelTracker maintains, online, the bid-survival duration sample for one
-// fixed bid level (step 2 of the DrAFTS methodology, §3.2).
+// runTracker keeps, online, the bid-survival duration samples of every
+// bid level that selects the same ticks as one price P of the series
+// (step 2 of the DrAFTS methodology, §3.2): a level L reads the tracker of
+// the smallest series price at or above L, because a price crosses L
+// exactly when it crosses that price.
 //
-// Every grid point i at which the market price is below the level starts a
-// survival episode ("the prediction is based on the conditional
-// probability that the price allows the instance to run in the first
-// place"). The episode resolves at the first later grid point whose price
-// reaches the level, contributing the duration (in steps) to the sample.
-// Episodes still unresolved at analysis time are right-censored and enter
-// at their observed-so-far length — the conservative direction for a lower
-// bound, since the true duration can only be longer.
+// Every tick whose price is below P starts a survival episode ("the
+// prediction is based on the conditional probability that the price
+// allows the instance to run in the first place"), which resolves at the
+// first later tick whose price reaches P. The starts between two
+// crossings form a run; a run of length L resolves into the durations
+// {1, ..., L}, so the tracker stores each run once, keyed by its length,
+// in a Fenwick tree of (count, sum): the number of sample values <= v is
+// the sum of min(L, v) over the runs, one prefix query. Starts after the
+// last crossing are right-censored and enter at their observed-so-far
+// lengths, also {1, ..., m} — the conservative direction for a lower
+// bound, since the true durations can only be longer.
 //
-// For a fixed level, the unresolved episodes are exactly the contiguous
-// run of starts since the last price crossing, so censored face values are
-// always {1, 2, ..., m}; this makes rank queries over the union of
-// resolved and censored durations O(log^2 n).
-type levelTracker struct {
-	level    float64
-	resolved *qbets.FenwickStore // resolved durations, in grid steps
-	r        int                 // first pending (unresolved) start index
-	t        int                 // last observed grid index; -1 before any
-	window   int                 // only episodes starting within the last window steps count; 0 = unlimited
-	rank     stats.RankCursor    // order-statistic rank of the bound, reused as the sample grows
-
-	// queue of resolved episodes in start order, for window eviction.
-	queue []episode
-	qhead int
+// The retention window is a query argument, the horizon h: only starts at
+// or after h count. Runs that end at or before h are evicted lazily, the
+// one run that straddles h is truncated arithmetically, and the censored
+// starts are [max(pending, h), i). Ticks touch only the trackers at or
+// below their price; a query costs O(log² W) in the window length W.
+type runTracker struct {
+	cap  int   // longest run length a window can hold; longer keys are clamped to it
+	r    int   // first pending (censored) start: one past the last crossing
+	runs []run // resolved runs in time order; runs[head:] are live
+	head int
+	tree []node // 1-based Fenwick tree over clamped run lengths
+	n    int    // runs in the tree
+	sum  int    // sum of their clamped lengths
+	rank stats.RankCursor
 }
 
-type episode struct {
-	start int32
-	dur   int32
-}
+// run is one resolved run: the starts [start, end) that the crossing at
+// end resolved.
+type run struct{ start, end int32 }
 
-// newLevelTracker tracks one bid level; its bound is the lower
-// c-confidence bound on the qd-quantile of the survival durations.
-func newLevelTracker(level float64, window int, qd, c float64) *levelTracker {
-	return &levelTracker{
-		level:    level,
-		resolved: qbets.NewFenwickStore(1, 256),
-		t:        -1,
-		window:   window,
-		rank:     durationRank(qd, c),
-	}
+// node is one Fenwick node: the count and the total length of the runs in
+// its range.
+type node struct{ cnt, sum int32 }
+
+// newRunTracker returns a tracker for windows of at most window starts;
+// its bound is the lower c-confidence bound on the qd-quantile of the
+// survival durations. The caller decides which ticks cross it.
+func newRunTracker(window int, qd, c float64) *runTracker {
+	return &runTracker{cap: window, rank: durationRank(qd, c)}
 }
 
 // durationRank returns the rank cursor for the lower c-confidence bound on
 // the qd-quantile: LowerBoundIndex(n, qd, c) is UpperBoundIndex(n, 1-qd, c).
 func durationRank(qd, c float64) stats.RankCursor { return stats.NewRankCursor(1-qd, c) }
 
-// observe feeds the price at grid index i (indices must arrive in order).
-func (lt *levelTracker) observe(i int, price float64) {
-	if price >= lt.level {
-		// Crossing: resolve every pending start with its survival length.
-		for s := lt.r; s < i; s++ {
-			lt.resolved.Insert(float64(i - s))
-			lt.queue = append(lt.queue, episode{start: int32(s), dur: int32(i - s)})
-		}
-		lt.r = i + 1 // index i itself cannot start an episode
+// cross records a price at or above the tracker's at tick i (ticks must
+// arrive in order): the pending starts resolve as one run.
+func (t *runTracker) cross(i int) {
+	if t.r < i {
+		t.runs = append(t.runs, run{start: int32(t.r), end: int32(i)})
+		t.add(t.key(i-t.r), 1)
 	}
-	lt.t = i
-	if lt.window > 0 {
-		horizon := i - lt.window
-		for lt.qhead < len(lt.queue) && int(lt.queue[lt.qhead].start) < horizon {
-			lt.resolved.Remove(float64(lt.queue[lt.qhead].dur))
-			lt.qhead++
-		}
-		if lt.qhead > len(lt.queue)/2 && lt.qhead > 1024 {
-			lt.queue = append(lt.queue[:0], lt.queue[lt.qhead:]...)
-			lt.qhead = 0
-		}
-	}
+	t.r = i + 1 // tick i itself cannot start an episode
 }
 
-// effR is the first pending start index inside the retention window.
-func (lt *levelTracker) effR() int {
-	r := lt.r
-	if lt.window > 0 {
-		if h := lt.t - lt.window; h > r {
-			r = h
+// key is the tree key of a run of length l. No window holds more than cap
+// starts, so min(l, v) = min(key, v) for every v a query asks about.
+func (t *runTracker) key(l int) int { return min(l, t.cap) }
+
+// add inserts (d = 1) or removes (d = -1) one run of key k, doubling the
+// tree as needed. A doubled tree keeps every old node; the only new node
+// whose range reaches the old ones is the new root, which copies the old
+// root.
+func (t *runTracker) add(k, d int) {
+	for k >= len(t.tree) {
+		size := max(2*(len(t.tree)-1), 64)
+		tree := make([]node, size+1)
+		copy(tree, t.tree)
+		if old := len(t.tree) - 1; old > 0 {
+			tree[size] = t.tree[old]
+		}
+		t.tree = tree
+	}
+	for j := k; j < len(t.tree); j += j & -j {
+		t.tree[j].cnt += int32(d)
+		t.tree[j].sum += int32(d * k)
+	}
+	t.n += d
+	t.sum += d * k
+}
+
+// countAtMost returns the number of tree sample values <= v: the sum of
+// min(key, v) over the stored runs.
+func (t *runTracker) countAtMost(v int) int {
+	var cnt, sum int
+	for j := min(v, len(t.tree)-1); j > 0; j &= j - 1 {
+		cnt += int(t.tree[j].cnt)
+		sum += int(t.tree[j].sum)
+	}
+	return sum + v*(t.n-cnt)
+}
+
+// guarantee is bound in time, with ticks of length step: zero when nothing
+// can be promised.
+func (t *runTracker) guarantee(i, h int, step time.Duration) time.Duration {
+	steps, _ := t.bound(i, h)
+	return time.Duration(steps) * step
+}
+
+// bound returns the duration lower bound, in ticks, for a level this
+// tracker serves at tick i over the starts in [h, i), h <= i. Horizons
+// must not decrease between calls. When the sample is too small for the
+// binomial bound to exist, the sample minimum serves as the conservative
+// warm-up value. ok is false when no episode starts in the window.
+func (t *runTracker) bound(i, h int) (steps int, ok bool) {
+	for t.head < len(t.runs) && int(t.runs[t.head].end) <= h {
+		rn := t.runs[t.head]
+		t.add(t.key(int(rn.end-rn.start)), -1)
+		t.head++
+	}
+	if t.head > len(t.runs)/2 && t.head > 1024 {
+		t.runs = append(t.runs[:0], t.runs[t.head:]...)
+		t.head = 0
+	}
+	// The oldest live run may start before h: it counts its starts in
+	// [h, end) instead of its whole key.
+	var key, cut int
+	if t.head < len(t.runs) {
+		if rn := t.runs[t.head]; int(rn.start) < h {
+			key, cut = t.key(int(rn.end-rn.start)), int(rn.end)-h
 		}
 	}
-	return r
-}
-
-// sampleSize returns resolved plus censored episode counts. The start at
-// the current instant carries no information and is excluded.
-func (lt *levelTracker) sampleSize() (resolved, censored int) {
-	resolved = lt.resolved.Len()
-	censored = lt.t - lt.effR()
-	if censored < 0 {
-		censored = 0
-	}
-	return resolved, censored
-}
-
-// countAtMost counts union sample values <= v steps.
-func (lt *levelTracker) countAtMost(v int) int {
-	_, m := lt.sampleSize()
-	pending := v
-	if pending > m {
-		pending = m
-	}
-	if pending < 0 {
-		pending = 0
-	}
-	return lt.resolved.CountAtMost(float64(v)) + pending
-}
-
-// bound returns the duration lower bound in grid steps at the tracker's
-// quantile and confidence. When the sample is too small for the binomial
-// bound to exist, the sample minimum serves as the conservative warm-up
-// value. A zero return with ok=true means nothing can be promised.
-func (lt *levelTracker) bound() (steps int, ok bool) {
-	n, m := lt.sampleSize()
-	total := n + m
+	m := max(i-max(t.r, h), 0) // censored starts, face values {1..m}
+	total := t.sum - key + cut + m
 	if total == 0 {
 		return 0, false
 	}
-	k, exists := lt.rank.Index(total)
+	k, exists := t.rank.Index(total)
 	if !exists {
 		k = 1 // warm-up: the sample minimum
 	}
-	// Binary search the smallest v with countAtMost(v) >= k. Durations are
-	// bounded by the observed span lt.t+1.
-	lo, hi := 1, lt.t+1
+	// The smallest v with at least k sample values <= v; no value exceeds
+	// the i-h starts the window holds.
+	lo, hi := 1, i-h
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if lt.countAtMost(mid) >= k {
+		if t.countAtMost(mid)-min(key, mid)+min(cut, mid)+min(m, mid) >= k {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -147,15 +164,16 @@ func (lt *levelTracker) bound() (steps int, ok bool) {
 }
 
 // scanScratch pools the per-call episode-count buffer of durationBoundScan.
-// A table build scans once per bid level over a window of up to three
-// months of ticks (~26k ints, ~200 KiB); without pooling every refresh
-// worker would allocate and discard megabytes of count buffers per combo.
+// A guarantee walk scans once per distinct retained price over a window
+// of up to three months of ticks (~26k ints, ~200 KiB); without pooling
+// every refresh worker would allocate and discard megabytes of count
+// buffers per combo.
 // The pool is per-P under the hood, so the refresh fan-out's workers reuse
 // their own scratch without contention. Pooling is invisible to results:
 // the buffer is fully re-zeroed before use.
 var scanScratch = sync.Pool{New: func() any { return new([]int) }}
 
-// durationBoundScan is the single-shot equivalent of a levelTracker: the
+// durationBoundScan is the single-shot equivalent of a runTracker: the
 // duration lower bound (in grid steps) for a fixed bid level over
 // prices[0..len-1], censored at the end of the slice, with the rank taken
 // from the durationRank cursor. It runs in O(n) time with pooled O(n)

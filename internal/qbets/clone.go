@@ -60,6 +60,7 @@ func (p *Predictor) Clone() *Predictor {
 	}
 	q := *p
 	q.store = cl.CloneOrderStats()
+	q.grid, _ = q.store.(*LevelStore)
 	// Copy only the live window; head restarts at zero. Eviction compaction
 	// thresholds see a different layout but behaviour depends only on the
 	// window contents, which are identical.

@@ -71,6 +71,14 @@ func (s *LevelStore) level(v float64) (int32, error) {
 	return int32(b), nil
 }
 
+// Places reports whether v lies on the store's grid, as level checks it:
+// not below -tick/2 and rounding to at most math.MaxInt32 ticks. Insert
+// panics on any other value. math.Round(x) exceeds math.MaxInt32 exactly
+// when x >= math.MaxInt32+0.5, so no rounding is needed.
+func (s *LevelStore) Places(v float64) bool {
+	return v >= -s.tick/2 && v/s.tick < math.MaxInt32+0.5
+}
+
 // Len returns the number of stored values.
 func (s *LevelStore) Len() int { return s.n }
 

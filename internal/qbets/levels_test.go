@@ -39,6 +39,25 @@ func TestLevelStoreRejectsOffGrid(t *testing.T) {
 	NewLevelStore(0)
 }
 
+// TestLevelStorePlacesMatchesLevel: Places accepts exactly the values
+// level maps to a grid index, at the grid's two ends and off it.
+func TestLevelStorePlacesMatchesLevel(t *testing.T) {
+	for _, tick := range []float64{1, 0.25, 0.0001} {
+		s := NewLevelStore(tick)
+		top := (math.MaxInt32 + 0.5) * tick
+		for _, v := range []float64{
+			0, tick, -tick / 2, math.Nextafter(-tick/2, -1), -5,
+			math.MaxInt32 * tick, math.Nextafter(top, 0), top, math.Nextafter(top, math.Inf(1)),
+			float64(1<<32) * tick, 1e300, math.NaN(), math.Inf(1), math.Inf(-1),
+		} {
+			_, err := s.level(v)
+			if got := s.Places(v); got != (err == nil) {
+				t.Errorf("tick %v: Places(%v) = %v, level error %v", tick, v, got, err)
+			}
+		}
+	}
+}
+
 // TestLevelStoreGridEnds routes the grid's first and last levels across
 // several blocks.
 func TestLevelStoreGridEnds(t *testing.T) {

@@ -124,6 +124,9 @@ func Load(r io.Reader, window []float64, newStore func() OrderStats) (*Predictor
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("qbets: non-finite value in history window")
 		}
+		if p.grid != nil && !p.grid.Places(v) {
+			return nil, fmt.Errorf("qbets: history window value %v outside the store's grid", v)
+		}
 		p.store.Insert(v)
 	}
 	p.chron = append(make([]float64, 0, len(hist)), hist...)

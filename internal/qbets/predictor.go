@@ -117,7 +117,8 @@ type Predictor struct {
 	cfg Config
 
 	store OrderStats
-	chron []float64 // retained history, oldest first, starting at head
+	grid  *LevelStore // store, when it is a LevelStore, whose grid bounds the values it holds
+	chron []float64   // retained history, oldest first, starting at head
 	head  int
 
 	violRing  []bool // trailing violation outcomes for change-point test
@@ -155,13 +156,15 @@ func New(cfg Config) (*Predictor, error) {
 	if cfg.Kind == LowerBound {
 		q = 1 - q
 	}
-	return &Predictor{
+	p := &Predictor{
 		cfg:      cfg,
 		store:    cfg.NewStore(),
 		violRing: make([]bool, cfg.ChangePointWindow),
 		rho:      math.NaN(),
 		rank:     stats.NewRankCursor(q, cfg.Confidence),
-	}, nil
+	}
+	p.grid, _ = p.store.(*LevelStore)
+	return p, nil
 }
 
 // MustNew is New for statically correct configurations.
@@ -200,10 +203,11 @@ func (p *Predictor) violationProb() float64 {
 
 // Observe feeds the next observation. It first scores the observation
 // against the current bound (feeding the change-point detector), then
-// inserts it into the history.
+// inserts it into the history. A non-finite value, or one a LevelStore
+// cannot hold (negative, or beyond math.MaxInt32 ticks), is dropped.
 func (p *Predictor) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		// Market data never contains non-finite prices; drop defensively.
+	if math.IsNaN(v) || math.IsInf(v, 0) || (p.grid != nil && !p.grid.Places(v)) {
+		// Market data never contains such prices; drop defensively.
 		return
 	}
 	mObservations.Load().Inc()

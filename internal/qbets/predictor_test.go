@@ -1,6 +1,7 @@
 package qbets
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -273,6 +274,36 @@ func TestObserveIgnoresNonFinite(t *testing.T) {
 	p.Observe(math.Inf(-1))
 	if p.Len() != 0 {
 		t.Errorf("non-finite observations retained: Len = %d", p.Len())
+	}
+}
+
+// TestObserveSkipsValuesOffTheLevelGrid: a LevelStore holds at most
+// math.MaxInt32 ticks, so a price of 2^32 ticks is dropped like a
+// non-finite one instead of panicking, and the predictor carries on.
+func TestObserveSkipsValuesOffTheLevelGrid(t *testing.T) {
+	cfg := upperCfg()
+	cfg.NewStore = func() OrderStats { return NewLevelStore(0.0001) }
+	p := MustNew(cfg)
+	p.Observe(0.05)
+	p.Observe(float64(1<<32) * 0.0001)
+	p.Observe(-1)
+	p.Observe(0.07)
+	if p.Len() != 2 {
+		t.Errorf("Len = %d, want the 2 on-grid observations", p.Len())
+	}
+	if b, ok := p.Bound(); !ok || math.Abs(b-0.07) > 1e-12 {
+		t.Errorf("bound = %v, %v; want the on-grid maximum 0.07", b, ok)
+	}
+	if q := p.Clone(); q.grid == nil {
+		t.Error("clone lost the store's grid check")
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	window := []float64{0.05, float64(1<<32) * 0.0001}
+	if _, err := Load(&buf, window, cfg.NewStore); err == nil {
+		t.Error("history window value off the level grid accepted")
 	}
 }
 

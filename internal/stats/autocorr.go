@@ -4,15 +4,25 @@ import "math"
 
 // Autocorrelation returns the lag-k sample autocorrelation of xs, using the
 // biased (n-denominator) estimator that guarantees the result lies in
-// [-1, 1] for k < n.
+// [-1, 1] for k < n. It is 0 for a series whose elements all have the same
+// bits.
 func Autocorrelation(xs []float64, lag int) float64 {
 	n := len(xs)
 	if lag < 0 || lag >= n || n < 2 {
 		return math.NaN()
 	}
 	mean := 0.0
+	constant := true
 	for _, x := range xs {
 		mean += x
+		constant = constant && math.Float64bits(x) == math.Float64bits(xs[0])
+	}
+	if constant {
+		// A constant series has autocorrelation 0 by definition. Its
+		// float mean need not equal the value (x = 0.2001 is not exact in
+		// binary), and the deviations would then be one tiny constant
+		// whose ratio is (n-lag)/n, not 0.
+		return 0
 	}
 	mean /= float64(n)
 	var num, den float64
@@ -24,7 +34,7 @@ func Autocorrelation(xs []float64, lag int) float64 {
 		}
 	}
 	if den == 0 {
-		return 0 // constant series: define autocorrelation as 0
+		return 0
 	}
 	return num / den
 }

@@ -19,6 +19,30 @@ func TestAutocorrelationConstantSeries(t *testing.T) {
 	}
 }
 
+// TestAutocorrelationConstantInexactValues: a flat window of a value that
+// binary floating point cannot hold exactly has a mean a rounding error
+// away from the value; its autocorrelation is still 0 at every lag, not
+// (n-lag)/n, which EffectiveSampleSize would read as near-perfect
+// correlation.
+func TestAutocorrelationConstantInexactValues(t *testing.T) {
+	for _, v := range []float64{0.2001, 0.0313, 66.2389} {
+		for _, n := range []int{235, 4096} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = v
+			}
+			for _, lag := range []int{0, 1, 7} {
+				if got := Autocorrelation(xs, lag); got != 0 {
+					t.Errorf("%d copies of %v: lag-%d autocorrelation = %v, want 0", n, v, lag, got)
+				}
+			}
+			if got := EffectiveSampleSize(n, Autocorrelation(xs, 1)); got != n {
+				t.Errorf("%d copies of %v: effective sample size %d, want %d", n, v, got, n)
+			}
+		}
+	}
+}
+
 func TestAutocorrelationInvalid(t *testing.T) {
 	if !math.IsNaN(Autocorrelation([]float64{1}, 1)) {
 		t.Error("too-short series should be NaN")
