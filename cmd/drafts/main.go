@@ -10,7 +10,7 @@
 // is at the paper's scale and deterministic. -seed 0 keeps each
 // experiment's documented seeds (marketgen's is 42); any other value
 // replaces them all. The Table-1 family (table1, figure1, table4, table5)
-// backtests all 452 combos once per probability, ~16 s each on 2 vCPUs.
+// backtests all 452 combos once per probability, ~11 s each on 2 vCPUs.
 package main
 
 import (

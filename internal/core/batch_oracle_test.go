@@ -40,7 +40,7 @@ type levelTracker struct {
 	r        int                 // first pending (unresolved) start index
 	t        int                 // last observed grid index; -1 before any
 	window   int                 // only episodes starting within the last window steps count; 0 = unlimited
-	rank     stats.RankCursor    // order-statistic rank of the bound, reused as the sample grows
+	rank     *stats.RankTable    // order-statistic rank of the bound
 
 	// queue of resolved episodes in start order, for window eviction.
 	queue []episode
@@ -226,7 +226,7 @@ func oracleTables(b *Batch, queries []int) ([]BidTable, error) {
 			if params.MaxHistory > 0 && len(win) > params.MaxHistory {
 				win = win[len(win)-params.MaxHistory:]
 			}
-			if steps, _, ok := durationBoundScan(win, bid0, &minBidRank, nil); ok {
+			if steps, _, ok := durationBoundScan(win, bid0, minBidRank, nil); ok {
 				table.Points = append(table.Points, BidPoint{
 					Bid:      bid0,
 					Duration: time.Duration(steps) * s.Step,
@@ -392,7 +392,7 @@ func FuzzRunTracker(f *testing.F) {
 			h = max(min(h+int(b>>3), i), i-w)
 			got, gok := tr.bound(i, h)
 			rank := durationRank(qd, c)
-			want, _, wok := durationBoundScan(prices[h:i+1], level, &rank, nil)
+			want, _, wok := durationBoundScan(prices[h:i+1], level, rank, nil)
 			if got != want || gok != wok {
 				t.Fatalf("tick %d horizon %d window %d level %v: tracker %d,%v, scan %d,%v (prices %v)",
 					i, h, w, level, got, gok, want, wok, prices[:i+1])

@@ -218,12 +218,10 @@ func TestDurationBoundScanEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// scanBound is durationBoundScan with a fresh rank cursor, so the rank
-// comes from a full bisection: the oracle the reused cursors of the
-// trackers and of Batch are checked against.
+// scanBound is durationBoundScan for one (qd, c): the single-shot oracle
+// the run trackers and Batch are checked against.
 func scanBound(prices []float64, level, qd, c float64) (int, bool) {
-	rank := durationRank(qd, c)
-	steps, _, ok := durationBoundScan(prices, level, &rank, nil)
+	steps, _, ok := durationBoundScan(prices, level, durationRank(qd, c), nil)
 	return steps, ok
 }
 

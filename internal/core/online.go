@@ -139,7 +139,7 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 		return 0, false
 	}
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
-	steps, _, ok := durationBoundScan(h, bid, &rank, nil)
+	steps, _, ok := durationBoundScan(h, bid, rank, nil)
 	if !ok {
 		return 0, false
 	}

@@ -74,7 +74,7 @@ func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, boo
 	h := p.hist()
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
 	var maxSeen float64
-	g, next, _ := durationBoundScan(h, bid0, &rank, &maxSeen)
+	g, next, _ := durationBoundScan(h, bid0, rank, &maxSeen)
 	ceil := ceiling(maxSeen, bid0)
 	limit := bid0 * span
 	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step}
@@ -83,7 +83,7 @@ func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, boo
 		tick := uint32(spot.Ticks(tb))
 		if n := len(s.Bids); n == 0 || s.Bids[n-1] < tick {
 			if tb > next {
-				g, next, _ = durationBoundScan(h, tb, &rank, nil)
+				g, next, _ = durationBoundScan(h, tb, rank, nil)
 			}
 			s.Bids = append(s.Bids, tick)
 			s.Guar = append(s.Guar, uint32(g))

@@ -41,7 +41,7 @@ type runTracker struct {
 	tree []node // 1-based Fenwick tree over clamped run lengths
 	n    int    // runs in the tree
 	sum  int    // sum of their clamped lengths
-	rank stats.RankCursor
+	rank *stats.RankTable
 }
 
 // run is one resolved run: the starts [start, end) that the crossing at
@@ -59,9 +59,10 @@ func newRunTracker(window int, qd, c float64) *runTracker {
 	return &runTracker{cap: window, rank: durationRank(qd, c)}
 }
 
-// durationRank returns the rank cursor for the lower c-confidence bound on
-// the qd-quantile: LowerBoundIndex(n, qd, c) is UpperBoundIndex(n, 1-qd, c).
-func durationRank(qd, c float64) stats.RankCursor { return stats.NewRankCursor(1-qd, c) }
+// durationRank returns the shared rank table for the lower c-confidence
+// bound on the qd-quantile: LowerBoundIndex(n, qd, c) is
+// UpperBoundIndex(n, 1-qd, c).
+func durationRank(qd, c float64) *stats.RankTable { return stats.RankTableFor(1-qd, c) }
 
 // cross records a price at or above the tracker's at tick i (ticks must
 // arrive in order): the pending starts resolve as one run.
@@ -175,8 +176,8 @@ var scanScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // durationBoundScan is the single-shot equivalent of a runTracker: the
 // duration lower bound (in grid steps) for a fixed bid level over
-// prices[0..len-1], censored at the end of the slice, with the rank taken
-// from the durationRank cursor. It runs in O(n) time with pooled O(n)
+// prices[0..len-1], censored at the end of the slice, with the rank read
+// from the durationRank table. It runs in O(n) time with pooled O(n)
 // scratch space.
 //
 // The scan tests only price >= level, so it also reports next, the
@@ -184,7 +185,7 @@ var scanScratch = sync.Pool{New: func() any { return new([]int) }}
 // (level, next] selects the same prices and gets the same bound. A non-nil
 // hi receives the highest price, at the cost of one more comparison per
 // price; only the guarantee walk's first scan asks for it.
-func durationBoundScan(prices []float64, level float64, rank *stats.RankCursor, hi *float64) (steps int, next float64, ok bool) {
+func durationBoundScan(prices []float64, level float64, rank *stats.RankTable, hi *float64) (steps int, next float64, ok bool) {
 	n := len(prices)
 	if n == 0 {
 		return 0, math.Inf(1), false

@@ -124,10 +124,9 @@ func TestDurationBoundScanNextAndMax(t *testing.T) {
 	}
 	for _, level := range []float64{0.05, 0.12, 0.3, 0.8, top, 2 * top} {
 		rank := durationRank(0.025, 0.99)
-		steps, next, ok := durationBoundScan(s.Prices, level, &rank, nil)
+		steps, next, ok := durationBoundScan(s.Prices, level, rank, nil)
 		var hi float64
-		rank = durationRank(0.025, 0.99)
-		steps2, next2, ok2 := durationBoundScan(s.Prices, level, &rank, &hi)
+		steps2, next2, ok2 := durationBoundScan(s.Prices, level, rank, &hi)
 		if steps != steps2 || ok != ok2 || math.Float64bits(next) != math.Float64bits(next2) {
 			t.Errorf("level %v: asking for the maximum changed the scan: (%d, %v, %v) vs (%d, %v, %v)",
 				level, steps, next, ok, steps2, next2, ok2)

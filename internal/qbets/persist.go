@@ -105,13 +105,15 @@ func Load(r io.Reader, window []float64, newStore func() OrderStats) (*Predictor
 		NoChangePoint:     st.NoChangePoint,
 		NewStore:          newStore,
 	}
+	// Check the ring against the window before New builds the window's
+	// change-point tables: a corrupt window size costs nothing.
+	if full, err := cfg.withDefaults(); err == nil && len(st.ViolRing) != full.ChangePointWindow {
+		return nil, fmt.Errorf("qbets: violation ring length %d does not match window %d",
+			len(st.ViolRing), cfg.ChangePointWindow)
+	}
 	p, err := New(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(st.ViolRing) != len(p.violRing) {
-		return nil, fmt.Errorf("qbets: violation ring length %d does not match window %d",
-			len(st.ViolRing), cfg.ChangePointWindow)
 	}
 	if st.HistoryLen < 0 || st.HistoryLen > len(window) {
 		return nil, fmt.Errorf("qbets: history length %d outside the %d-point window", st.HistoryLen, len(window))

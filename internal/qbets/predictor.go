@@ -138,10 +138,13 @@ type Predictor struct {
 	// post-shift history. 0 means no flush is scheduled.
 	pendingFlush int
 
-	// rank remembers Bound's last (effective sample size, rank), so the
-	// next rank is found near it instead of by a full bisection. It is a
-	// cache of a pure function: Clone copies it, Save and Load skip it.
-	rank stats.RankCursor
+	// rank and cp are the process-wide tables of the binomial decisions
+	// for this configuration: the bound's rank at each (effective) sample
+	// size and the change-point tests' verdict at each count. They hold
+	// pure functions of the configuration, so Clone shares them and Save
+	// and Load skip them.
+	rank *stats.RankTable
+	cp   *changePoints
 }
 
 // New constructs a Predictor, applying defaults and validating the config.
@@ -151,17 +154,20 @@ func New(cfg Config) (*Predictor, error) {
 		return nil, err
 	}
 	// A lower bound on the q-quantile takes the rank LowerBoundIndex
-	// computes: UpperBoundIndex at 1-q.
-	q := cfg.Quantile
+	// computes: UpperBoundIndex at 1-q. A violation lands beyond the
+	// target quantile: above it (probability 1-q) for an upper bound,
+	// below it (probability q) for a lower one.
+	q, viol := cfg.Quantile, 1-cfg.Quantile
 	if cfg.Kind == LowerBound {
-		q = 1 - q
+		q, viol = 1-cfg.Quantile, cfg.Quantile
 	}
 	p := &Predictor{
 		cfg:      cfg,
 		store:    cfg.NewStore(),
 		violRing: make([]bool, cfg.ChangePointWindow),
 		rho:      math.NaN(),
-		rank:     stats.NewRankCursor(q, cfg.Confidence),
+		rank:     stats.RankTableFor(q, cfg.Confidence),
+		cp:       changePointTables(cfg.ChangePointWindow, viol, cfg.ChangePointAlpha),
 	}
 	p.grid, _ = p.store.(*LevelStore)
 	return p, nil
@@ -181,25 +187,6 @@ func (p *Predictor) Len() int { return p.store.Len() }
 
 // ChangePoints returns how many change points the detectors have fired.
 func (p *Predictor) ChangePoints() int { return p.changePoints }
-
-// MinSamples returns the smallest history length at which Bound becomes
-// available.
-func (p *Predictor) MinSamples() int {
-	q := p.cfg.Quantile
-	if p.cfg.Kind == LowerBound {
-		q = 1 - q
-	}
-	return stats.MinSamplesForUpperBound(q, p.cfg.Confidence)
-}
-
-// violationProb is the stationary probability of a violation event when
-// the bound sits exactly at the target quantile.
-func (p *Predictor) violationProb() float64 {
-	if p.cfg.Kind == UpperBound {
-		return 1 - p.cfg.Quantile
-	}
-	return p.cfg.Quantile
-}
 
 // Observe feeds the next observation. It first scores the observation
 // against the current bound (feeding the change-point detector), then
@@ -265,17 +252,14 @@ func (p *Predictor) Observe(v float64) {
 // bound), the most conservative prediction the data supports. Warmed
 // reports whether the bound carries its full confidence guarantee.
 //
-// Bound updates the predictor's rank cursor, so it is a write like
-// Observe: concurrent calls need the caller's synchronisation.
+// Bound writes nothing: with this package's stores, concurrent Bound
+// calls need no synchronisation among themselves, only against Observe.
 func (p *Predictor) Bound() (float64, bool) {
 	n := p.store.Len()
 	if n == 0 {
 		return 0, false
 	}
-	nEff := n
-	if p.cfg.AutocorrEvery > 0 && !math.IsNaN(p.rho) {
-		nEff = stats.EffectiveSampleSize(n, p.rho)
-	}
+	nEff := p.effectiveLen(n)
 	k, ok := p.rank.Index(nEff)
 	if p.cfg.Kind == UpperBound {
 		if !ok {
@@ -298,11 +282,17 @@ func (p *Predictor) Warmed() bool {
 	if n == 0 {
 		return false
 	}
-	nEff := n
+	_, ok := p.rank.Index(p.effectiveLen(n))
+	return ok
+}
+
+// effectiveLen is the sample size the rank is chosen for: the n retained
+// observations, shrunk for their lag-1 autocorrelation once it is known.
+func (p *Predictor) effectiveLen(n int) int {
 	if p.cfg.AutocorrEvery > 0 && !math.IsNaN(p.rho) {
-		nEff = stats.EffectiveSampleSize(n, p.rho)
+		return stats.EffectiveSampleSize(n, p.rho)
 	}
-	return nEff >= p.MinSamples()
+	return n
 }
 
 // scaleRank maps a rank chosen for an effective sample of nEff points onto
@@ -362,24 +352,15 @@ func (p *Predictor) resetViolations() {
 }
 
 // exceedanceShift tests whether the recent violation rate is implausibly
-// high under the stationarity hypothesis: with the bound at (or beyond)
-// the target quantile, violations occur with probability at most
-// violationProb, so the trailing count is stochastically dominated by a
-// Binomial(W, violationProb) variable.
-func (p *Predictor) exceedanceShift() bool {
-	w := len(p.violRing)
-	if w == 0 || p.violCount == 0 {
-		return false
-	}
-	return stats.BinomialSF(p.violCount, w, p.violationProb()) < p.cfg.ChangePointAlpha
-}
+// high under the stationarity hypothesis (changePoints.exceed).
+func (p *Predictor) exceedanceShift() bool { return p.cp.exceed[p.violCount] }
 
-// medianShift runs a two-sided sign test of the last W observations
-// against the median of the full retained history. Ties with the median
-// contribute half a count (midrank), so constant stretches do not trigger.
-// This detector catches level shifts in either direction — in particular
-// downward price regime changes, which never violate an upper bound but
-// leave it needlessly loose.
+// medianShift runs a two-sided sign test (changePoints.median) of the
+// last W observations against the median of the full retained history.
+// Ties with the median contribute half a count (midrank), so constant
+// stretches do not trigger. This detector catches level shifts in either
+// direction — in particular downward price regime changes, which never
+// violate an upper bound but leave it needlessly loose.
 func (p *Predictor) medianShift() bool {
 	w := p.cfg.ChangePointWindow
 	n := p.store.Len()
@@ -398,21 +379,13 @@ func (p *Predictor) medianShift() bool {
 			ties++
 		}
 	}
-	count := above + ties/2
-	alpha2 := p.cfg.ChangePointAlpha / 2
-	if stats.BinomialSF(count, w, 0.5) < alpha2 {
-		return true
-	}
-	if stats.BinomialCDF(count, w, 0.5) < alpha2 {
-		return true
-	}
-	return false
+	return p.cp.median[above+ties/2]
 }
 
 // truncate discards all but the last ChangePointWindow observations — the
 // QBETS response to a detected change point: re-learn from the segment
-// that looks stationary. Until the history regrows past MinSamples, Bound
-// serves the conservative warm-up fallback.
+// that looks stationary. Until the history regrows to a size with a
+// binomial bound, Bound serves the conservative warm-up fallback.
 func (p *Predictor) truncate() {
 	p.changePoints++
 	mChangePoints.Load().Inc()

@@ -43,10 +43,7 @@ func TestMustNewPanicsOnBadConfig(t *testing.T) {
 
 func TestWarmupFallbackIsSampleMax(t *testing.T) {
 	p := MustNew(upperCfg())
-	min := p.MinSamples()
-	if min != 182 {
-		t.Fatalf("MinSamples = %d, want 182 for q=0.975 c=0.99", min)
-	}
+	const min = 182 // the first size with a bound at q=0.975 c=0.99
 	if _, ok := p.Bound(); ok {
 		t.Fatal("bound available with no data")
 	}
@@ -74,7 +71,7 @@ func TestWarmupFallbackIsSampleMax(t *testing.T) {
 	}
 	p.Observe(rng.Float64())
 	if !p.Warmed() {
-		t.Fatal("Warmed false at MinSamples")
+		t.Fatal("Warmed false at the first size with a bound")
 	}
 }
 
@@ -89,10 +86,33 @@ func TestWarmupFallbackIsSampleMinForLowerBound(t *testing.T) {
 	}
 }
 
+// TestLowerBoundMinSamplesSymmetry: a lower bound on the 0.025-quantile
+// warms up at the same size as an upper bound on the 0.975-quantile.
 func TestLowerBoundMinSamplesSymmetry(t *testing.T) {
-	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99})
-	if p.MinSamples() != 182 {
-		t.Errorf("lower-bound MinSamples = %d, want 182", p.MinSamples())
+	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99, NoAutocorr: true, NoChangePoint: true})
+	for n := 1; n <= 182; n++ {
+		if p.Warmed() {
+			t.Fatalf("lower bound warmed at n=%d, want 182", n-1)
+		}
+		p.Observe(float64(n))
+	}
+	if !p.Warmed() {
+		t.Error("lower bound not warmed at n=182")
+	}
+}
+
+// TestWarmedAgreesWithBound: Warmed reads the rank Bound uses. At q=0.1,
+// c=0.9 one observation already has a binomial bound (BinomialSF(1, 1,
+// 0.9) reaches 0.9), though the closed form MinSamplesForUpperBound asks
+// for two.
+func TestWarmedAgreesWithBound(t *testing.T) {
+	if _, ok := stats.UpperBoundIndex(1, 0.1, 0.9); !ok {
+		t.Fatal("UpperBoundIndex(1, 0.1, 0.9) has no bound")
+	}
+	p := MustNew(Config{Kind: UpperBound, Quantile: 0.1, Confidence: 0.9})
+	p.Observe(3)
+	if !p.Warmed() {
+		t.Error("Warmed false at n=1, where Bound has a binomial bound")
 	}
 }
 
@@ -396,5 +416,33 @@ func TestAutocorrCorrectionMakesBoundConservative(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if UpperBound.String() != "upper" || LowerBound.String() != "lower" {
 		t.Error("Kind.String mismatch")
+	}
+}
+
+// TestWarmPredictorAllocatesNothing: once a price predictor's window is
+// full, Observe and Bound read the shared rank and change-point tables
+// and reuse every buffer, so a tick allocates nothing. The prices cycle
+// through levels the window already holds, as Spot prices revisit a few
+// ladder rungs.
+func TestWarmPredictorAllocatesNothing(t *testing.T) {
+	const window = 2048
+	p := MustNew(Config{
+		Kind: UpperBound, Quantile: math.Sqrt(0.99), Confidence: 0.99, MaxHistory: window,
+		NewStore: func() OrderStats { return NewLevelStore(0.0001) },
+	})
+	rng := stats.NewRNG(7)
+	price := func() float64 { return float64(1000+rng.Intn(40)) * 0.0001 }
+	for i := 0; i < 4*window; i++ {
+		p.Observe(price())
+	}
+	var sink float64
+	if a := testing.AllocsPerRun(4*window, func() {
+		p.Observe(price())
+		sink, _ = p.Bound()
+	}); a != 0 {
+		t.Errorf("warm Observe+Bound allocates %v times per tick", a)
+	}
+	if sink == 0 {
+		t.Fatal("no bound")
 	}
 }
