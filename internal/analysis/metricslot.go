@@ -10,11 +10,12 @@ import (
 //
 // Instrumented packages hold their metric handles in package-level
 // atomic.Pointer[telemetry.T] slots that stay nil until RegisterMetrics
-// wires a registry; hot paths pay one atomic load and a nil branch. The
-// convention is load-only outside registration: a Store anywhere else can
-// race a concurrent reader with a half-registered family, and reading the
-// slot without Load (passing &slot around, copying it) defeats the
-// atomicity. Slots may therefore only appear as the receiver of .Load(),
+// wires a registry; with telemetry off, hot paths pay one atomic load and
+// a nil branch. A registered counter adds an atomic add on a shared cache
+// line, so per-tick bulk paths count once per call. The convention is
+// load-only outside registration: a Store anywhere else can race a
+// concurrent reader with a half-registered family, and reading the slot
+// without Load (passing &slot around, copying it) defeats the atomicity. Slots may therefore only appear as the receiver of .Load(),
 // or of .Store(...) lexically inside a function named RegisterMetrics.
 var MetricSlot = &Analyzer{
 	Name: "metricslot",

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -140,5 +142,63 @@ func TestParamsWithDefaults(t *testing.T) {
 	}
 	if _, err := (Params{Probability: 1.5}).WithDefaults(); err == nil {
 		t.Fatal("probability outside (0,1) accepted")
+	}
+}
+
+// TestObserveAllMatchesObserve feeds the same prices, with prices Observe
+// drops planted among them, one Observe per price and through ObserveAll
+// in random chunks, and requires identical predictors: the same retained
+// window, clock, saved state and table. MaxHistory ranges from unlimited
+// to windows that chunks overrun whole and that compact many times.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dropped := []float64{math.NaN(), 0, -0.05, math.Inf(1), math.Inf(-1), 5e5}
+	for trial := 0; trial < 200; trial++ {
+		params := Params{Probability: 0.95, MaxHistory: []int{0, 50, 120, 1000}[trial%4]}
+		n := 40 + rng.Intn(400)
+		if trial%10 == 0 {
+			n = 12000
+		}
+		prices := randomPrices(rng, n)
+		for k := rng.Intn(6); k > 0; k-- {
+			prices[rng.Intn(n)] = dropped[rng.Intn(len(dropped))]
+		}
+
+		perTick, err := NewPredictor(params, incStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range prices {
+			perTick.Observe(v)
+		}
+		bulk, err := NewPredictor(params, incStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest := prices; len(rest) > 0; {
+			k := min(len(rest), 1+rng.Intn(300))
+			bulk.ObserveAll(rest[:k])
+			rest = rest[k:]
+		}
+
+		if !slices.Equal(bulk.hist(), perTick.hist()) || !bulk.Now().Equal(perTick.Now()) {
+			t.Fatalf("trial %d: ObserveAll window %d ending %v, per-tick %d ending %v",
+				trial, bulk.Len(), bulk.Now(), perTick.Len(), perTick.Now())
+		}
+		var want, got bytes.Buffer
+		if err := perTick.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := bulk.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: saved states differ", trial)
+		}
+		wantTable, wantOK := tableBytes(t, perTick)
+		gotTable, gotOK := tableBytes(t, bulk)
+		if gotOK != wantOK || !bytes.Equal(gotTable, wantTable) {
+			t.Fatalf("trial %d: tables differ", trial)
+		}
 	}
 }

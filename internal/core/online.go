@@ -74,20 +74,59 @@ func (p *Predictor) Clone() *Predictor {
 
 // Observe feeds the next market price announcement.
 func (p *Predictor) Observe(price float64) {
-	if math.IsNaN(price) || math.IsInf(price, 0) || price <= 0 {
+	if !validPrice(price) {
 		return
 	}
 	mObservations.Load().Inc()
-	p.price.Observe(price)
-	p.prices = append(p.prices, price)
-	p.count++
-	if p.params.MaxHistory > 0 && p.window() > p.params.MaxHistory {
-		p.head++
+	p.observeRun([]float64{price})
+}
+
+// ObserveAll feeds prices in order, exactly as one Observe per price
+// would, and counts the accepted prices with one counter Add for the call
+// (here and in the price QBETS) instead of one per price.
+func (p *Predictor) ObserveAll(prices []float64) {
+	accepted := 0
+	for len(prices) > 0 {
+		n := 0
+		for n < len(prices) && validPrice(prices[n]) {
+			n++
+		}
+		if n > 0 {
+			p.observeRun(prices[:n])
+			accepted += n
+		}
+		for n < len(prices) && !validPrice(prices[n]) {
+			n++
+		}
+		prices = prices[n:]
+	}
+	mObservations.Load().Add(uint64(accepted))
+}
+
+// observeRun feeds a run of valid prices, uncounted. Only the run's last
+// MaxHistory prices can stay in the retained window, so only those are
+// appended: a cold predictor's window is allocated once.
+func (p *Predictor) observeRun(run []float64) {
+	p.price.ObserveAll(run)
+	p.count += len(run)
+	limit := p.params.MaxHistory
+	if limit > 0 && len(run) > limit {
+		run = run[len(run)-limit:]
+	}
+	p.prices = append(p.prices, run...)
+	if limit > 0 && p.window() > limit {
+		p.head = len(p.prices) - limit
 		if p.head > len(p.prices)/2 && p.head > 4096 {
 			p.prices = append(p.prices[:0], p.prices[p.head:]...)
 			p.head = 0
 		}
 	}
+}
+
+// validPrice reports whether Observe accepts price: market prices are
+// finite and positive.
+func validPrice(price float64) bool {
+	return !math.IsNaN(price) && !math.IsInf(price, 0) && price > 0
 }
 
 // ObserveSeries bulk-feeds a recorded series (e.g. three months of history
@@ -97,9 +136,7 @@ func (p *Predictor) ObserveSeries(s *history.Series) {
 		p.start = s.Start
 		p.step = s.Step
 	}
-	for _, v := range s.Prices {
-		p.Observe(v)
-	}
+	p.ObserveAll(s.Prices)
 }
 
 func (p *Predictor) window() int { return len(p.prices) - p.head }

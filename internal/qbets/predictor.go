@@ -193,11 +193,30 @@ func (p *Predictor) ChangePoints() int { return p.changePoints }
 // inserts it into the history. A non-finite value, or one a LevelStore
 // cannot hold (negative, or beyond math.MaxInt32 ticks), is dropped.
 func (p *Predictor) Observe(v float64) {
+	if p.observe(v) {
+		mObservations.Load().Inc()
+	}
+}
+
+// ObserveAll feeds vs in order, exactly as one Observe per value would,
+// and counts the accepted values with one counter Add for the call.
+func (p *Predictor) ObserveAll(vs []float64) {
+	accepted := 0
+	for _, v := range vs {
+		if p.observe(v) {
+			accepted++
+		}
+	}
+	mObservations.Load().Add(uint64(accepted))
+}
+
+// observe is Observe without the counter: it reports whether v was
+// accepted.
+func (p *Predictor) observe(v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) || (p.grid != nil && !p.grid.Places(v)) {
 		// Market data never contains such prices; drop defensively.
-		return
+		return false
 	}
-	mObservations.Load().Inc()
 	if !p.cfg.NoChangePoint {
 		if bound, ok := p.Bound(); ok {
 			viol := (p.cfg.Kind == UpperBound && v > bound) ||
@@ -240,6 +259,7 @@ func (p *Predictor) Observe(v float64) {
 			p.truncate()
 		}
 	}
+	return true
 }
 
 // Bound returns the current quantile confidence bound, which is QBETS's

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/drafts-go/drafts/internal/stats"
+	"github.com/drafts-go/drafts/internal/telemetry"
 )
 
 func upperCfg() Config {
@@ -444,5 +445,52 @@ func TestWarmPredictorAllocatesNothing(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("no bound")
+	}
+}
+
+// TestObserveAllMatchesObserve requires ObserveAll to leave the same state
+// as one Observe per value, with values a LevelStore drops (non-finite,
+// negative, beyond its grid) among them, and to add exactly the accepted
+// values to the observations counter.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	RegisterMetrics(reg)
+	t.Cleanup(func() { RegisterMetrics(nil) })
+	count := mObservations.Load()
+
+	cfg := upperCfg()
+	cfg.MaxHistory = 500
+	cfg.NewStore = func() OrderStats { return NewLevelStore(0.0001) }
+	vs := make([]float64, 3000)
+	for i := range vs {
+		vs[i] = 0.05 + 0.0001*float64((i*7919)%311)
+	}
+	for i, v := range []float64{math.NaN(), math.Inf(1), -1, 5e5, math.Inf(-1)} {
+		vs[100+400*i] = v
+	}
+
+	perTick, bulk := MustNew(cfg), MustNew(cfg)
+	before := count.Value()
+	for _, v := range vs {
+		perTick.Observe(v)
+	}
+	perTickN := count.Value() - before
+	before = count.Value()
+	bulk.ObserveAll(vs[:1700])
+	bulk.ObserveAll(vs[1700:])
+	bulkN := count.Value() - before
+	if perTickN != uint64(len(vs)-5) || bulkN != perTickN {
+		t.Errorf("counter rose by %d through ObserveAll, %d per tick; want %d", bulkN, perTickN, len(vs)-5)
+	}
+
+	var want, got bytes.Buffer
+	if err := perTick.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("ObserveAll saved state differs from per-tick Observe's")
 	}
 }

@@ -13,8 +13,9 @@
 //     tick data: every spot-price predictor uses it (core's price QBETS
 //     for Online, Batch and snapshot restore, and baselines.AR1Bids).
 //   - FenwickStore is a Fenwick (binary indexed) tree over a dense value
-//     grid. core's duration trackers (integer 5-minute steps, a few
-//     hundred buckets) and the Empirical-CDF baseline use it.
+//     grid. The Empirical-CDF baseline uses it, over integer price
+//     ticks. (core's duration trackers keep their own Fenwick tree of
+//     run counts and lengths.)
 //   - Treap is a randomized treap for arbitrary float64 data. It is the
 //     Config default and the tests' reference for the grid stores.
 //

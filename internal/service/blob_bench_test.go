@@ -3,10 +3,15 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
+	"github.com/drafts-go/drafts/internal/core"
 	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/pricegen"
+	"github.com/drafts-go/drafts/internal/qbets"
+	"github.com/drafts-go/drafts/internal/store"
+	"github.com/drafts-go/drafts/internal/telemetry"
 )
 
 // benchHistory populates the same three-combo store the tests use, without
@@ -115,6 +120,42 @@ func BenchmarkRefreshFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		srv, err := New(Config{Source: st, MaxHistory: 9000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := srv.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRefreshFullMetrics is BenchmarkRefreshFull under draftsd's
+// telemetry: the core, qbets and store counters registered and one
+// refresh worker per GOMAXPROCS. Registration is process-wide, so the
+// benchmark unregisters the counters when it ends. CI fails when its
+// ns/op exceeds 1.25x BenchmarkRefreshFull's, as it did (1.4-1.6x) while
+// every observed tick added to counters all refresh workers share.
+func BenchmarkRefreshFullMetrics(b *testing.B) {
+	st := benchStore(b)
+	reg := telemetry.NewRegistry()
+	core.RegisterMetrics(reg)
+	qbets.RegisterMetrics(reg)
+	store.RegisterMetrics(reg)
+	b.Cleanup(func() {
+		core.RegisterMetrics(nil)
+		qbets.RegisterMetrics(nil)
+		store.RegisterMetrics(nil)
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := New(Config{
+			Source:         st,
+			MaxHistory:     9000,
+			Metrics:        reg,
+			RefreshWorkers: runtime.GOMAXPROCS(0),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"github.com/drafts-go/drafts/internal/core"
 	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/market"
+	"github.com/drafts-go/drafts/internal/qbets"
 	"github.com/drafts-go/drafts/internal/telemetry"
 )
 
@@ -162,8 +164,15 @@ func TestHealthzStaleness(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	core.RegisterMetrics(reg)
+	qbets.RegisterMetrics(reg)
 	market.RegisterMetrics(reg)
-	srv, err := New(Config{Source: testStore(t), MaxHistory: 9000, Metrics: reg})
+	t.Cleanup(func() {
+		core.RegisterMetrics(nil)
+		qbets.RegisterMetrics(nil)
+		market.RegisterMetrics(nil)
+	})
+	src := testStore(t)
+	srv, err := New(Config{Source: src, MaxHistory: 9000, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +233,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(out, "drafts_refresh_duration_seconds_count 1") {
 		t.Error("/metrics missing refresh duration observation")
+	}
+	// The cold refresh observed every tick of every combo once per
+	// probability level, and every test price is valid.
+	ticks := 0
+	for _, c := range testCombos {
+		ser, _ := src.Full(c)
+		ticks += ser.Len()
+	}
+	for _, name := range []string{"drafts_predictor_observations_total", "drafts_qbets_observations_total"} {
+		if want := fmt.Sprintf("\n%s %d\n", name, ticks*len(probabilities)); !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
 	}
 
 	// Light format validation: every non-comment, non-blank line is

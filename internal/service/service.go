@@ -482,9 +482,7 @@ func (s *Server) extendPredictor(old *core.Predictor, want core.Params, series *
 		return nil
 	}
 	pred := old.Clone()
-	for _, v := range series.Prices[next:] {
-		pred.Observe(v)
-	}
+	pred.ObserveAll(series.Prices[next:])
 	return pred
 }
 

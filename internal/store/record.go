@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/spot"
@@ -56,24 +57,26 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// appendFrame appends the framed encoding of r to dst.
+// appendFrame appends the framed encoding of r to dst, growing dst at most
+// once.
 func appendFrame(dst []byte, r Record) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return dst, err
 	}
-	zone, typ := []byte(r.Combo.Zone), []byte(r.Combo.Type)
-	payload := make([]byte, 0, 3+len(zone)+len(typ)+16)
-	payload = append(payload, recordVersion)
-	payload = append(payload, byte(len(zone)))
-	payload = append(payload, zone...)
-	payload = append(payload, byte(len(typ)))
-	payload = append(payload, typ...)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.At.UnixNano()))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.Price))
+	start := len(dst)
+	dst = slices.Grow(dst, frameHeader+3+len(r.Combo.Zone)+len(r.Combo.Type)+16)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
+	dst = append(dst, recordVersion, byte(len(r.Combo.Zone)))
+	dst = append(dst, r.Combo.Zone...)
+	dst = append(dst, byte(len(r.Combo.Type)))
+	dst = append(dst, r.Combo.Type...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.At.UnixNano()))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Price))
 
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // decodeFrame reads one framed record from the front of b, returning the

@@ -128,13 +128,11 @@ func (s *Store) AppendTick(c spot.Combo, at time.Time, price float64) error {
 }
 
 // AppendSeries records every tick of a series — the bootstrap path that
-// seeds a fresh WAL from an existing history. The caller should Sync
-// afterwards.
+// seeds a fresh WAL from an existing history — writing the same segment
+// bytes as one AppendTick per tick. The caller should Sync afterwards.
 func (s *Store) AppendSeries(c spot.Combo, ser *history.Series) error {
-	for i, p := range ser.Prices {
-		if err := s.wal.Append(Record{Combo: c, At: ser.TimeAt(i), Price: p}); err != nil {
-			return fmt.Errorf("store: appending %v tick %d: %w", c, i, err)
-		}
+	if i, err := s.wal.appendRun(c, ser.Start, ser.Step, ser.Prices); err != nil {
+		return fmt.Errorf("store: appending %v tick %d: %w", c, i, err)
 	}
 	return nil
 }

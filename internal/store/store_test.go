@@ -2,14 +2,18 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/drafts-go/drafts/internal/faults"
 	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/pricegen"
 	"github.com/drafts-go/drafts/internal/spot"
+	"github.com/drafts-go/drafts/internal/telemetry"
 )
 
 func mustOpenStore(t *testing.T, dir string) *Store {
@@ -243,5 +247,126 @@ func TestStoreTornBytesSurfacesRepair(t *testing.T) {
 	}
 	if _, n, err := st2.ReplayHistory(); err != nil || n != 0 {
 		t.Fatalf("replay after full-record tear: n=%d err=%v", n, err)
+	}
+}
+
+// segmentFiles reads every WAL segment under dir by name, so a comparison
+// also sees where the segments were rotated.
+func segmentFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		if _, ok := parseSegName(e.Name()); !ok {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "wal", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestAppendSeriesMatchesAppendTick writes one series through AppendSeries
+// and tick by tick through AppendTick, under small segments that rotate
+// every few records, and requires the same segment files byte for byte,
+// the same error at the same tick and the same wal_appends_total delta:
+// with every fsync policy, an invalid price mid-series, the "wal.append"
+// fault point firing (failing and tearing) mid-series, and an fsync
+// failing after its record was written.
+func TestAppendSeriesMatchesAppendTick(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	RegisterMetrics(reg)
+	t.Cleanup(func() { RegisterMetrics(nil) })
+	appends := mWALAppends.Load()
+
+	c := spot.Combo{Zone: "us-east-1a", Type: "m3.medium"}
+	clean, err := (pricegen.Generator{Seed: 5}).Series(c, walT0, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := &history.Series{Start: clean.Start, Step: clean.Step,
+		Prices: append([]float64(nil), clean.Prices...)}
+	invalid.Prices[41] = math.NaN()
+
+	cases := []struct {
+		name  string
+		fsync FsyncPolicy
+		ser   *history.Series
+		rule  *faults.Rule
+	}{
+		{name: "none", fsync: FsyncNone, ser: clean},
+		{name: "always", fsync: FsyncAlways, ser: clean},
+		{name: "interval", fsync: FsyncInterval, ser: clean},
+		{name: "invalid-price", fsync: FsyncNone, ser: invalid},
+		{name: "fault", fsync: FsyncNone, ser: clean,
+			rule: &faults.Rule{Op: "wal.append", After: 50, Count: 1}},
+		{name: "torn", fsync: FsyncAlways, ser: clean,
+			rule: &faults.Rule{Op: "wal.append", After: 60, Count: 1, PartialFrac: 0.5}},
+		{name: "fsync-fault", fsync: FsyncAlways, ser: clean,
+			rule: &faults.Rule{Op: "wal.fsync", After: 44, Count: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func(dir string) *Store {
+				opt := Options{Fsync: tc.fsync, SegmentBytes: 400}
+				if tc.rule != nil {
+					opt.Faults = faults.New(1)
+					opt.Faults.Enable(*tc.rule)
+				}
+				st, err := Open(dir, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+
+			tickDir := t.TempDir()
+			st := open(tickDir)
+			before := appends.Value()
+			var tickErr error
+			for i, p := range tc.ser.Prices {
+				if err := st.AppendTick(c, tc.ser.TimeAt(i), p); err != nil {
+					tickErr = fmt.Errorf("store: appending %v tick %d: %w", c, i, err)
+					break
+				}
+			}
+			tickAppends := appends.Value() - before
+			_ = st.Close()
+
+			seriesDir := t.TempDir()
+			st = open(seriesDir)
+			before = appends.Value()
+			seriesErr := st.AppendSeries(c, tc.ser)
+			seriesAppends := appends.Value() - before
+			_ = st.Close()
+
+			if fmt.Sprint(seriesErr) != fmt.Sprint(tickErr) {
+				t.Errorf("AppendSeries error %v, per-tick error %v", seriesErr, tickErr)
+			}
+			if (tc.rule != nil || tc.ser == invalid) == (seriesErr == nil) {
+				t.Errorf("AppendSeries error %v: the case should fail iff it plants a defect", seriesErr)
+			}
+			if seriesAppends != tickAppends {
+				t.Errorf("wal_appends_total rose by %d, per-tick by %d", seriesAppends, tickAppends)
+			}
+			want, got := segmentFiles(t, tickDir), segmentFiles(t, seriesDir)
+			if len(want) < 5 {
+				t.Fatalf("%d segments: the case should rotate several times", len(want))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("AppendSeries wrote %d segments, per-tick %d", len(got), len(want))
+			}
+			for name, w := range want {
+				if !bytes.Equal(got[name], w) {
+					t.Errorf("segment %s differs (%d bytes vs per-tick %d)", name, len(got[name]), len(w))
+				}
+			}
+		})
 	}
 }

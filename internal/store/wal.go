@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/drafts-go/drafts/internal/faults"
+	"github.com/drafts-go/drafts/internal/spot"
 )
 
 // FsyncPolicy controls when the WAL forces appended records to stable
@@ -222,11 +223,52 @@ func (w *WAL) Append(r Record) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	written, err := w.appendLocked(frame, r.At)
+	if written {
+		mWALAppends.Load().Inc()
+	}
+	return err
+}
+
+// appendRun appends one record per price, the i-th at start+i*step, with
+// the same bytes, fault points, fsyncs and rotations as one Append per
+// record, but under one lock acquisition, through one reused frame buffer
+// and with one appends-counter Add. On error it returns the index of the
+// record that failed.
+func (w *WAL) appendRun(c spot.Combo, start time.Time, step time.Duration, prices []float64) (int, error) {
+	var frame []byte
+	written := 0
+	w.mu.Lock()
+	defer func() {
+		w.mu.Unlock()
+		mWALAppends.Load().Add(uint64(written))
+	}()
+	for i, price := range prices {
+		at := start.Add(time.Duration(i) * step)
+		var err error
+		if frame, err = appendFrame(frame[:0], Record{Combo: c, At: at, Price: price}); err != nil {
+			return i, err
+		}
+		ok, err := w.appendLocked(frame, at)
+		if ok {
+			written++
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(prices), nil
+}
+
+// appendLocked writes one framed record stamped at, applying the fault
+// point, the fsync policy and the rotation cap. It reports whether the
+// whole frame reached the segment. Callers hold w.mu.
+func (w *WAL) appendLocked(frame []byte, at time.Time) (bool, error) {
 	if w.closed {
-		return errors.New("store: append to closed WAL")
+		return false, errors.New("store: append to closed WAL")
 	}
 	if w.failed {
-		return errors.New("store: append to failed WAL")
+		return false, errors.New("store: append to failed WAL")
 	}
 	if f, ok := w.opt.faults.Apply("wal.append"); ok {
 		if f.PartialFrac > 0 && f.PartialFrac < 1 {
@@ -242,35 +284,34 @@ func (w *WAL) Append(r Record) error {
 				k = 1
 			}
 			if _, werr := w.w.Write(frame[:k]); werr != nil {
-				return werr
+				return false, werr
 			}
 			if werr := w.w.Flush(); werr != nil {
-				return werr
+				return false, werr
 			}
 			w.size += int64(k)
 			w.dirty = true
 			w.failed = true
 		}
-		return f.Err
+		return false, f.Err
 	}
 	if _, err := w.w.Write(frame); err != nil {
-		return err
+		return false, err
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
-	if t, ok := w.lastAt[w.seq]; !ok || r.At.After(t) {
-		w.lastAt[w.seq] = r.At
+	if t, ok := w.lastAt[w.seq]; !ok || at.After(t) {
+		w.lastAt[w.seq] = at
 	}
-	mWALAppends.Load().Inc()
 	if w.opt.policy == FsyncAlways {
 		if err := w.syncLocked(); err != nil {
-			return err
+			return true, err
 		}
 	}
 	if w.size >= w.opt.segmentBytes {
-		return w.rotateLocked()
+		return true, w.rotateLocked()
 	}
-	return nil
+	return true, nil
 }
 
 // syncLocked flushes the write buffer and forces the segment to stable
