@@ -21,9 +21,11 @@ type Predictor struct {
 	start time.Time
 	step  time.Duration
 
-	prices []float64 // retained price history (window of MaxHistory)
-	head   int
-	count  int // total observations ever
+	win   tickWindow // the last MaxHistory offered ticks
+	count int        // ticks offered ever, dropped prices included: the clock
+	// dropped is the clock count of the newest offered tick whose window
+	// tick is maybeDropped, 0 when there is none (see Oldest).
+	dropped int
 }
 
 // Quote is a bid recommendation.
@@ -52,39 +54,61 @@ func NewPredictor(params Params, start time.Time) (*Predictor, error) {
 		price:  pq,
 		start:  start,
 		step:   spot.UpdatePeriod,
+		win:    tickWindow{limit: params.MaxHistory},
 	}, nil
 }
 
 // Params returns the effective (default-filled) parameters.
 func (p *Predictor) Params() Params { return p.params }
 
-// Clone returns an independent deep copy of the predictor. Feeding original
+// Clone returns an independent copy of the predictor. Feeding original
 // and clone the same subsequent observations yields identical tables and
 // quotes — the invariant behind the service's incremental refresh, which
 // clones the previously installed (and immutably serving) predictor and
 // observes only the ticks that arrived since, instead of re-ingesting the
-// whole history window.
+// whole history window. The clone shares the window's full chunks, which
+// never change, and copies only its partly filled tail.
 func (p *Predictor) Clone() *Predictor {
 	q := *p
 	q.price = p.price.Clone()
-	q.prices = append([]float64(nil), p.prices[p.head:]...)
-	q.head = 0
+	q.win = p.win.clone()
 	return &q
 }
 
-// Observe feeds the next market price announcement.
+// Observe feeds the next market price announcement. Every call advances
+// the clock by one tick; a price the predictor drops (see validPrice)
+// keeps its window slot as tick 0 and is neither counted nor seen by the
+// price bound. Before the first accepted price a dropped one takes no
+// slot: it moves the start, so the window never begins with one.
 func (p *Predictor) Observe(price float64) {
-	if !validPrice(price) {
+	if p.count == 0 && !validPrice(price) {
+		p.start = p.start.Add(p.step)
 		return
 	}
-	mObservations.Load().Inc()
-	p.observeRun([]float64{price})
+	p.count++
+	t := windowTick(price)
+	p.win.push(t)
+	if maybeDropped(t) {
+		p.dropped = p.count
+	}
+	if validPrice(price) {
+		mObservations.Load().Inc()
+		p.price.Observe(price)
+	}
 }
 
 // ObserveAll feeds prices in order, exactly as one Observe per price
 // would, and counts the accepted prices with one counter Add for the call
 // (here and in the price QBETS) instead of one per price.
 func (p *Predictor) ObserveAll(prices []float64) {
+	for p.count == 0 && len(prices) > 0 && !validPrice(prices[0]) {
+		p.start = p.start.Add(p.step)
+		prices = prices[1:]
+	}
+	p.count += len(prices)
+	if k := p.win.pushPrices(prices); k > 0 {
+		p.dropped = p.count - len(prices) + k
+	}
 	accepted := 0
 	for len(prices) > 0 {
 		n := 0
@@ -92,7 +116,7 @@ func (p *Predictor) ObserveAll(prices []float64) {
 			n++
 		}
 		if n > 0 {
-			p.observeRun(prices[:n])
+			p.price.ObserveAll(prices[:n])
 			accepted += n
 		}
 		for n < len(prices) && !validPrice(prices[n]) {
@@ -101,26 +125,6 @@ func (p *Predictor) ObserveAll(prices []float64) {
 		prices = prices[n:]
 	}
 	mObservations.Load().Add(uint64(accepted))
-}
-
-// observeRun feeds a run of valid prices, uncounted. Only the run's last
-// MaxHistory prices can stay in the retained window, so only those are
-// appended: a cold predictor's window is allocated once.
-func (p *Predictor) observeRun(run []float64) {
-	p.price.ObserveAll(run)
-	p.count += len(run)
-	limit := p.params.MaxHistory
-	if limit > 0 && len(run) > limit {
-		run = run[len(run)-limit:]
-	}
-	p.prices = append(p.prices, run...)
-	if limit > 0 && p.window() > limit {
-		p.head = len(p.prices) - limit
-		if p.head > len(p.prices)/2 && p.head > 4096 {
-			p.prices = append(p.prices[:0], p.prices[p.head:]...)
-			p.head = 0
-		}
-	}
 }
 
 // validPrice reports whether Observe accepts price: market prices are
@@ -139,14 +143,12 @@ func (p *Predictor) ObserveSeries(s *history.Series) {
 	p.ObserveAll(s.Prices)
 }
 
-func (p *Predictor) window() int { return len(p.prices) - p.head }
+// Len returns the number of retained ticks, dropped prices' slots
+// included.
+func (p *Predictor) Len() int { return p.win.n }
 
-func (p *Predictor) hist() []float64 { return p.prices[p.head:] }
-
-// Len returns the number of retained observations.
-func (p *Predictor) Len() int { return p.window() }
-
-// Now returns the time of the latest observation.
+// Now returns the time of the latest offered tick; with none yet, the time
+// the first will have.
 func (p *Predictor) Now() time.Time {
 	if p.count == 0 {
 		return p.start
@@ -169,14 +171,15 @@ func (p *Predictor) MinBid() (float64, bool) {
 
 // GuaranteeFor returns the duration an instance bidding `bid` survives
 // with probability at least Params.Probability, given the current history.
-// ok is false with no data; a zero duration means nothing can be promised.
+// A retained tick reaches the bid when it reaches levelTick(bid), the
+// smallest tick priced at or above it. ok is false with no data; a zero
+// duration means nothing can be promised.
 func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
-	h := p.hist()
-	if len(h) == 0 {
+	if p.win.n == 0 {
 		return 0, false
 	}
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
-	steps, _, ok := durationBoundScan(h, bid, rank, nil)
+	steps, _, ok := windowBoundScan(&p.win, levelTick(bid), rank, nil)
 	if !ok {
 		return 0, false
 	}

@@ -2,16 +2,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/qbets"
+	"github.com/drafts-go/drafts/internal/spot"
 )
 
 // The online predictor is the expensive part of a refresh: it carries three
@@ -20,14 +19,14 @@ import (
 // forecasting where it stopped instead of re-observing the whole window.
 //
 // The price window is not part of the checkpoint. It is always the last
-// Len observations ending at Now, and the service's price log already
-// holds those ticks, so LoadPredictor re-slices the window from the
-// replayed history series. A CRC-32C over the window's float bits travels
-// instead, and a restore whose series disagrees with the saved window in
-// length, grid alignment or any single value fails.
+// Len ticks ending at Now, and the service's price log already holds
+// those ticks, so LoadPredictor re-slices the window from the replayed
+// history series. A CRC-32C over the window's prices travels instead, and
+// a restore whose series disagrees with the saved window in length, grid
+// alignment or any single tick fails.
 
 // predictorState is the wire form of a Predictor: parameters, the clock
-// (start, step and total observation count, so Now survives the round
+// (start, step and the count of ticks offered, so Now survives the round
 // trip), the retained window's length and checksum, and the QBETS state.
 type predictorState struct {
 	Version   int             `json:"version"`
@@ -44,22 +43,6 @@ const predictorPersistVersion = 2
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// windowChecksum is the CRC-32C of the prices' IEEE-754 bits, little
-// endian, oldest first.
-func windowChecksum(prices []float64) uint32 {
-	var buf [8 * 512]byte
-	var sum uint32
-	for len(prices) > 0 {
-		n := min(len(prices), 512)
-		for i, v := range prices[:n] {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-		sum = crc32.Update(sum, castagnoli, buf[:8*n])
-		prices = prices[n:]
-	}
-	return sum
-}
-
 // Save serializes the predictor's state as JSON. The price window is
 // recorded by length and checksum only; LoadPredictor needs the history
 // series it came from.
@@ -74,8 +57,8 @@ func (p *Predictor) Save(w io.Writer) error {
 		Start:     p.start,
 		StepNS:    int64(p.step),
 		Count:     p.count,
-		Window:    p.window(),
-		WindowCRC: windowChecksum(p.hist()),
+		Window:    p.win.n,
+		WindowCRC: p.win.checksum(),
 		Price:     json.RawMessage(bytes.TrimSpace(priceBuf.Bytes())),
 	}
 	return json.NewEncoder(w).Encode(st)
@@ -113,24 +96,31 @@ func LoadPredictor(r io.Reader, series *history.Series) (*Predictor, error) {
 		start:  st.Start,
 		step:   time.Duration(st.StepNS),
 		count:  st.Count,
+		win:    tickWindow{limit: params.MaxHistory},
 	}
+	var upto []float64 // the series prices up to the clock
 	if st.Window > 0 {
-		if p.prices, err = sliceWindow(series, p.Now(), p.step, st.Window); err != nil {
+		if upto, err = seriesUpTo(series, p.Now(), p.step, st.Window); err != nil {
 			return nil, err
 		}
+		if k := p.win.pushPrices(upto[len(upto)-st.Window:]); k > 0 {
+			p.dropped = p.count - st.Window + k
+		}
 	}
-	if sum := windowChecksum(p.prices); sum != st.WindowCRC {
+	if sum := p.win.checksum(); sum != st.WindowCRC {
 		return nil, fmt.Errorf("core: price window checksum %08x does not match saved %08x", sum, st.WindowCRC)
 	}
-	p.price, err = qbets.Load(bytes.NewReader(st.Price), p.prices, priceQBETSConfig(params).NewStore)
+	p.price, err = qbets.Load(bytes.NewReader(st.Price), boundHistory(upto, p.count, params.MaxHistory), priceQBETSConfig(params).NewStore)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring price bound state: %w", err)
 	}
 	return p, nil
 }
 
-// sliceWindow copies the n grid points of series that end at now.
-func sliceWindow(series *history.Series, now time.Time, step time.Duration, n int) ([]float64, error) {
+// seriesUpTo returns the series prices up to and including the grid point
+// at now, a view, checking that they hold the n window points ending
+// there.
+func seriesUpTo(series *history.Series, now time.Time, step time.Duration, n int) ([]float64, error) {
 	if series == nil {
 		return nil, fmt.Errorf("core: no history series to restore a %d-point window from", n)
 	}
@@ -148,16 +138,45 @@ func sliceWindow(series *history.Series, now time.Time, step time.Duration, n in
 	if end+1 < n {
 		return nil, fmt.Errorf("core: series holds %d of the %d window points ending at %v", max(end+1, 0), n, now)
 	}
-	return append([]float64(nil), series.Prices[end+1-n:end+1]...), nil
+	return series.Prices[:end+1], nil
 }
 
-// Oldest returns the time of the oldest observation in the retained
-// window, the earliest tick a restore re-slices; ok is false for an empty
-// window.
+// boundHistory returns the last limit prices the price QBETS accepted up
+// to the clock (all of them when limit is 0), oldest first: the history
+// it retains is their tail. upto ends at the clock, and only its last
+// count prices were offered to the predictor. The prices lie inside the
+// window unless it holds a dropped price; each one there reaches one
+// accepted price further back.
+func boundHistory(upto []float64, count, limit int) []float64 {
+	lo := max(len(upto)-count, 0)
+	size := len(upto) - lo
+	if limit > 0 {
+		size = min(size, limit)
+	}
+	grid := qbets.NewLevelStore(spot.PriceTick)
+	buf := make([]float64, size)
+	j := size
+	for i := len(upto) - 1; i >= lo && j > 0; i-- {
+		if v := upto[i]; validPrice(v) && grid.Places(v) {
+			j--
+			buf[j] = v
+		}
+	}
+	return buf[j:]
+}
+
+// Oldest returns the time of the oldest tick a restore reads: the oldest
+// retained tick, or, while the window holds a tick that may be a dropped
+// price (maybeDropped), the predictor's first, since the price QBETS's
+// history may then reach back past the window (boundHistory). ok is false
+// for an empty window.
 func (p *Predictor) Oldest() (time.Time, bool) {
-	n := p.window()
-	if n == 0 {
+	n := p.win.n
+	switch {
+	case n == 0:
 		return time.Time{}, false
+	case p.dropped > p.count-n:
+		return p.start, true
 	}
 	return p.Now().Add(-time.Duration(n-1) * p.step), true
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -187,5 +189,90 @@ func TestLoadPredictorRejectsDefects(t *testing.T) {
 	}
 	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), altered(150)); err != nil {
 		t.Errorf("LoadPredictor rejected a change outside the window: %v", err)
+	}
+}
+
+// TestPredictorSaveLoadDroppedPrices round-trips predictors whose series
+// carry prices Observe drops (and one beyond the tick grid), inside and
+// before the window: the restored predictor sits at the same clock, saves
+// the same bytes and keeps producing the tables of one that never stopped.
+// Each predictor is restored from the whole series and from the series
+// cut at Oldest (the same whether the prices came in bulk or one by one),
+// as a WAL compacted there replays it. While the window
+// holds such a price, the price QBETS's history reaches back past the
+// window; on the stationary series no change point shortens that history,
+// so a cut at the window's start would lose its oldest prices.
+func TestPredictorSaveLoadDroppedPrices(t *testing.T) {
+	start := time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
+	market, err := pricegen.Generator{Seed: 7}.Series(spot.Combo{Zone: "us-east-1a", Type: "m3.medium"}, start, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stationary := make([]float64, 3000)
+	for i := range stationary {
+		stationary[i] = spot.FromTicks(500 + i*7919%13)
+	}
+	for name, clean := range map[string][]float64{"market": market.Prices, "stationary": stationary} {
+		ser := &history.Series{Start: start, Step: spot.UpdatePeriod, Prices: slices.Clone(clean)}
+		var dropped []int
+		for i, v := range []float64{math.NaN(), 0, -0.05, math.Inf(1), 5e5, math.NaN()} {
+			dropped = append(dropped, 400+377*i)
+			ser.Prices[dropped[i]] = v
+		}
+		for _, maxHistory := range []int{0, 100, 215, 1000, 2000} { // 215: a dropped price is the window's oldest
+			params := Params{Probability: 0.95, MaxHistory: maxHistory}
+			cont, err := NewPredictor(params, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cont.ObserveSeries(ser)
+			want, wantOK := tableBytes(t, cont)
+			ck, err := NewPredictor(params, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.ObserveSeries(ser.Slice(0, 2500))
+			var buf bytes.Buffer
+			if err := ck.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			from := 2500 - ck.Len()
+			if slices.ContainsFunc(dropped, func(i int) bool { return i >= from }) {
+				from = 0
+			}
+			one, err := NewPredictor(params, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range ser.Prices[:2500] {
+				one.Observe(v)
+			}
+			for _, p := range []*Predictor{ck, one} {
+				if oldest, ok := p.Oldest(); !ok || !oldest.Equal(ser.TimeAt(from)) {
+					t.Fatalf("%s, max history %d: Oldest %v, want %v", name, maxHistory, oldest, ser.TimeAt(from))
+				}
+			}
+			for _, src := range []*history.Series{ser, ser.Slice(from, ser.Len())} {
+				restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), src)
+				if err != nil {
+					t.Fatalf("%s, max history %d, series from %v: %v", name, maxHistory, src.Start, err)
+				}
+				if !restored.Now().Equal(ser.TimeAt(2499)) {
+					t.Errorf("%s, max history %d: restored clock %v, want %v", name, maxHistory, restored.Now(), ser.TimeAt(2499))
+				}
+				var again bytes.Buffer
+				if err := restored.Save(&again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+					t.Errorf("%s, max history %d: restored predictor saves different bytes", name, maxHistory)
+				}
+				restored.ObserveAll(ser.Prices[2500:])
+				got, gotOK := tableBytes(t, restored)
+				if !wantOK || !gotOK || !bytes.Equal(got, want) {
+					t.Errorf("%s, max history %d: restored predictor's table differs from one that never stopped", name, maxHistory)
+				}
+			}
+		}
 	}
 }

@@ -60,30 +60,31 @@ func (p *Predictor) Surface() (*AdviseSurface, bool) {
 // cover. The fixed 5% ratio bounds it to ~15k entries even over the whole
 // float range.
 //
-// A guarantee depends only on which retained prices reach the bid, so the
-// walk runs one duration scan per distinct retained price, not per entry:
-// each scan also reports next, the smallest retained price at or above
+// A guarantee depends only on which retained ticks reach the bid, so the
+// walk runs one duration scan per distinct retained tick, not per entry:
+// each scan also reports next, the smallest retained tick at or above
 // its bid, and entries reuse its guarantee while their bid stays at or
 // below next. The first scan, at the minimum bid, also finds the highest
-// retained price that sets the ceiling.
+// retained tick that sets the ceiling. Retained ticks stop at
+// math.MaxInt32 (windowTick), so the ceiling and every bid below it fit
+// in a uint32.
 func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, bool) {
 	bid0, ok := p.MinBid()
 	if !ok {
 		return nil, false
 	}
-	h := p.hist()
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
-	var maxSeen float64
-	g, next, _ := durationBoundScan(h, bid0, rank, &maxSeen)
-	ceil := ceiling(maxSeen, bid0)
+	var maxSeen uint32
+	g, next, _ := windowBoundScan(&p.win, levelTick(bid0), rank, &maxSeen)
+	ceil := ceiling(spot.FromTicks(int(maxSeen)), bid0)
 	limit := bid0 * span
 	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step}
 	for bid := bid0; bid <= limit+1e-12; bid *= tableRatio {
 		tb := min(spot.RoundToTick(bid), ceil)
 		tick := uint32(spot.Ticks(tb))
 		if n := len(s.Bids); n == 0 || s.Bids[n-1] < tick {
-			if tb > next {
-				g, next, _ = durationBoundScan(h, tb, rank, nil)
+			if tick > next {
+				g, next, _ = windowBoundScan(&p.win, tick, rank, nil)
 			}
 			s.Bids = append(s.Bids, tick)
 			s.Guar = append(s.Guar, uint32(g))

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -154,5 +156,44 @@ func TestSurfaceLookupEdges(t *testing.T) {
 	}
 	if best := s.Best(); best.Bid <= 0 {
 		t.Errorf("Best = %+v", best)
+	}
+}
+
+// TestSurfaceBeyondTickGrid plants a price beyond the tick grid
+// ($500,000, more than math.MaxInt32 ticks) in a window. The window holds
+// it at the grid's top, so the walk's ceiling is one tick above 1.25x
+// that price, every bid up to it fits in a uint32, and the surface, table
+// and quotes are those of a window holding the top price itself.
+func TestSurfaceBeyondTickGrid(t *testing.T) {
+	top := spot.FromTicks(math.MaxInt32)
+	for _, prob := range []float64{0.95, 0.99} {
+		beyond := observeAll(t, prob, spiky(5e5))
+		atTop := observeAll(t, prob, spiky(top))
+		s, ok := beyond.Surface()
+		if !ok {
+			t.Fatal("no surface")
+		}
+		bid0, _ := beyond.MinBid()
+		ceil := ceiling(top, bid0)
+		if last := s.Bids[len(s.Bids)-1]; int(last) != spot.Ticks(ceil) {
+			t.Errorf("p=%v: surface ends at %.4f, want the ceiling %.4f", prob, spot.FromTicks(int(last)), ceil)
+		}
+		if best := s.Best(); !spot.SamePrice(best.Bid, ceil) {
+			t.Errorf("p=%v: best quote at %.4f, want the ceiling %.4f", prob, best.Bid, ceil)
+		}
+		want, _ := atTop.Surface()
+		if !slices.Equal(s.Bids, want.Bids) || !slices.Equal(s.Guar, want.Guar) {
+			t.Errorf("p=%v: surface differs from a window holding $%.4f", prob, top)
+		}
+		for _, bid := range []float64{0.02, 1, top} {
+			g, _ := beyond.GuaranteeFor(bid)
+			w, _ := atTop.GuaranteeFor(bid)
+			if g != w {
+				t.Errorf("p=%v: guarantee at $%v is %v, %v with the top price", prob, bid, g, w)
+			}
+		}
+		if q, err := beyond.Advise(10 * 365 * 24 * time.Hour); err == nil || !spot.SamePrice(q.Bid, ceil) {
+			t.Errorf("p=%v: Advise for ten years quoted %+v, %v; want a refusal at the ceiling", prob, q, err)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func (t *runTracker) bound(i, h int) (steps int, ok bool) {
 	return lo, true
 }
 
-// scanScratch pools the per-call episode-count buffer of durationBoundScan.
+// scanScratch pools the per-call episode-count buffer of windowBoundScan.
 // A guarantee walk scans once per distinct retained price over a window
 // of up to three months of ticks (~26k ints, ~200 KiB); without pooling
 // every refresh worker would allocate and discard megabytes of count
@@ -174,21 +174,21 @@ func (t *runTracker) bound(i, h int) (steps int, ok bool) {
 // the buffer is fully re-zeroed before use.
 var scanScratch = sync.Pool{New: func() any { return new([]int) }}
 
-// durationBoundScan is the single-shot equivalent of a runTracker: the
-// duration lower bound (in grid steps) for a fixed bid level over
-// prices[0..len-1], censored at the end of the slice, with the rank read
-// from the durationRank table. It runs in O(n) time with pooled O(n)
-// scratch space.
+// windowBoundScan is the single-shot equivalent of a runTracker: the
+// duration lower bound (in grid steps) for a fixed level over the
+// window's ticks, censored at the window's end, with the rank read from
+// the durationRank table. A tick reaches the level when it is at or
+// above it. It runs in O(n) time with pooled O(n) scratch space.
 //
-// The scan tests only price >= level, so it also reports next, the
-// smallest price at or above level (+Inf when none is): every level in
-// (level, next] selects the same prices and gets the same bound. A non-nil
-// hi receives the highest price, at the cost of one more comparison per
-// price; only the guarantee walk's first scan asks for it.
-func durationBoundScan(prices []float64, level float64, rank *stats.RankTable, hi *float64) (steps int, next float64, ok bool) {
-	n := len(prices)
+// The scan tests only tick >= level, so it also reports next, the
+// smallest tick at or above level (noTick when none is): every level in
+// (level, next] selects the same ticks and gets the same bound. A non-nil
+// hi receives the highest tick, at the cost of one more comparison per
+// tick; only the guarantee walk's first scan asks for it.
+func windowBoundScan(w *tickWindow, level uint32, rank *stats.RankTable, hi *uint32) (steps int, next uint32, ok bool) {
+	n := w.n
 	if n == 0 {
-		return 0, math.Inf(1), false
+		return 0, noTick, false
 	}
 	mDurationScans.Load().Inc()
 	// cnt[d] = number of resolved episodes with duration d.
@@ -202,20 +202,28 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankTable, h
 		cnt = cnt[:n+1]
 		clear(cnt)
 	}
-	var resolved, r int
-	if hi == nil {
-		resolved, r, next = countEpisodes(prices, level, cnt)
-	} else {
-		resolved, r, next, *hi = countEpisodesMax(prices, level, cnt)
+	e := episodes{next: noTick}
+	for k, base := 0, 0; k < len(w.chunks); k++ {
+		seg := w.seg(k)
+		if hi == nil {
+			e.count(seg, base, level, cnt)
+		} else {
+			e.countMax(seg, base, level, cnt)
+		}
+		base += len(seg)
 	}
-	m := n - 1 - r // censored episodes, face values {1..m}
+	if hi != nil {
+		*hi = e.hi
+	}
+	next = e.next
+	m := n - 1 - e.r // censored episodes, face values {1..m}
 	if m < 0 {
 		m = 0
 	}
 	if m > 0 {
 		mCensoredEpisodes.Load().Add(uint64(m))
 	}
-	total := resolved + m
+	total := e.resolved + m
 	if total == 0 {
 		return 0, next, false
 	}
@@ -237,42 +245,53 @@ func durationBoundScan(prices []float64, level float64, rank *stats.RankTable, h
 	return n, next, true
 }
 
-// countEpisodes adds to cnt the durations of the episodes that resolve at
-// level: a price at or above level at index i resolves every pending
-// start s in [r, i) with duration i-s. It returns the number resolved, the
-// first pending start r and next, the smallest price at or above level.
-func countEpisodes(prices []float64, level float64, cnt []int) (resolved, r int, next float64) {
-	next = math.Inf(1)
-	for i, p := range prices {
-		if p >= level {
-			for s := r; s < i; s++ {
-				cnt[i-s]++
-			}
-			resolved += i - r
-			r = i + 1
-			next = min(next, p)
-		}
-	}
-	return resolved, r, next
+// episodes is a scan's running state across a window's chunks: the
+// number of episodes resolved so far, the first pending start r (a window
+// index), next, the smallest tick at or above the level, and hi, the
+// highest tick (countMax only).
+type episodes struct {
+	resolved, r int
+	next, hi    uint32
 }
 
-// countEpisodesMax is countEpisodes that also returns the highest price.
-func countEpisodesMax(prices []float64, level float64, cnt []int) (resolved, r int, next, hi float64) {
-	next = math.Inf(1)
-	for i, p := range prices {
-		if p > hi {
-			hi = p
-		}
-		if p >= level {
+// count adds to cnt the durations of the episodes that resolve at level
+// within seg, the window's ticks from index base on: a tick at or above
+// level at index i resolves every pending start s in [r, i) with duration
+// i-s.
+func (e *episodes) count(seg []uint32, base int, level uint32, cnt []int) {
+	resolved, r, next := e.resolved, e.r, e.next
+	for j, t := range seg {
+		if t >= level {
+			i := base + j
 			for s := r; s < i; s++ {
 				cnt[i-s]++
 			}
 			resolved += i - r
 			r = i + 1
-			next = min(next, p)
+			next = min(next, t)
 		}
 	}
-	return resolved, r, next, hi
+	e.resolved, e.r, e.next = resolved, r, next
+}
+
+// countMax is count that also tracks the highest tick.
+func (e *episodes) countMax(seg []uint32, base int, level uint32, cnt []int) {
+	resolved, r, next, hi := e.resolved, e.r, e.next, e.hi
+	for j, t := range seg {
+		if t > hi {
+			hi = t
+		}
+		if t >= level {
+			i := base + j
+			for s := r; s < i; s++ {
+				cnt[i-s]++
+			}
+			resolved += i - r
+			r = i + 1
+			next = min(next, t)
+		}
+	}
+	e.resolved, e.r, e.next, e.hi = resolved, r, next, hi
 }
 
 // priceQBETSConfig builds the QBETS configuration for the price series

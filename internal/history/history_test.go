@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -186,11 +187,30 @@ func TestStorePutGetHistory(t *testing.T) {
 	if !ok || full.Len() != 1000 {
 		t.Fatalf("Full = %v, %v", full, ok)
 	}
-	// Mutating the copy must not affect the store.
-	full.Prices[0] = 42
-	again, _ := st.Full(c)
-	if again.Prices[0] == 42 {
-		t.Error("Full returned a shared slice")
+	// Full is a read-only view. Its capacity ends at its length, so
+	// appending to it copies instead of writing into the store's array.
+	want := append([]float64(nil), full.Prices...)
+	grown := append(full.Prices, 42)
+	// Appends to the store after Full leave the view's length and
+	// elements as they were.
+	for i := 0; i < 100; i++ {
+		st.Append(c, t0, 9.9)
+	}
+	if !spot.SamePrice(grown[1000], 42) {
+		t.Error("appending to a Full view shares the store's array")
+	}
+	if full.Len() != 1000 || !slices.Equal(full.Prices, want) {
+		t.Errorf("appends showed through a Full view: len %d", full.Len())
+	}
+	if again, _ := st.Full(c); again.Len() != 1100 || !spot.SamePrice(again.Prices[1000], 9.9) {
+		t.Errorf("Full after appends: len %d, want 1100 ending in appended prices", again.Len())
+	}
+	// A view taken before Put keeps the series it viewed.
+	if err := st.Put(c, rampSeries(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if full.Len() != 1000 || !slices.Equal(full.Prices, want) {
+		t.Error("Put changed a Full view taken before it")
 	}
 
 	now := t0.Add(1000 * 5 * time.Minute)
@@ -348,6 +368,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		st.Combos()
 		st.Full(c)
+		st.Price(c, t0)
+		st.History(c, t0, t0.Add(time.Hour), t0.Add(time.Hour))
 	}
 	<-done
 	if s, ok := st.Full(c); !ok || s.Len() != 2000 {

@@ -119,8 +119,10 @@ func (s *Series) Points() []spot.PricePoint {
 	return out
 }
 
-// Validate checks structural invariants: positive step and finite,
-// positive prices on the tick grid.
+// Validate checks structural invariants: a positive step and finite,
+// positive prices. It does not check that prices lie on the tick grid:
+// the predictors snap each price to its tick as they observe it (core's
+// price window and QBETS's LevelStore).
 func (s *Series) Validate() error {
 	if s.Step <= 0 {
 		return fmt.Errorf("history: non-positive step %v", s.Step)

@@ -67,7 +67,11 @@ func (st *Store) Combos() []spot.Combo {
 
 // Full returns the complete retained series for a combo (no retention
 // clipping): the service's refresh and snapshot restore read it, as do
-// the experiments. The result is a deep copy.
+// the experiments. The result is a read-only view, not a copy: its
+// Prices are the series' prices at the call, capped at their length, so
+// a later Append (which only writes past that length, or moves the series
+// to a new array) never shows through and a later Put installs a new
+// series. Callers must not write to it.
 func (st *Store) Full(c spot.Combo) (*Series, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -75,7 +79,8 @@ func (st *Store) Full(c spot.Combo) (*Series, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.Clone(), true
+	n := len(s.Prices)
+	return &Series{Start: s.Start, Step: s.Step, Prices: s.Prices[:n:n]}, true
 }
 
 // History answers the provider-style query: the price series for combo c
@@ -83,8 +88,8 @@ func (st *Store) Full(c spot.Combo) (*Series, bool) {
 // from now. This is what an external customer could actually observe.
 func (st *Store) History(c spot.Combo, from, to, now time.Time) (*Series, error) {
 	st.mu.RLock()
+	defer st.mu.RUnlock()
 	s, ok := st.series[c]
-	st.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("history: no series for %v", c)
 	}
@@ -102,8 +107,8 @@ func (st *Store) History(c spot.Combo, from, to, now time.Time) (*Series, error)
 // Price returns the market price for combo c in force at time t.
 func (st *Store) Price(c spot.Combo, t time.Time) (float64, error) {
 	st.mu.RLock()
+	defer st.mu.RUnlock()
 	s, ok := st.series[c]
-	st.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("history: no series for %v", c)
 	}

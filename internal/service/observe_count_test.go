@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -157,5 +158,72 @@ func TestObservationCountersExact(t *testing.T) {
 	}, levels*tailCore, levels*tailQBETS)
 	if got := srv.metrics.refreshIncremental.Value() - incremental; got != levels {
 		t.Errorf("%d predictors extended incrementally, want %d", got, levels)
+	}
+}
+
+// TestIncrementalRefreshAfterDroppedPrices checks that a predictor's clock
+// counts every offered tick, dropped prices included: after a cold
+// refresh over a 2000-tick series carrying five prices the predictors
+// drop, an incremental refresh over 5 new ticks observes exactly those 5
+// per served probability, and its tables equal a cold refresh's.
+func TestIncrementalRefreshAfterDroppedPrices(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	core.RegisterMetrics(reg)
+	t.Cleanup(func() { core.RegisterMetrics(nil) })
+	observed := reg.Counter("drafts_predictor_observations_total", "")
+
+	combo := testCombos[0]
+	clean, err := (pricegen.Generator{Seed: 31}).Series(combo, t0, 2005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser := &history.Series{Start: clean.Start, Step: clean.Step, Prices: append([]float64(nil), clean.Prices...)}
+	for i, v := range []float64{math.NaN(), 0, -0.05, math.Inf(1), math.NaN()} {
+		ser.Prices[300+251*i] = v
+	}
+	src := seriesSource{combo: ser.Slice(0, 2000)}
+	srv, err := New(Config{Source: src, MaxHistory: 1000, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	src[combo] = ser
+	before, incremental := observed.Value(), srv.metrics.refreshIncremental.Value()
+	if err := srv.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	levels := uint64(len(probabilities))
+	if got := observed.Value() - before; got != 5*levels {
+		t.Errorf("incremental refresh observed %d prices, want %d", got, 5*levels)
+	}
+	if got := srv.metrics.refreshIncremental.Value() - incremental; got != levels {
+		t.Errorf("%d predictors extended incrementally, want %d", got, levels)
+	}
+
+	cold, err := New(Config{Source: seriesSource{combo: ser}, MaxHistory: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	for _, prob := range probabilities {
+		k := tableKey{combo: combo, prob: prob}
+		inc, full := srv.blobs.Load().preds[k], cold.blobs.Load().preds[k]
+		if !inc.Now().Equal(ser.TimeAt(ser.Len() - 1)) {
+			t.Errorf("p=%v: clock at %v, want the series' last tick %v", prob, inc.Now(), ser.TimeAt(ser.Len()-1))
+		}
+		var a, b bytes.Buffer
+		if err := inc.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("p=%v: incremental predictor saves differently from a cold one", prob)
+		}
 	}
 }

@@ -36,7 +36,9 @@ import (
 	"github.com/drafts-go/drafts/internal/trace"
 )
 
-// Source supplies price histories; *history.Store satisfies it.
+// Source supplies price histories; *history.Store satisfies it. The
+// service only reads the series Full returns, so a Source may hand out
+// views of series it keeps appending to.
 type Source interface {
 	Combos() []spot.Combo
 	Full(c spot.Combo) (*history.Series, bool)
@@ -528,11 +530,11 @@ func (s *Server) persist(now time.Time, tr *trace.Trace) {
 	}
 }
 
-// walCutoff is the WAL compaction cutoff: the oldest tick any installed
-// predictor's window still holds, capped at the retention horizon
-// now - history.Retention. Restores re-slice every window from the log, so
-// no tick a window holds may be compacted away, even when the ticks lag
-// the wall clock.
+// walCutoff is the WAL compaction cutoff: the oldest tick a restore of any
+// installed predictor reads (core.Predictor.Oldest), capped at the
+// retention horizon now - history.Retention. Restores re-slice every
+// window from the log, so no tick a restore reads may be compacted away,
+// even when the ticks lag the wall clock.
 func (s *Server) walCutoff(now time.Time) time.Time {
 	cutoff := now.Add(-history.Retention)
 	et := s.blobs.Load()
