@@ -179,7 +179,7 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 		return 0, false
 	}
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
-	steps, _, ok := windowBoundScan(&p.win, levelTick(bid), rank, nil)
+	steps, _, ok := windowBoundScan(&p.win, levelTick(bid), rank)
 	if !ok {
 		return 0, false
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 // persistTestPredictor returns a predictor that observed an n-point series
 // with a window of maxHistory points, and the series itself.
-func persistTestPredictor(t *testing.T, n, maxHistory int) (*Predictor, *history.Series) {
+func persistTestPredictor(t testing.TB, n, maxHistory int) (*Predictor, *history.Series) {
 	t.Helper()
 	start := time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
 	ser, err := pricegen.Generator{Seed: 7}.Series(
@@ -257,6 +258,7 @@ func TestPredictorSaveLoadDroppedPrices(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s, max history %d, series from %v: %v", name, maxHistory, src.Start, err)
 				}
+				checkChunkBounds(t, fmt.Sprintf("%s, max history %d, restored", name, maxHistory), &restored.win)
 				if !restored.Now().Equal(ser.TimeAt(2499)) {
 					t.Errorf("%s, max history %d: restored clock %v, want %v", name, maxHistory, restored.Now(), ser.TimeAt(2499))
 				}
@@ -273,6 +275,24 @@ func TestPredictorSaveLoadDroppedPrices(t *testing.T) {
 					t.Errorf("%s, max history %d: restored predictor's table differs from one that never stopped", name, maxHistory)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkLoadPredictor times one restore of a 90-day predictor: the
+// window re-sliced from its series and checksummed, and the price bound's
+// state rebuilt.
+func BenchmarkLoadPredictor(b *testing.B) {
+	p, ser := persistTestPredictor(b, DefaultMaxHistory+500, DefaultMaxHistory)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,10 +78,38 @@ func (p *Predictor) hist() []float64 {
 	return out
 }
 
+// checkScan runs the tick scan at every level and requires the float
+// oracle's bound, next and maximum over kept, the window's live prices.
+func checkScan(t *testing.T, what string, w *tickWindow, kept, levels []float64, rank *stats.RankTable) {
+	t.Helper()
+	oracle := make([]float64, len(kept))
+	for i, v := range kept {
+		oracle[i] = spot.FromTicks(int(windowTick(v)))
+	}
+	for _, level := range levels {
+		var hiF float64
+		wantSteps, wantNext, wantOK := durationBoundScan(oracle, level, rank, &hiF)
+		steps, next, ok := windowBoundScan(w, levelTick(level), rank)
+		gotNext := math.Inf(1)
+		if next != noTick {
+			gotNext = spot.FromTicks(int(next))
+		}
+		hiT := w.highest()
+		if steps != wantSteps || ok != wantOK || math.Float64bits(gotNext) != math.Float64bits(wantNext) ||
+			math.Float64bits(spot.FromTicks(int(hiT))) != math.Float64bits(hiF) {
+			t.Fatalf("%s, level %v: scan (%d, %v, %v, max %v), oracle (%d, %v, %v, max %v)",
+				what, level, steps, gotNext, ok, hiT, wantSteps, wantNext, wantOK, hiF)
+		}
+	}
+}
+
 // TestWindowScanMatchesOracle runs the tick scan and the float oracle over
 // the same on-grid windows, at every retained price, between prices and
 // beyond the highest, and requires the same bound, next and maximum.
 // Windows span several chunks, start mid-chunk and hold dropped prices.
+// Ladder windows, whose full chunks the scan passes on their cached
+// bounds, are checked at the rungs and around them, including windows
+// whose first chunk is only partly live.
 func TestWindowScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rank := durationRank(0.025, 0.99)
@@ -94,29 +123,108 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 		w := tickWindow{limit: []int{0, chunkTicks - 1, 2*chunkTicks + 3}[trial%3]}
 		w.pushPrices(prices)
 		kept := prices[max(0, len(prices)-w.n):]
-		oracle := make([]float64, len(kept))
-		for i, v := range kept {
-			oracle[i] = spot.FromTicks(int(windowTick(v)))
-		}
 		levels := []float64{0.0001, 10}
 		for i := 0; i < 20; i++ {
-			v := oracle[rng.Intn(len(oracle))]
+			v := spot.FromTicks(int(windowTick(kept[rng.Intn(len(kept))])))
 			levels = append(levels, v, spot.RoundToTick(v+spot.PriceTick))
 		}
-		for _, level := range levels {
-			var hiF float64
-			wantSteps, wantNext, wantOK := durationBoundScan(oracle, level, rank, &hiF)
-			var hiT uint32
-			steps, next, ok := windowBoundScan(&w, levelTick(level), rank, &hiT)
-			gotNext := math.Inf(1)
-			if next != noTick {
-				gotNext = spot.FromTicks(int(next))
-			}
-			if steps != wantSteps || ok != wantOK || math.Float64bits(gotNext) != math.Float64bits(wantNext) ||
-				math.Float64bits(spot.FromTicks(int(hiT))) != math.Float64bits(hiF) {
-				t.Fatalf("trial %d level %v: scan (%d, %v, %v, max %v), oracle (%d, %v, %v, max %v)",
-					trial, level, steps, gotNext, ok, hiT, wantSteps, wantNext, wantOK, hiF)
+		checkScan(t, fmt.Sprintf("trial %d", trial), &w, kept, levels, rank)
+	}
+	limits := []int{0, 2*chunkTicks + 3, 3*chunkTicks - 17, DefaultMaxHistory}
+	for trial := 0; trial < 48; trial++ {
+		limit := limits[trial%len(limits)]
+		n := 1 + rng.Intn(6*chunkTicks)
+		if limit == DefaultMaxHistory {
+			n = DefaultMaxHistory + rng.Intn(3*chunkTicks)
+		}
+		checkLadderWindow(t, fmt.Sprintf("ladder trial %d, limit %d, %d prices", trial, limit, n), rng, limit, n, trial%2 == 1)
+	}
+}
+
+// ladderRungs are the ticks of ladderStream's price ladder.
+var ladderRungs = []int{100, 200, 300, 400}
+
+// ladderStream returns n prices in blocks of chunkTicks, which a window
+// fed the stream from its start stores one per chunk. A block is constant
+// on a rung, spread between two neighbouring rungs, spread over the whole
+// ladder, or spread between rungs with the odd dropped price (tick 0) or
+// top price (math.MaxInt32 ticks). So a full chunk lies wholly below a
+// rung, wholly at or above it, or straddles it.
+func ladderStream(rng *rand.Rand, n int) []float64 {
+	prices := make([]float64, n)
+	for b := 0; b < n; b += chunkTicks {
+		block := prices[b:min(b+chunkTicks, n)]
+		r := rng.Intn(len(ladderRungs) - 1)
+		lo, hi := ladderRungs[r], ladderRungs[r+1]
+		kind := rng.Intn(4)
+		for i := range block {
+			switch kind {
+			case 0:
+				block[i] = spot.FromTicks(lo)
+			case 1:
+				block[i] = spot.FromTicks(lo + rng.Intn(hi-lo))
+			case 2:
+				block[i] = spot.FromTicks(ladderRungs[0]/2 + rng.Intn(ladderRungs[len(ladderRungs)-1]))
+			default:
+				switch rng.Intn(100) {
+				case 0:
+					block[i] = math.NaN()
+				case 1:
+					block[i] = 5e5
+				default:
+					block[i] = spot.FromTicks(lo + rng.Intn(hi-lo))
+				}
 			}
 		}
 	}
+	return prices
+}
+
+// ladderLevels are the bids at, one tick either side of, and between the
+// ladder's rungs, with the lowest bid and the grid's top.
+func ladderLevels() []float64 {
+	levels := []float64{0.0001, 10, spot.FromTicks(math.MaxInt32)}
+	for _, r := range ladderRungs {
+		levels = append(levels, spot.FromTicks(r-1), spot.FromTicks(r), spot.FromTicks(r+1), spot.FromTicks(r+50))
+	}
+	return levels
+}
+
+// checkLadderWindow feeds a window of the given limit a ladder stream of n
+// prices and checks its scans against the oracle. When the window's first
+// chunk is only partly live, its dead slots first get the chunk's extremes
+// (in odd trials) or its block's own prices (in even ones): either way a
+// scan or maximum that trusted that chunk's cached bounds would disagree.
+func checkLadderWindow(t *testing.T, what string, rng *rand.Rand, limit, n int, extremes bool) {
+	t.Helper()
+	prices := ladderStream(rng, n)
+	live := n
+	if limit > 0 {
+		live = min(n, limit)
+	}
+	first := n - live // stream index of the oldest live price
+	if extremes {
+		for i := first - first%chunkTicks; i < first; i++ {
+			prices[i] = spot.FromTicks([]int{1, 1000}[i%2])
+		}
+	}
+	w := tickWindow{limit: limit}
+	for pos := 0; pos < n; { // uneven bulk pushes
+		k := min(n-pos, 1+rng.Intn(2*chunkTicks))
+		w.pushPrices(prices[pos : pos+k])
+		pos += k
+	}
+	checkScan(t, what, &w, prices[first:], ladderLevels(), durationRank(0.025, 0.99))
+}
+
+// FuzzWindowBoundScan checks the tick scan against the float oracle on
+// ladder windows of any length and limit.
+func FuzzWindowBoundScan(f *testing.F) {
+	f.Add(int64(1), uint16(3*chunkTicks+5), uint16(2*chunkTicks+3), true)
+	f.Add(int64(2), uint16(chunkTicks), uint16(0), false)
+	f.Add(int64(3), uint16(5*chunkTicks), uint16(chunkTicks+1), true)
+	f.Fuzz(func(t *testing.T, seed int64, n, limit uint16, extremes bool) {
+		rng := rand.New(rand.NewSource(seed))
+		checkLadderWindow(t, "fuzz", rng, int(limit)%(6*chunkTicks), 1+int(n)%(6*chunkTicks), extremes)
+	})
 }

@@ -64,8 +64,8 @@ func (p *Predictor) Surface() (*AdviseSurface, bool) {
 // walk runs one duration scan per distinct retained tick, not per entry:
 // each scan also reports next, the smallest retained tick at or above
 // its bid, and entries reuse its guarantee while their bid stays at or
-// below next. The first scan, at the minimum bid, also finds the highest
-// retained tick that sets the ceiling. Retained ticks stop at
+// below next. The highest retained tick, which sets the ceiling, comes
+// from the window's cached chunk bounds. Retained ticks stop at
 // math.MaxInt32 (windowTick), so the ceiling and every bid below it fit
 // in a uint32.
 func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, bool) {
@@ -74,9 +74,8 @@ func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, boo
 		return nil, false
 	}
 	rank := durationRank(p.params.DurationQuantile(), p.params.Confidence)
-	var maxSeen uint32
-	g, next, _ := windowBoundScan(&p.win, levelTick(bid0), rank, &maxSeen)
-	ceil := ceiling(spot.FromTicks(int(maxSeen)), bid0)
+	g, next, _ := windowBoundScan(&p.win, levelTick(bid0), rank)
+	ceil := ceiling(spot.FromTicks(int(p.win.highest())), bid0)
 	limit := bid0 * span
 	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step}
 	for bid := bid0; bid <= limit+1e-12; bid *= tableRatio {
@@ -84,7 +83,7 @@ func (p *Predictor) walk(span float64, cover time.Duration) (*AdviseSurface, boo
 		tick := uint32(spot.Ticks(tb))
 		if n := len(s.Bids); n == 0 || s.Bids[n-1] < tick {
 			if tick > next {
-				g, next, _ = windowBoundScan(&p.win, tick, rank, nil)
+				g, next, _ = windowBoundScan(&p.win, tick, rank)
 			}
 			s.Bids = append(s.Bids, tick)
 			s.Guar = append(s.Guar, uint32(g))

@@ -164,66 +164,93 @@ func (t *runTracker) bound(i, h int) (steps int, ok bool) {
 	return lo, true
 }
 
-// scanScratch pools the per-call episode-count buffer of windowBoundScan.
-// A guarantee walk scans once per distinct retained price over a window
-// of up to three months of ticks (~26k ints, ~200 KiB); without pooling
-// every refresh worker would allocate and discard megabytes of count
-// buffers per combo.
-// The pool is per-P under the hood, so the refresh fan-out's workers reuse
-// their own scratch without contention. Pooling is invisible to results:
-// the buffer is fully re-zeroed before use.
-var scanScratch = sync.Pool{New: func() any { return new([]int) }}
+// runScratch is a scan's pooled run-length buffers: runs holds the length
+// of each run in window order, and hist counts the runs shorter than the
+// rank by length. A scan clears the hist buckets it touched before it
+// returns the buffers, so hist is all zeros in the pool. The pool is
+// per-P under the hood, so the refresh fan-out's workers reuse their own
+// buffers without contention.
+type runScratch struct {
+	runs []int32
+	hist []int32
+}
+
+var scanScratch = sync.Pool{New: func() any { return new(runScratch) }}
 
 // windowBoundScan is the single-shot equivalent of a runTracker: the
 // duration lower bound (in grid steps) for a fixed level over the
 // window's ticks, censored at the window's end, with the rank read from
 // the durationRank table. A tick reaches the level when it is at or
-// above it. It runs in O(n) time with pooled O(n) scratch space.
+// above it. Every tick at or above the level resolves the pending starts
+// since the previous one as a run; a run of length L holds the
+// durations {1, ..., L}, so the scan records one length per run and
+// reads the bound from their histogram. A wholly live full chunk whose
+// cached bounds put every tick below the level, or every tick at or
+// above it, is passed in O(1); the others are compared tick by tick. The
+// scan costs O(n) compares at worst, O(n/chunkTicks) when no chunk
+// straddles the level, plus O(runs + bound) to read the bound.
 //
 // The scan tests only tick >= level, so it also reports next, the
 // smallest tick at or above level (noTick when none is): every level in
-// (level, next] selects the same ticks and gets the same bound. A non-nil
-// hi receives the highest tick, at the cost of one more comparison per
-// tick; only the guarantee walk's first scan asks for it.
-func windowBoundScan(w *tickWindow, level uint32, rank *stats.RankTable, hi *uint32) (steps int, next uint32, ok bool) {
+// (level, next] selects the same ticks and gets the same bound.
+func windowBoundScan(w *tickWindow, level uint32, rank *stats.RankTable) (steps int, next uint32, ok bool) {
 	n := w.n
 	if n == 0 {
 		return 0, noTick, false
 	}
 	mDurationScans.Load().Inc()
-	// cnt[d] = number of resolved episodes with duration d.
-	bufp := scanScratch.Get().(*[]int)
-	defer scanScratch.Put(bufp)
-	cnt := *bufp
-	if cap(cnt) < n+1 {
-		cnt = make([]int, n+1)
-		*bufp = cnt
-	} else {
-		cnt = cnt[:n+1]
-		clear(cnt)
-	}
-	e := episodes{next: noTick}
-	for k, base := 0, 0; k < len(w.chunks); k++ {
+	sc := scanScratch.Get().(*runScratch)
+	defer scanScratch.Put(sc)
+	runs := sc.runs[:0]
+	next = noTick
+	r, base := 0, 0 // the first pending start; the window index of seg[0]
+	for k, c := range w.chunks {
 		seg := w.seg(k)
-		if hi == nil {
-			e.count(seg, base, level, cnt)
-		} else {
-			e.countMax(seg, base, level, cnt)
+		if len(seg) == chunkTicks {
+			if c.hi < level {
+				base += chunkTicks
+				continue
+			}
+			if c.lo >= level {
+				if r < base {
+					runs = append(runs, int32(base-r))
+				}
+				base += chunkTicks
+				r = base
+				next = min(next, c.lo)
+				continue
+			}
+		}
+		for j := 0; j < len(seg); {
+			if seg[j] < level {
+				for j++; j < len(seg) && seg[j] < level; j++ {
+				}
+				continue
+			}
+			// A stretch of ticks at or above the level: the first closes
+			// the run pending since r, the rest close empty runs.
+			if i := base + j; r < i {
+				runs = append(runs, int32(i-r))
+			}
+			for ; j < len(seg) && seg[j] >= level; j++ {
+				if seg[j] < next {
+					next = seg[j]
+				}
+			}
+			r = base + j
 		}
 		base += len(seg)
 	}
-	if hi != nil {
-		*hi = e.hi
-	}
-	next = e.next
-	m := n - 1 - e.r // censored episodes, face values {1..m}
-	if m < 0 {
-		m = 0
-	}
+	sc.runs = runs
+	m := max(n-1-r, 0) // censored episodes, face values {1..m}
 	if m > 0 {
 		mCensoredEpisodes.Load().Add(uint64(m))
 	}
-	total := e.resolved + m
+	resolved := 0
+	for _, l := range runs {
+		resolved += int(l)
+	}
+	total := resolved + m
 	if total == 0 {
 		return 0, next, false
 	}
@@ -231,67 +258,39 @@ func windowBoundScan(w *tickWindow, level uint32, rank *stats.RankTable, hi *uin
 	if !exists {
 		k = 1
 	}
-	acc := 0
-	for d := 1; d <= n; d++ {
-		acc += cnt[d]
+	// acc(d) = sum over runs of min(L, d), plus min(m, d), counts the
+	// durations <= d; the bound is the smallest d with acc(d) >= k. acc
+	// grows by at least one per step until it reaches total >= k, so that
+	// d is at most k, and only runs shorter than k change acc's slope
+	// before it.
+	if cap(sc.hist) < k {
+		sc.hist = make([]int32, k)
+	}
+	hist := sc.hist[:k]
+	for _, l := range runs {
+		if int(l) < k {
+			hist[l]++
+		}
+	}
+	steps = k
+	acc, longer := 0, len(runs) // longer: the runs of length >= d
+	for d := 1; d < k; d++ {
+		acc += longer
 		if d <= m {
 			acc++
 		}
 		if acc >= k {
-			return d, next, true
+			steps = d
+			break
+		}
+		longer -= int(hist[d])
+	}
+	for _, l := range runs {
+		if int(l) < k {
+			hist[l] = 0
 		}
 	}
-	// Unreachable: acc reaches total >= k by d = n.
-	return n, next, true
-}
-
-// episodes is a scan's running state across a window's chunks: the
-// number of episodes resolved so far, the first pending start r (a window
-// index), next, the smallest tick at or above the level, and hi, the
-// highest tick (countMax only).
-type episodes struct {
-	resolved, r int
-	next, hi    uint32
-}
-
-// count adds to cnt the durations of the episodes that resolve at level
-// within seg, the window's ticks from index base on: a tick at or above
-// level at index i resolves every pending start s in [r, i) with duration
-// i-s.
-func (e *episodes) count(seg []uint32, base int, level uint32, cnt []int) {
-	resolved, r, next := e.resolved, e.r, e.next
-	for j, t := range seg {
-		if t >= level {
-			i := base + j
-			for s := r; s < i; s++ {
-				cnt[i-s]++
-			}
-			resolved += i - r
-			r = i + 1
-			next = min(next, t)
-		}
-	}
-	e.resolved, e.r, e.next = resolved, r, next
-}
-
-// countMax is count that also tracks the highest tick.
-func (e *episodes) countMax(seg []uint32, base int, level uint32, cnt []int) {
-	resolved, r, next, hi := e.resolved, e.r, e.next, e.hi
-	for j, t := range seg {
-		if t > hi {
-			hi = t
-		}
-		if t >= level {
-			i := base + j
-			for s := r; s < i; s++ {
-				cnt[i-s]++
-			}
-			resolved += i - r
-			r = i + 1
-			next = min(next, t)
-		}
-	}
-	e.resolved, e.r, e.next, e.hi = resolved, r, next, hi
+	return steps, next, true
 }
 
 // priceQBETSConfig builds the QBETS configuration for the price series

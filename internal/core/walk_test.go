@@ -160,3 +160,28 @@ func BenchmarkWalkIngestShape(b *testing.B) {
 		}
 	}
 }
+
+// TestSurfaceAllocs pins the allocations of one Surface of a warm 90-day
+// predictor at the surface and its growing arrays: the walk's duration
+// scans take their run-length buffers from scanScratch, so a scan that
+// allocated would raise the count by at least one per scan.
+func TestSurfaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	s, err := pricegen.Generator{Seed: 1}.Series(spot.Combo{Zone: "us-east-1b", Type: "c3.8xlarge"}, t0, DefaultMaxHistory+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPredictor(Params{Probability: 0.99}, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ObserveSeries(s)
+	scans := scansDuring(t, func() { p.Surface() })
+	const want = 14 // measured: the surface, its running maximum and the appends of 44 entries
+	if allocs := testing.AllocsPerRun(50, func() { p.Surface() }); allocs > want {
+		t.Fatalf("Surface allocates %v times, want at most %d (%d scans)", allocs, want, scans)
+	}
+	t.Logf("%d scans", scans)
+}

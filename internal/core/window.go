@@ -11,21 +11,25 @@ import (
 
 // chunkTicks is the number of price ticks one window chunk holds. A
 // predictor's window is a run of chunks; a full chunk never changes, so
-// clones share it and a Clone copies only the partly filled tail. 1,023
-// ticks and the cached checksum fill a chunk to exactly 4 KiB, an
-// allocation size class (1,024 ticks would put it in the 4,864-byte
-// class), and waste at most one chunk at each end of serve's 8,640-tick
-// 30-day windows.
-const chunkTicks = 1023
+// clones share it and a Clone copies only the partly filled tail. 1,021
+// ticks, the cached checksum and the cached tick bounds fill a chunk to
+// exactly 4 KiB, an allocation size class (one tick more would put it in
+// the 4,864-byte class), and waste at most one chunk at each end of
+// serve's 8,640-tick 30-day windows.
+const chunkTicks = 1021
 
 // chunk is one fixed-size block of a window. Once the chunk is full, crc
 // caches the CRC-32C of its ticks' prices (see checksum); 0 means not yet
 // computed, so a chunk whose CRC is 0 is recomputed each time. Windows
 // sharing the chunk may compute it concurrently, and store the same
-// value.
+// value. lo and hi are the lowest and highest of its ticks, written once
+// when the chunk fills (seal), while it is still its window's private
+// tail; they cover every slot, so they bound the live ticks only of a
+// chunk that is wholly live.
 type chunk struct {
-	ticks [chunkTicks]uint32
-	crc   atomic.Uint32
+	ticks  [chunkTicks]uint32
+	crc    atomic.Uint32
+	lo, hi uint32
 }
 
 // tickWindow is a predictor's retained price window: the last limit
@@ -98,6 +102,9 @@ func (w *tickWindow) tail() (*chunk, int) {
 func (w *tickWindow) push(t uint32) {
 	c, i := w.tail()
 	c.ticks[i] = t
+	if i == chunkTicks-1 {
+		c.seal(i, t, t)
+	}
 	w.n++
 	if w.limit > 0 && w.n > w.limit {
 		w.drop(w.n - w.limit)
@@ -121,17 +128,38 @@ func (w *tickWindow) pushPrices(prices []float64) (lastDropped int) {
 	for pos := skip; pos < len(prices); {
 		c, i := w.tail()
 		k := min(chunkTicks-i, len(prices)-pos)
+		lo, hi := uint32(noTick), uint32(0)
 		for j, v := range prices[pos : pos+k] {
 			t := windowTick(v)
 			c.ticks[i+j] = t
-			if maybeDropped(t) {
-				lastDropped = pos + j + 1
+			lo, hi = min(lo, t), max(hi, t)
+		}
+		// The segment's bounds show whether it holds a maybeDropped tick,
+		// so the common segment without one is not searched.
+		if maybeDropped(lo) || maybeDropped(hi) {
+			for j := k - 1; ; j-- {
+				if maybeDropped(c.ticks[i+j]) {
+					lastDropped = pos + j + 1
+					break
+				}
 			}
+		}
+		if i+k == chunkTicks {
+			c.seal(i, lo, hi)
 		}
 		w.n += k
 		pos += k
 	}
 	return lastDropped
+}
+
+// seal caches the bounds of a chunk that has just filled, given lo and
+// hi, the bounds of its ticks from slot from on.
+func (c *chunk) seal(from int, lo, hi uint32) {
+	for _, t := range c.ticks[:from] {
+		lo, hi = min(lo, t), max(hi, t)
+	}
+	c.lo, c.hi = lo, hi
 }
 
 // drop removes the k oldest ticks, releasing every chunk left wholly
@@ -171,6 +199,22 @@ func (w *tickWindow) seg(k int) []uint32 {
 		hi = w.end() - k*chunkTicks
 	}
 	return w.chunks[k].ticks[lo:hi]
+}
+
+// highest returns the highest live tick, 0 for an empty window. A wholly
+// live full chunk answers from its cached bound.
+func (w *tickWindow) highest() uint32 {
+	var hi uint32
+	for k, c := range w.chunks {
+		if seg := w.seg(k); len(seg) == chunkTicks {
+			hi = max(hi, c.hi)
+		} else {
+			for _, t := range seg {
+				hi = max(hi, t)
+			}
+		}
+	}
+	return hi
 }
 
 // crcBlock is the number of ticks crcOfTicks converts per CRC update.

@@ -65,6 +65,21 @@ func (m *windowModel) check(t *testing.T, what string) {
 	if got, want := m.w.checksum(), modelChecksum(m.model); got != want {
 		t.Fatalf("%s: checksum %08x, model %08x", what, got, want)
 	}
+	checkChunkBounds(t, what, &m.w)
+}
+
+// checkChunkBounds requires every full chunk of w, live or not in every
+// slot, to cache the lowest and highest of its ticks.
+func checkChunkBounds(t *testing.T, what string, w *tickWindow) {
+	t.Helper()
+	for k, c := range w.chunks {
+		if (k+1)*chunkTicks > w.end() {
+			break // the partly filled tail
+		}
+		if lo, hi := slices.Min(c.ticks[:]), slices.Max(c.ticks[:]); c.lo != lo || c.hi != hi {
+			t.Fatalf("%s: chunk %d caches bounds [%d, %d], holds [%d, %d]", what, k, c.lo, c.hi, lo, hi)
+		}
+	}
 }
 
 // fuzzPrices draws n prices: mostly on-grid ladder prices, with the odd
@@ -82,10 +97,11 @@ func fuzzPrices(rng *rand.Rand, n int) []float64 {
 	return prices
 }
 
-// FuzzTickWindow runs random push, bulk-push and clone sequences against a
-// []uint32 model: after every step each live window (the newest clone and
-// up to three ancestors, still fed) must hold its model's ticks, keep its
-// chunk layout tight and checksum as the materialized float prices do.
+// FuzzTickWindow runs random push, bulk-push, drop and clone sequences
+// against a []uint32 model: after every step each live window (the newest
+// clone and up to three ancestors, still fed) must hold its model's
+// ticks, keep its chunk layout tight, checksum as the materialized float
+// prices do and cache each full chunk's tick bounds.
 func FuzzTickWindow(f *testing.F) {
 	for sel := range windowLimits {
 		f.Add(uint8(sel), int64(sel), []byte{0, 4, 8, 3, 12, 16, 3, 20, 24, 28, 32, 1, 3, 2})
@@ -99,7 +115,12 @@ func FuzzTickWindow(f *testing.F) {
 		limit := windowLimits[int(sel)%len(windowLimits)]
 		live := []*windowModel{{w: tickWindow{limit: limit}}}
 		for step, op := range ops {
-			switch op % 4 {
+			switch op % 5 {
+			case 4: // drop the oldest ticks of a window
+				m := live[rng.Intn(len(live))]
+				k := rng.Intn(m.w.n + 1)
+				m.w.drop(k)
+				m.model = m.model[k:]
 			case 3: // clone the newest window; both keep being fed
 				cur := live[len(live)-1]
 				live = append(live, &windowModel{w: cur.w.clone(), model: slices.Clone(cur.model)})
