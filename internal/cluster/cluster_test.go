@@ -111,11 +111,11 @@ func TestReplicaSurfaceByteIdentity(t *testing.T) {
 	}
 
 	wep, rep := writer.CurrentEpoch(), replica.CurrentEpoch()
-	if wep.NumSurfaces() == 0 {
+	if len(wep.SurfaceKeys()) == 0 {
 		t.Fatal("writer epoch carries no surfaces")
 	}
-	if rep.NumSurfaces() != wep.NumSurfaces() {
-		t.Fatalf("replica has %d surfaces, writer %d", rep.NumSurfaces(), wep.NumSurfaces())
+	if len(rep.SurfaceKeys()) != len(wep.SurfaceKeys()) {
+		t.Fatalf("replica has %d surfaces, writer %d", len(rep.SurfaceKeys()), len(wep.SurfaceKeys()))
 	}
 	for _, k := range wep.SurfaceKeys() {
 		wb, _ := wep.Surface(k)

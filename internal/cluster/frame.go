@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/service"
@@ -60,26 +59,26 @@ const (
 //	uint32 LE  IEEE CRC32 of the payload
 //	payload:   one tagged message, first byte is the frame type
 //
-// A stream is: one meta frame, the changed content frames (combos,
-// tables, removals, advise surfaces, surface removals) in sorted key
-// order, and one commit frame carrying the epoch content checksum. Full
+// A stream is: one meta frame, the combos frame when the listing changed,
+// one entry frame per changed (combo, probability) in sorted key order,
+// one remove frame per key the base held and the epoch does not (also
+// sorted), and one commit frame carrying the epoch content checksum. Full
 // snapshots are the degenerate delta against nothing.
 //
-// Ship version history: v1 shipped tables only; v2 added the advise
-// surface frames and folded surfaces into the epoch checksum. Mixed
-// versions fail closed — a v1 peer rejects the version byte, and a v2
-// receiver rejects v1 streams — because a v1-assembled epoch could not
-// verify a v2 checksum anyway.
+// Ship version history: v1 shipped tables only; v2 added advise surface
+// frames beside the table frames; v3 ships each (combo, probability) as
+// one entry frame carrying both, with one remove frame kind. Mixed
+// versions fail closed at the meta frame, whose version byte every
+// receiver checks before anything else: an epoch assembled by another
+// version's rules could not verify this version's checksum anyway.
 const (
-	shipVersion = 2
+	shipVersion = 3
 
-	frameMeta          = 1 // version, seq, base seq, asOf, table count, etag
-	frameCombos        = 2 // the pre-encoded /v1/combos body
-	frameTable         = 3 // one table key + pre-encoded body
-	frameRemove        = 4 // one table key present in base but not in the epoch
-	frameCommit        = 5 // content checksum + table count, ends the stream
-	frameSurface       = 6 // one surface key + canonical surface encoding
-	frameSurfaceRemove = 7 // one surface key present in base but not in the epoch
+	frameMeta   = 1 // version, seq, base seq, asOf, table count, etag
+	frameCombos = 2 // the pre-encoded /v1/combos body
+	frameEntry  = 3 // one key + pre-encoded table body + canonical surface encoding
+	frameRemove = 4 // one key present in base but not in the epoch
+	frameCommit = 5 // content checksum + table count, ends the stream
 
 	frameHeader = 8
 	// maxFramePayload bounds a declared payload length so a corrupted
@@ -188,45 +187,45 @@ func decodeKey(p []byte) (service.BlobKey, []byte, error) {
 	return service.BlobKey{Zone: parts[0], Type: parts[1], Prob: parts[2]}, p, nil
 }
 
-// encodeTable renders a keyed-body frame; tag is frameTable for table
-// blobs and frameSurface for canonical surface encodings (same layout).
-func encodeTable(tag byte, k service.BlobKey, body []byte) []byte {
-	p := make([]byte, 0, 1+6+len(k.Zone)+len(k.Type)+len(k.Prob)+4+len(body))
-	p = append(p, tag)
+// encodeEntry renders an entry frame: the key, the length-prefixed table
+// body, and the surface encoding filling the rest of the payload.
+func encodeEntry(k service.BlobKey, body, enc []byte) []byte {
+	p := make([]byte, 0, 1+6+len(k.Zone)+len(k.Type)+len(k.Prob)+4+len(body)+len(enc))
+	p = append(p, frameEntry)
 	p = appendKey(p, k)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(body)))
-	return append(p, body...)
+	p = append(p, body...)
+	return append(p, enc...)
 }
 
-func decodeTable(tag byte, p []byte) (service.BlobKey, []byte, error) {
-	if len(p) < 1 || p[0] != tag {
-		return service.BlobKey{}, nil, fmt.Errorf("cluster: malformed keyed-body frame (tag %d)", tag)
+func decodeEntry(p []byte) (k service.BlobKey, body, enc []byte, err error) {
+	if len(p) < 1 || p[0] != frameEntry {
+		return k, nil, nil, fmt.Errorf("cluster: malformed entry frame")
 	}
 	k, rest, err := decodeKey(p[1:])
 	if err != nil {
-		return service.BlobKey{}, nil, err
+		return k, nil, nil, err
 	}
 	if len(rest) < 4 {
-		return service.BlobKey{}, nil, fmt.Errorf("cluster: truncated frame body length")
+		return k, nil, nil, fmt.Errorf("cluster: truncated entry body length")
 	}
-	n := int(binary.LittleEndian.Uint32(rest))
-	if len(rest) != 4+n {
-		return service.BlobKey{}, nil, fmt.Errorf("cluster: frame body length mismatch")
+	n := binary.LittleEndian.Uint32(rest)
+	if uint64(len(rest)-4) < uint64(n) {
+		return k, nil, nil, fmt.Errorf("cluster: entry body length %d exceeds the frame", n)
 	}
-	return k, rest[4:], nil
+	return k, rest[4 : 4+n], rest[4+n:], nil
 }
 
-// encodeRemove renders a key-only removal frame; tag is frameRemove for
-// tables and frameSurfaceRemove for surfaces.
-func encodeRemove(tag byte, k service.BlobKey) []byte {
+// encodeRemove renders a key-only removal frame.
+func encodeRemove(k service.BlobKey) []byte {
 	p := make([]byte, 0, 1+6+len(k.Zone)+len(k.Type)+len(k.Prob))
-	p = append(p, tag)
+	p = append(p, frameRemove)
 	return appendKey(p, k)
 }
 
-func decodeRemove(tag byte, p []byte) (service.BlobKey, error) {
-	if len(p) < 1 || p[0] != tag {
-		return service.BlobKey{}, fmt.Errorf("cluster: malformed remove frame (tag %d)", tag)
+func decodeRemove(p []byte) (service.BlobKey, error) {
+	if len(p) < 1 || p[0] != frameRemove {
+		return service.BlobKey{}, fmt.Errorf("cluster: malformed remove frame")
 	}
 	k, rest, err := decodeKey(p[1:])
 	if err != nil {
@@ -260,15 +259,15 @@ func decodeCommit(p []byte) (commitFrame, error) {
 	}, nil
 }
 
-// epochDigest is what the shipper retains about a shipped epoch: per-blob
-// content hashes, enough to compute a delta stream against it without
-// holding the epoch's bodies alive.
+// epochDigest is what the shipper retains about a shipped epoch: one
+// content hash per entry and the keys in epoch order, enough to compute a
+// delta stream against it without holding the epoch's bodies alive.
 type epochDigest struct {
-	seq      uint64
-	etag     string
-	combos   uint64
-	blobs    map[service.BlobKey]uint64
-	surfaces map[service.BlobKey]uint64
+	seq    uint64
+	etag   string
+	combos uint64
+	keys   []service.BlobKey // sorted, as Epoch.Keys returns them
+	hashes map[service.BlobKey]uint64
 }
 
 func hash64(b []byte) uint64 {
@@ -277,23 +276,32 @@ func hash64(b []byte) uint64 {
 	return h.Sum64()
 }
 
+// entryHash hashes one entry's table body and surface encoding; the body's
+// length prefix keeps a byte moving from one to the other from hashing the
+// same.
+func entryHash(ep *service.Epoch, k service.BlobKey) uint64 {
+	body, _ := ep.Blob(k)
+	enc, _ := ep.Surface(k)
+	h := fnv.New64a()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(body)))
+	_, _ = h.Write(n[:])
+	_, _ = h.Write(body)
+	_, _ = h.Write(enc)
+	return h.Sum64()
+}
+
 func digestOf(ep *service.Epoch) *epochDigest {
+	keys := ep.Keys()
 	d := &epochDigest{
 		seq:    ep.Seq(),
 		etag:   ep.ETag(),
 		combos: hash64(ep.Combos()),
-		blobs:  make(map[service.BlobKey]uint64, ep.NumTables()),
+		keys:   keys,
+		hashes: make(map[service.BlobKey]uint64, len(keys)),
 	}
-	for _, k := range ep.Keys() {
-		body, _ := ep.Blob(k)
-		d.blobs[k] = hash64(body)
-	}
-	if n := ep.NumSurfaces(); n > 0 {
-		d.surfaces = make(map[service.BlobKey]uint64, n)
-		for _, k := range ep.SurfaceKeys() {
-			body, _ := ep.Surface(k)
-			d.surfaces[k] = hash64(body)
-		}
+	for _, k := range keys {
+		d.hashes[k] = entryHash(ep, k)
 	}
 	return d
 }
@@ -318,69 +326,25 @@ func encodeStream(ep *service.Epoch, base *epochDigest) []byte {
 	if base == nil || base.combos != hash64(ep.Combos()) {
 		out = appendFrame(out, append([]byte{frameCombos}, ep.Combos()...))
 	}
-	keys := ep.Keys() // sorted
-	for _, k := range keys {
-		body, _ := ep.Blob(k)
+	for _, k := range ep.Keys() {
 		if base != nil {
-			if h, ok := base.blobs[k]; ok && h == hash64(body) {
+			if h, ok := base.hashes[k]; ok && h == entryHash(ep, k) {
 				continue // unchanged since base; the replica already has it
 			}
 		}
-		out = appendFrame(out, encodeTable(frameTable, k, body))
+		body, _ := ep.Blob(k)
+		enc, _ := ep.Surface(k)
+		out = appendFrame(out, encodeEntry(k, body, enc))
 	}
 	if base != nil {
-		for _, k := range removedKeys(base.blobs, keys) {
-			out = appendFrame(out, encodeRemove(frameRemove, k))
-		}
-	}
-	surfKeys := ep.SurfaceKeys() // sorted
-	for _, k := range surfKeys {
-		body, _ := ep.Surface(k)
-		if base != nil {
-			if h, ok := base.surfaces[k]; ok && h == hash64(body) {
-				continue
+		for _, k := range base.keys {
+			if _, ok := ep.Blob(k); !ok {
+				out = appendFrame(out, encodeRemove(k))
 			}
-		}
-		out = appendFrame(out, encodeTable(frameSurface, k, body))
-	}
-	if base != nil {
-		for _, k := range removedKeys(base.surfaces, surfKeys) {
-			out = appendFrame(out, encodeRemove(frameSurfaceRemove, k))
 		}
 	}
 	return appendFrame(out, encodeCommit(commitFrame{
 		checksum: ep.Checksum(),
 		count:    ep.NumTables(),
 	}))
-}
-
-// removedKeys returns base keys absent from the target's key set, sorted.
-func removedKeys(base map[service.BlobKey]uint64, targetKeys []service.BlobKey) []service.BlobKey {
-	have := make(map[service.BlobKey]bool, len(targetKeys))
-	for _, k := range targetKeys {
-		have[k] = true
-	}
-	removed := make([]service.BlobKey, 0)
-	for k := range base {
-		if !have[k] {
-			removed = append(removed, k)
-		}
-	}
-	sortKeys(removed)
-	return removed
-}
-
-// sortKeys orders blob keys the same way Epoch.Keys does.
-func sortKeys(keys []service.BlobKey) {
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-}
-
-func keyLess(a, b service.BlobKey) bool {
-	if a.Zone != b.Zone {
-		return a.Zone < b.Zone
-	}
-	if a.Type != b.Type {
-		return a.Type < b.Type
-	}
-	return a.Prob < b.Prob
 }

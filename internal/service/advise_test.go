@@ -120,7 +120,7 @@ func TestAdviseFastZeroAllocs(t *testing.T) {
 		b, _ := wep.Blob(k)
 		blobs[k] = b
 	}
-	surfaces := make(map[BlobKey][]byte, wep.NumSurfaces())
+	surfaces := make(map[BlobKey][]byte, wep.NumTables())
 	for _, k := range wep.SurfaceKeys() {
 		b, _ := wep.Surface(k)
 		surfaces[k] = b
@@ -176,7 +176,7 @@ func TestReplicaAdviseFromSurfaces(t *testing.T) {
 		b, _ := wep.Blob(k)
 		blobs[k] = b
 	}
-	surfaces := make(map[BlobKey][]byte, wep.NumSurfaces())
+	surfaces := make(map[BlobKey][]byte, wep.NumTables())
 	for _, k := range wep.SurfaceKeys() {
 		b, _ := wep.Surface(k)
 		surfaces[k] = b

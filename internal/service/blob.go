@@ -2,13 +2,14 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -22,7 +23,7 @@ import (
 // The serving hot path is allocation-free: every bid table is JSON-encoded
 // once per refresh into an immutable encodedTables value that the handlers
 // read through an atomic pointer. A cached GET is then a substring scan of
-// the raw query, one map lookup, two preallocated header writes, and a
+// the raw query, one index lookup, two preallocated header writes, and a
 // single w.Write of the stored blob — no per-request marshalling, no
 // url.Values, no []byte churn. The zero-allocation property is enforced by
 // TestCachedGetZeroAllocs via testing.AllocsPerRun.
@@ -49,13 +50,6 @@ var (
 	comma        = []byte(",")
 )
 
-// blobKey addresses one pre-encoded table by the exact strings a request
-// carries, so lookups work on substrings of the raw query without
-// conversions.
-type blobKey struct {
-	zone, typ, prob string
-}
-
 // encodedTables is one refresh epoch's immutable serving state. It is built
 // once per refresh (or snapshot restore, or replicated install) and
 // installed with an atomic pointer swap; handlers treat every byte as
@@ -65,21 +59,17 @@ type encodedTables struct {
 	asOf   time.Time
 	etag   string   // strong ETag derived from the refresh epoch, quoted
 	etagH  []string // preallocated header value: []string{etag}
-	tables map[blobKey][]byte
-	combos []byte // pre-encoded /v1/combos response body (no trailing newline)
-	bytes  int    // total pre-encoded payload bytes, for the gauge
+	combos []byte   // pre-encoded /v1/combos response body (no trailing newline)
+	bytes  int      // total pre-encoded payload bytes, for the gauge
 
-	// preds are the predictors every table and surface derives from: the
-	// input to snapshots, WAL compaction, and the next incremental refresh.
-	// Writer-only — nil on replica epochs, which are rebuilt from the wire —
-	// and excluded from Checksum, since every byte a node serves is already
-	// derived from them.
-	preds map[tableKey]*core.Predictor
-
-	// surfaces holds the precomputed advise surfaces (surface.go); fleet
-	// indexes them per probability spelling for /v1/fleet.
-	surfaces map[blobKey]*surfaceEntry
-	fleet    map[string][]fleetEntry
+	// entries holds one entry per (combo, probability), sorted by key
+	// (BlobKey.compare) once, when the epoch is built: every listing,
+	// the snapshot, the checksum and the ship stream walk them in this
+	// order. index addresses them by key; fleet lists each probability
+	// spelling's entries for /v1/fleet.
+	entries []entry
+	index   map[BlobKey]int
+	fleet   []fleetList
 
 	// views holds the per-account variants of every table blob: the same
 	// body with the zone field renamed to each visible name some account
@@ -98,17 +88,36 @@ type encodedTables struct {
 	combosViews map[string][]byte
 }
 
-// viewKey addresses one per-account view: the physical table identity
-// plus the visible zone name the body answers under. The physical zone is
-// part of the key because two accounts may both see "us-east-1b" while
-// meaning different physical zones.
-type viewKey struct {
-	phys, visible, typ, prob string
+// entry is one (combo, probability), the unit every stage handles from
+// the refresh that computes it to the replica that installs it: its
+// pre-encoded table and its advise surface, both from the predictor's one
+// guarantee walk (ladder).
+type entry struct {
+	key  BlobKey
+	body []byte              // pre-encoded table (no trailing newline)
+	surf *core.AdviseSurface // advise lookup structure
+	enc  []byte              // canonical surface encoding (surface.go)
+
+	// pred is the predictor the table and surface derive from: the input to
+	// snapshots, WAL compaction, and the next incremental refresh.
+	// Writer-only — nil on replica epochs, which are rebuilt from the wire —
+	// and excluded from Checksum, since every byte a node serves is already
+	// derived from it.
+	pred *core.Predictor
 }
 
-// blob is the key a table's blob and surface are stored under.
-func (k tableKey) blob() blobKey {
-	return blobKey{zone: string(k.combo.Zone), typ: string(k.combo.Type), prob: probKey(k.prob)}
+// fleetList is one probability spelling's entries in (zone, type) order,
+// the deterministic scan order /v1/fleet pages over.
+type fleetList struct {
+	prob string
+	rows []*entry
+}
+
+// viewKey addresses one per-account view: the index of the entry whose
+// table it renames, and the visible zone name the body answers under.
+type viewKey struct {
+	entry   int
+	visible string
 }
 
 // probKey formats a probability level the way the service addresses blobs:
@@ -130,55 +139,89 @@ func epochETag(asOf time.Time, n int) string {
 	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
 }
 
-// encodeTables builds one writer epoch: every table and the combo listing
-// pre-encoded, the advise surfaces attached, and the predictors both derive
-// from retained.
-func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time) (*encodedTables, error) {
+// sortedEpoch builds an epoch around its entries, writer's or replica's:
+// sorted once by key, indexed, grouped per probability for /v1/fleet,
+// and charged to the byte gauge. A key may appear once.
+func sortedEpoch(entries []entry, asOf time.Time) (*encodedTables, error) {
+	slices.SortFunc(entries, func(a, b entry) int { return a.key.compare(b.key) })
 	et := &encodedTables{
-		asOf:   asOf,
-		etag:   epochETag(asOf, len(tables)),
-		tables: make(map[blobKey][]byte, len(tables)),
-		preds:  preds,
+		asOf:    asOf,
+		etag:    epochETag(asOf, len(entries)),
+		entries: entries,
+		index:   make(map[BlobKey]int, len(entries)),
 	}
 	et.etagH = []string{et.etag}
-	seen := make(map[spot.Combo]bool)
-	for k, table := range tables {
-		body, err := json.Marshal(toJSON(k.combo, table))
-		if err != nil {
-			return nil, fmt.Errorf("service: encoding table for %s/p=%v: %w", k.combo, k.prob, err)
+	for i := range entries {
+		e := &entries[i]
+		if i > 0 && e.key == entries[i-1].key {
+			return nil, fmt.Errorf("service: duplicate entry %s/%s/p=%s", e.key.Zone, e.key.Type, e.key.Prob)
 		}
-		et.tables[k.blob()] = body
-		et.bytes += len(body)
-		seen[k.combo] = true
+		et.index[e.key] = i
+		et.bytes += len(e.body) + len(e.enc)
+		j := 0
+		for j < len(et.fleet) && et.fleet[j].prob != e.key.Prob {
+			j++
+		}
+		if j == len(et.fleet) {
+			et.fleet = append(et.fleet, fleetList{prob: e.key.Prob})
+		}
+		et.fleet[j].rows = append(et.fleet[j].rows, e)
 	}
-	combos, err := json.Marshal(sortedCombos(seen, nil))
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding combo list: %w", err)
-	}
-	et.combos = combos
-	et.bytes += len(combos)
-	et.attachSurfaces(surfaces)
 	return et, nil
 }
 
-// sortedCombos renders a combo set as the /v1/combos listing, each zone
+// encodeTables builds one writer epoch from the built slots of a refresh or
+// restore: every table and the combo listing pre-encoded, next to the
+// advise surfaces and the predictors both derive from.
+func encodeTables(slots []slot, asOf time.Time) (*encodedTables, error) {
+	entries := make([]entry, 0, len(slots))
+	for i := range slots {
+		sl := &slots[i]
+		if sl.surf == nil {
+			continue
+		}
+		combo := spot.Combo{Zone: spot.Zone(sl.key.Zone), Type: spot.InstanceType(sl.key.Type)}
+		body, err := json.Marshal(toJSON(combo, sl.table))
+		if err != nil {
+			return nil, fmt.Errorf("service: encoding table for %s/p=%s: %w", combo, sl.key.Prob, err)
+		}
+		e := sl.entry
+		e.body = body
+		entries = append(entries, e)
+	}
+	et, err := sortedEpoch(entries, asOf)
+	if err != nil {
+		return nil, err
+	}
+	if et.combos, err = json.Marshal(et.comboList(nil)); err != nil {
+		return nil, fmt.Errorf("service: encoding combo list: %w", err)
+	}
+	et.bytes += len(et.combos)
+	return et, nil
+}
+
+// comboList renders the epoch's combos as the /v1/combos listing, each zone
 // renamed through rename (physical -> visible; nil renames nothing), sorted
-// by (zone, type) in the renamed namespace.
-func sortedCombos(set map[spot.Combo]bool, rename map[spot.Zone]spot.Zone) []comboJSON {
-	list := make([]comboJSON, 0, len(set))
-	for c := range set {
-		zone := c.Zone
+// by (zone, type) in the renamed namespace. The entries are in that order
+// already unless rename moves them.
+func (et *encodedTables) comboList(rename map[spot.Zone]spot.Zone) []comboJSON {
+	list := make([]comboJSON, 0, len(et.entries))
+	for i := range et.entries {
+		k := et.entries[i].key
+		if i > 0 && k.Zone == et.entries[i-1].key.Zone && k.Type == et.entries[i-1].key.Type {
+			continue
+		}
+		zone := spot.Zone(k.Zone)
 		if vis, ok := rename[zone]; ok {
 			zone = vis
 		}
-		list = append(list, comboJSON{Zone: string(zone), InstanceType: string(c.Type)})
+		list = append(list, comboJSON{Zone: string(zone), InstanceType: k.Type})
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Zone != list[j].Zone {
-			return list[i].Zone < list[j].Zone
-		}
-		return list[i].InstanceType < list[j].InstanceType
-	})
+	if rename != nil {
+		slices.SortFunc(list, func(a, b comboJSON) int {
+			return cmp.Or(strings.Compare(a.Zone, b.Zone), strings.Compare(a.InstanceType, b.InstanceType))
+		})
+	}
 	return list
 }
 
@@ -201,20 +244,20 @@ func zoneField(z spot.Zone) []byte {
 // body; the blowup is bounded by the number of distinct visible names per
 // physical zone.
 func (et *encodedTables) buildViews(mappings map[string]obfuscate.Mapping) {
-	byZone := make(map[string][]blobKey)
-	for k := range et.tables {
-		byZone[k.zone] = append(byZone[k.zone], k)
-	}
-	views := make(map[viewKey][]byte, 4*len(et.tables))
+	views := make(map[viewKey][]byte, 4*len(et.entries))
 	for _, m := range mappings {
 		for vis, phys := range m {
 			if vis == phys {
 				continue
 			}
-			for _, k := range byZone[string(phys)] {
-				vk := viewKey{phys: k.zone, visible: string(vis), typ: k.typ, prob: k.prob}
+			// Entries sort by zone first, so a zone's entries are one run.
+			i, _ := slices.BinarySearchFunc(et.entries, string(phys), func(e entry, z string) int {
+				return strings.Compare(e.key.Zone, z)
+			})
+			for ; i < len(et.entries) && et.entries[i].key.Zone == string(phys); i++ {
+				vk := viewKey{entry: i, visible: string(vis)}
 				if _, done := views[vk]; !done {
-					views[vk] = bytes.Replace(et.tables[k], zoneField(phys), zoneField(vis), 1)
+					views[vk] = bytes.Replace(et.entries[i].body, zoneField(phys), zoneField(vis), 1)
 					et.bytes += len(views[vk])
 				}
 			}
@@ -230,16 +273,13 @@ func (et *encodedTables) buildViews(mappings map[string]obfuscate.Mapping) {
 // the visible namespace. Accounts whose renaming is the identity over the
 // served zones alias the canonical body.
 func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping) {
-	seen := make(map[spot.Combo]bool, len(et.tables))
-	for k := range et.tables {
-		seen[spot.Combo{Zone: spot.Zone(k.zone), Type: spot.InstanceType(k.typ)}] = true
-	}
 	out := make(map[string][]byte, len(mappings))
 	for account, m := range mappings {
 		inv := m.Inverse()
 		identity := true
-		for c := range seen {
-			if vis, ok := inv[c.Zone]; ok && vis != c.Zone {
+		for i := range et.entries {
+			zone := spot.Zone(et.entries[i].key.Zone)
+			if vis, ok := inv[zone]; ok && vis != zone {
 				identity = false
 				break
 			}
@@ -248,7 +288,7 @@ func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping)
 			out[account] = et.combos
 			continue
 		}
-		body, err := json.Marshal(sortedCombos(seen, inv))
+		body, err := json.Marshal(et.comboList(inv))
 		if err != nil {
 			continue // unreachable for these types; canonical fallback
 		}
@@ -262,16 +302,20 @@ func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping)
 // restore; lastErr becomes the reported last refresh error. On an encoding
 // failure the previous epoch keeps serving: the failure is recorded as the
 // last refresh error and returned, and the serve-stale and breaker paths
-// take it from there. The refresh trace (nil for restores) gets blob.encode
-// and blob.views spans; only a refresh records the blob.encode stage and
-// drafts_blob_encode_seconds.
-func (s *Server) install(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace, refresh bool) error {
+// take it from there. Only a refresh times the blob.encode stage and
+// drafts_blob_encode_seconds; its trace also gets a blob.views span.
+func (s *Server) install(slots []slot, asOf time.Time, lastErr string, tr *trace.Trace, refresh bool) error {
 	began := time.Now()
-	sp := tr.StartSpan("blob.encode")
-	et, err := encodeTables(tables, preds, surfaces, asOf)
-	sp.EndErr(err)
+	var et *encodedTables
+	encode := func() (err error) {
+		et, err = encodeTables(slots, asOf)
+		return err
+	}
+	var err error
 	if refresh {
-		s.metrics.observeStage(stageEncode, began)
+		err = s.stage(tr, stageEncode, encode)
+	} else {
+		err = encode()
 	}
 	if err != nil {
 		s.setLastErr(err.Error())
@@ -442,19 +486,31 @@ func writeNoEpoch(w http.ResponseWriter) {
 	writeErr(w, http.StatusServiceUnavailable, codeStale, "no tables computed yet")
 }
 
-// lookupBlob resolves a (zone, type, probability-string) triple to its
-// pre-encoded table, canonicalizing non-canonical probability spellings
-// ("0.990") on miss.
-func (et *encodedTables) lookupBlob(zone, typ, prob string) ([]byte, bool) {
-	if b, ok := et.tables[blobKey{zone: zone, typ: typ, prob: prob}]; ok {
-		return b, true
-	}
-	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if b, ok := et.tables[blobKey{zone: zone, typ: typ, prob: probKey(f)}]; ok {
-			return b, true
+// lookup resolves a (zone, type, probability-string) triple to the index
+// of its entry, canonicalizing a non-canonical probability spelling
+// ("0.990") on miss. Every per-combo read goes through it.
+func (et *encodedTables) lookup(zone, typ, prob string) (int, bool) {
+	k := BlobKey{Zone: zone, Type: typ, Prob: prob}
+	i, ok := et.index[k]
+	if !ok {
+		if f, err := strconv.ParseFloat(prob, 64); err == nil {
+			k.Prob = probKey(f)
+			i, ok = et.index[k]
 		}
 	}
-	return nil, false
+	return i, ok
+}
+
+// predictor returns the predictor behind k: nil without an epoch, without
+// such an entry, or on a replica epoch.
+func (et *encodedTables) predictor(k BlobKey) *core.Predictor {
+	if et == nil {
+		return nil
+	}
+	if i, ok := et.index[k]; ok {
+		return et.entries[i].pred
+	}
+	return nil
 }
 
 // physicalZone translates the zone a request names into the canonical
@@ -482,18 +538,15 @@ func (s *Server) lookupTable(et *encodedTables, account, zone, typ, prob string)
 	if !ok {
 		return nil, false
 	}
+	i, ok := et.lookup(phys, typ, prob)
+	if !ok {
+		return nil, false
+	}
 	if phys == zone {
-		return et.lookupBlob(zone, typ, prob)
+		return et.entries[i].body, true
 	}
-	if b, ok := et.views[viewKey{phys: phys, visible: zone, typ: typ, prob: prob}]; ok {
-		return b, true
-	}
-	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if b, ok := et.views[viewKey{phys: phys, visible: zone, typ: typ, prob: probKey(f)}]; ok {
-			return b, true
-		}
-	}
-	return nil, false
+	b, ok := et.views[viewKey{entry: i, visible: zone}]
+	return b, ok
 }
 
 // handlePredictions serves one bid table from the installed epoch. The

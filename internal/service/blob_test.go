@@ -57,11 +57,12 @@ func TestCachedGetZeroAllocs(t *testing.T) {
 	writer := testServer(t)
 	wep := writer.CurrentEpoch()
 	blobs := make(map[BlobKey][]byte, wep.NumTables())
+	surfaces := make(map[BlobKey][]byte, wep.NumTables())
 	for _, k := range wep.Keys() {
-		b, _ := wep.Blob(k)
-		blobs[k] = b
+		blobs[k], _ = wep.Blob(k)
+		surfaces[k], _ = wep.Surface(k)
 	}
-	rebuilt, err := NewEpochFull(wep.Seq(), wep.AsOf(), wep.Combos(), blobs, nil)
+	rebuilt, err := NewEpochFull(wep.Seq(), wep.AsOf(), wep.Combos(), blobs, surfaces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +333,7 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 
 	// The next refresh must actually take the incremental path for the
 	// installed predictors.
-	key := tableKey{combo: testCombos[0], prob: 0.99}
-	old := srv.blobs.Load().preds[key]
+	old := srv.blobs.Load().predictor(comboKey(testCombos[0], 0.99))
 	series, _ := st.Full(testCombos[0])
 	want, err := (core.Params{Probability: 0.99, MaxHistory: 9000}).WithDefaults()
 	if err != nil {
@@ -376,8 +376,7 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 // incremental path must fall back to a full recompute.
 func TestExtendPredictorDeclines(t *testing.T) {
 	srv := testServer(t)
-	key := tableKey{combo: testCombos[0], prob: 0.99}
-	old := srv.blobs.Load().preds[key]
+	old := srv.blobs.Load().predictor(comboKey(testCombos[0], 0.99))
 	series, _ := srv.cfg.Source.(*history.Store).Full(testCombos[0])
 	want := old.Params()
 
@@ -529,15 +528,15 @@ func TestEncodeFailureKeepsEpoch(t *testing.T) {
 	good := srv.blobs.Load()
 	seq := srv.CurrentEpoch().Seq()
 
-	poisoned := make(map[tableKey]core.BidTable, len(good.preds))
-	for k, pred := range good.preds {
-		poisoned[k], _ = pred.Table()
+	poisoned := make([]slot, len(good.entries))
+	for i, e := range good.entries {
+		poisoned[i].entry = e
+		poisoned[i].table, _ = e.pred.Table()
 	}
-	key := tableKey{combo: testCombos[0], prob: 0.99}
-	table := poisoned[key]
+	i := good.index[comboKey(testCombos[0], 0.99)]
+	table := &poisoned[i].table
 	table.Points = append([]core.BidPoint{{Bid: math.NaN(), Duration: time.Hour}}, table.Points...)
-	poisoned[key] = table
-	if err := srv.install(poisoned, good.preds, good.surfaces, time.Now().UTC(), "", nil, false); err == nil {
+	if err := srv.install(poisoned, time.Now().UTC(), "", nil, false); err == nil {
 		t.Fatal("install accepted a table with a NaN bid")
 	}
 

@@ -1,10 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"strings"
 	"time"
 )
 
@@ -23,18 +24,25 @@ const (
 	roleReplica = "replica"
 )
 
-// BlobKey addresses one pre-encoded table within an epoch by the exact
-// strings a request carries — the exported mirror of the internal blobKey.
+// BlobKey addresses one (combo, probability) entry of an epoch — its table
+// and its advise surface — by the exact strings a request carries.
 type BlobKey struct {
 	Zone, Type, Prob string
 }
 
+// compare orders keys by (zone, type, probability spelling): the order of
+// an epoch's entries, and so of every walk over them.
+func (k BlobKey) compare(o BlobKey) int {
+	return cmp.Or(strings.Compare(k.Zone, o.Zone), strings.Compare(k.Type, o.Type), strings.Compare(k.Prob, o.Prob))
+}
+
 // Epoch is an immutable snapshot of one blob-store generation: every
-// pre-encoded table body, the combo listing, and the epoch identity
-// (sequence number, asOf, ETag). The replication shipper serializes
-// Epochs onto the wire; receivers rebuild them with NewEpochFull and
-// install them with InstallEpoch. All byte slices are aliased, not copied —
-// callers must treat them as read-only, exactly like the handlers do.
+// pre-encoded table body and advise surface, the combo listing, and the
+// epoch identity (sequence number, asOf, ETag). The replication shipper
+// serializes Epochs onto the wire; receivers rebuild them with NewEpochFull
+// and install them with InstallEpoch. All byte slices are aliased, not
+// copied — callers must treat them as read-only, exactly like the handlers
+// do.
 type Epoch struct {
 	et *encodedTables
 }
@@ -50,124 +58,95 @@ func (e *Epoch) AsOf() time.Time { return e.et.asOf }
 // ETag is the strong ETag (quoted) every response from this epoch carries.
 func (e *Epoch) ETag() string { return e.et.etag }
 
-// NumTables is the pre-encoded table count.
-func (e *Epoch) NumTables() int { return len(e.et.tables) }
+// NumTables is the entry count: one table and one surface each.
+func (e *Epoch) NumTables() int { return len(e.et.entries) }
 
 // SizeBytes is the total pre-encoded payload size.
 func (e *Epoch) SizeBytes() int { return e.et.bytes }
 
-// Keys returns every table's key in sorted order — the deterministic
+// Keys returns every entry's key in sorted order — the deterministic
 // iteration order the wire protocol and the checksum both rely on.
 func (e *Epoch) Keys() []BlobKey {
-	keys := make([]BlobKey, 0, len(e.et.tables))
-	for k := range e.et.tables {
-		keys = append(keys, BlobKey{Zone: k.zone, Type: k.typ, Prob: k.prob})
+	keys := make([]BlobKey, len(e.et.entries))
+	for i := range e.et.entries {
+		keys[i] = e.et.entries[i].key
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	return keys
 }
 
-func (k BlobKey) less(o BlobKey) bool {
-	if k.Zone != o.Zone {
-		return k.Zone < o.Zone
-	}
-	if k.Type != o.Type {
-		return k.Type < o.Type
-	}
-	return k.Prob < o.Prob
-}
-
-// Blob returns the pre-encoded body for one table key.
+// Blob returns the pre-encoded table body for one key.
 func (e *Epoch) Blob(k BlobKey) ([]byte, bool) {
-	b, ok := e.et.tables[blobKey{zone: k.Zone, typ: k.Type, prob: k.Prob}]
-	return b, ok
-}
-
-// NumSurfaces is the advise-surface count.
-func (e *Epoch) NumSurfaces() int { return len(e.et.surfaces) }
-
-// SurfaceKeys returns every surface's key in sorted order — like Keys, the
-// deterministic iteration order the wire protocol and checksum rely on.
-func (e *Epoch) SurfaceKeys() []BlobKey {
-	keys := make([]BlobKey, 0, len(e.et.surfaces))
-	for k := range e.et.surfaces {
-		keys = append(keys, BlobKey{Zone: k.zone, Type: k.typ, Prob: k.prob})
+	i, ok := e.et.index[k]
+	if !ok {
+		return nil, false
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	return keys
+	return e.et.entries[i].body, true
 }
+
+// SurfaceKeys returns every surface's key in sorted order: the same keys
+// as Keys, since every entry carries both a table and a surface.
+func (e *Epoch) SurfaceKeys() []BlobKey { return e.Keys() }
 
 // Surface returns the canonical wire encoding of one advise surface — the
 // exact bytes the epoch checksum covers and the shipper puts on the wire.
 func (e *Epoch) Surface(k BlobKey) ([]byte, bool) {
-	se, ok := e.et.surfaces[blobKey{zone: k.Zone, typ: k.Type, prob: k.Prob}]
+	i, ok := e.et.index[k]
 	if !ok {
 		return nil, false
 	}
-	return se.enc, true
+	return e.et.entries[i].enc, true
 }
 
 // Combos returns the pre-encoded /v1/combos body.
 func (e *Epoch) Combos() []byte { return e.et.combos }
 
 // Checksum is a content hash over everything that determines the bytes a
-// node serves: asOf, table count, every key and body in sorted order, the
-// combo listing, and every advise surface's canonical encoding in sorted
-// key order. Two nodes at the same checksum answer every cached read —
-// tables, combos, advise, and fleet alike — byte-identically. The sequence
-// number is deliberately excluded — it is writer-local bookkeeping, not
-// content — and so are the writer-only predictors, from which all of the
-// above derives, and the per-account views each node builds from the
-// tables and its own mappings.
+// node serves: asOf, entry count, every entry's key, table body and
+// canonical surface encoding in sorted key order, and the combo listing.
+// Two nodes at the same checksum answer every cached read — tables,
+// combos, advise, and fleet alike — byte-identically. The sequence number
+// is deliberately excluded — it is writer-local bookkeeping, not content —
+// and so are the writer-only predictors, from which all of the above
+// derives, and the per-account views each node builds from the tables and
+// its own mappings.
 func (e *Epoch) Checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
+	putLen := func(n int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(n))
+		_, _ = h.Write(buf[:])
+	}
 	binary.LittleEndian.PutUint64(buf[:], uint64(e.et.asOf.UnixNano()))
 	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(e.et.tables)))
-	_, _ = h.Write(buf[:])
-	for _, k := range e.Keys() {
-		_, _ = h.Write([]byte(k.Zone))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(k.Type))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(k.Prob))
-		_, _ = h.Write([]byte{0})
-		b, _ := e.Blob(k)
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(b)))
-		_, _ = h.Write(buf[:])
-		_, _ = h.Write(b)
+	putLen(len(e.et.entries))
+	for i := range e.et.entries {
+		en := &e.et.entries[i]
+		for _, s := range [...]string{en.key.Zone, en.key.Type, en.key.Prob} {
+			_, _ = h.Write([]byte(s))
+			_, _ = h.Write([]byte{0})
+		}
+		putLen(len(en.body))
+		_, _ = h.Write(en.body)
+		putLen(len(en.enc))
+		_, _ = h.Write(en.enc)
 	}
 	_, _ = h.Write(e.et.combos)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(e.et.surfaces)))
-	_, _ = h.Write(buf[:])
-	for _, k := range e.SurfaceKeys() {
-		_, _ = h.Write([]byte(k.Zone))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(k.Type))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(k.Prob))
-		_, _ = h.Write([]byte{0})
-		b, _ := e.Surface(k)
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(b)))
-		_, _ = h.Write(buf[:])
-		_, _ = h.Write(b)
-	}
 	return h.Sum64()
 }
 
 // NewEpochFull assembles an epoch from received parts: the table blobs,
 // the combo listing, and the advise surfaces, each surface given as its
 // canonical wire encoding (the bytes Surface returns on the sending side).
-// Every surface payload is decoded and validated, so the rebuilt epoch
-// answers /v1/advise and /v1/fleet bit-identically to the writer that
-// encoded it — and hashes to the writer's Checksum, since the canonical
-// encodings are retained verbatim. The ETag is recomputed locally from
-// (asOf, table count) — the same derivation the writer's encodeTables
-// uses — which is what guarantees cross-node ETag identity: a replica
-// cannot install an epoch whose ETag differs from what the writer serves
-// for the same content. The maps are aliased, not copied; the caller must
-// not mutate them afterwards.
+// The two maps must hold the same keys: every entry carries a table and a
+// surface. Every surface payload is decoded and validated, so the rebuilt
+// epoch answers /v1/advise and /v1/fleet bit-identically to the writer
+// that encoded it — and hashes to the writer's Checksum, since the
+// canonical encodings are retained verbatim. The ETag is recomputed
+// locally from (asOf, table count) — the same derivation the writer's
+// encodeTables uses — which is what guarantees cross-node ETag identity: a
+// replica cannot install an epoch whose ETag differs from what the writer
+// serves for the same content. The byte slices are aliased, not copied;
+// the caller must not mutate them afterwards.
 func NewEpochFull(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][]byte, surfaces map[BlobKey][]byte) (*Epoch, error) {
 	if seq == 0 {
 		return nil, fmt.Errorf("service: epoch sequence must be nonzero")
@@ -181,36 +160,31 @@ func NewEpochFull(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][
 	if len(combos) == 0 {
 		return nil, fmt.Errorf("service: epoch has no combo listing")
 	}
-	et := &encodedTables{
-		seq:    seq,
-		asOf:   asOf,
-		etag:   epochETag(asOf, len(blobs)),
-		tables: make(map[blobKey][]byte, len(blobs)),
-		combos: combos,
-		bytes:  len(combos),
+	if len(surfaces) != len(blobs) {
+		return nil, fmt.Errorf("service: epoch has %d tables but %d surfaces", len(blobs), len(surfaces))
 	}
-	et.etagH = []string{et.etag}
+	entries := make([]entry, 0, len(blobs))
 	for k, body := range blobs {
 		if k.Zone == "" || k.Type == "" || k.Prob == "" {
-			return nil, fmt.Errorf("service: epoch table key %+v has empty component", k)
+			return nil, fmt.Errorf("service: epoch key %+v has empty component", k)
 		}
-		et.tables[blobKey{zone: k.Zone, typ: k.Type, prob: k.Prob}] = body
-		et.bytes += len(body)
-	}
-	if len(surfaces) > 0 {
-		rebuilt := make(map[blobKey]*surfaceEntry, len(surfaces))
-		for k, enc := range surfaces {
-			if k.Zone == "" || k.Type == "" || k.Prob == "" {
-				return nil, fmt.Errorf("service: epoch surface key %+v has empty component", k)
-			}
-			surf, err := decodeSurface(enc)
-			if err != nil {
-				return nil, fmt.Errorf("service: epoch surface %s/%s/p=%s: %w", k.Zone, k.Type, k.Prob, err)
-			}
-			rebuilt[blobKey{zone: k.Zone, typ: k.Type, prob: k.Prob}] = &surfaceEntry{surf: surf, enc: enc}
+		enc, ok := surfaces[k]
+		if !ok {
+			return nil, fmt.Errorf("service: epoch table %s/%s/p=%s has no surface", k.Zone, k.Type, k.Prob)
 		}
-		et.attachSurfaces(rebuilt)
+		surf, err := decodeSurface(enc)
+		if err != nil {
+			return nil, fmt.Errorf("service: epoch surface %s/%s/p=%s: %w", k.Zone, k.Type, k.Prob, err)
+		}
+		entries = append(entries, entry{key: k, body: body, surf: surf, enc: enc})
 	}
+	et, err := sortedEpoch(entries, asOf)
+	if err != nil {
+		return nil, err
+	}
+	et.seq = seq
+	et.combos = combos
+	et.bytes += len(combos)
 	return &Epoch{et: et}, nil
 }
 
@@ -241,7 +215,7 @@ func (s *Server) InstallEpoch(ep *Epoch) error {
 	if ep == nil || ep.et == nil {
 		return fmt.Errorf("service: nil epoch")
 	}
-	if len(ep.et.tables) == 0 {
+	if len(ep.et.entries) == 0 {
 		return fmt.Errorf("service: refusing to install empty epoch")
 	}
 	s.mu.Lock()
@@ -278,7 +252,7 @@ func (s *Server) InstallEpoch(ep *Epoch) error {
 // set and the OnEpoch hook runs.
 func (s *Server) published(et *encodedTables) {
 	s.metrics.blobBytes.Set(float64(et.bytes))
-	s.metrics.tables.Set(float64(len(et.tables)))
+	s.metrics.tables.Set(float64(len(et.entries)))
 	if hook := s.cfg.OnEpoch; hook != nil {
 		hook(&Epoch{et: et})
 	}

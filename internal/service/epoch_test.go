@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"github.com/drafts-go/drafts/internal/core"
 )
 
 func epochBlobs() map[BlobKey][]byte {
@@ -15,29 +17,61 @@ func epochBlobs() map[BlobKey][]byte {
 	}
 }
 
+// epochSurfaces gives every key of blobs a valid one-rung surface.
+func epochSurfaces(t *testing.T, blobs map[BlobKey][]byte) map[BlobKey][]byte {
+	t.Helper()
+	surf, err := core.NewAdviseSurface(0.99, 5*time.Minute, []uint32{100}, []uint32{12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[BlobKey][]byte, len(blobs))
+	for k := range blobs {
+		out[k] = encodeSurface(surf)
+	}
+	return out
+}
+
 func TestNewEpochValidation(t *testing.T) {
 	asOf := time.Now().UTC()
 	combos := []byte(`{"combos":[]}`)
-	if _, err := NewEpochFull(0, asOf, combos, epochBlobs(), nil); err == nil {
+	surfaces := epochSurfaces(t, epochBlobs())
+	if _, err := NewEpochFull(0, asOf, combos, epochBlobs(), surfaces); err == nil {
 		t.Error("zero sequence accepted")
 	}
-	if _, err := NewEpochFull(1, time.Time{}, combos, epochBlobs(), nil); err == nil {
+	if _, err := NewEpochFull(1, time.Time{}, combos, epochBlobs(), surfaces); err == nil {
 		t.Error("zero asOf accepted")
 	}
 	if _, err := NewEpochFull(1, asOf, combos, nil, nil); err == nil {
 		t.Error("empty blob set accepted")
 	}
-	if _, err := NewEpochFull(1, asOf, nil, epochBlobs(), nil); err == nil {
+	if _, err := NewEpochFull(1, asOf, nil, epochBlobs(), surfaces); err == nil {
 		t.Error("empty combo listing accepted")
 	}
-	if _, err := NewEpochFull(1, asOf, combos, map[BlobKey][]byte{{Zone: "z"}: nil}, nil); err == nil {
+	bad := map[BlobKey][]byte{{Zone: "z"}: nil}
+	if _, err := NewEpochFull(1, asOf, combos, bad, epochSurfaces(t, bad)); err == nil {
 		t.Error("key with empty components accepted")
+	}
+	// Every entry carries a table and a surface: the key sets must match.
+	if _, err := NewEpochFull(1, asOf, combos, epochBlobs(), nil); err == nil {
+		t.Error("tables without surfaces accepted")
+	}
+	other := epochSurfaces(t, epochBlobs())
+	delete(other, BlobKey{Zone: "z1", Type: "t1", Prob: "0.95"})
+	other[BlobKey{Zone: "z2", Type: "t1", Prob: "0.95"}] = surfaces[BlobKey{Zone: "z1", Type: "t1", Prob: "0.99"}]
+	if _, err := NewEpochFull(1, asOf, combos, epochBlobs(), other); err == nil {
+		t.Error("surface key set differing from the table key set accepted")
+	}
+	corrupt := epochSurfaces(t, epochBlobs())
+	corrupt[BlobKey{Zone: "z1", Type: "t1", Prob: "0.95"}] = []byte{1}
+	if _, err := NewEpochFull(1, asOf, combos, epochBlobs(), corrupt); err == nil {
+		t.Error("undecodable surface accepted")
 	}
 }
 
 func TestEpochAccessorsAndChecksum(t *testing.T) {
 	asOf := time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
-	ep, err := NewEpochFull(7, asOf, []byte("combos"), epochBlobs(), nil)
+	surfaces := epochSurfaces(t, epochBlobs())
+	ep, err := NewEpochFull(7, asOf, []byte("combos"), epochBlobs(), surfaces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +86,24 @@ func TestEpochAccessorsAndChecksum(t *testing.T) {
 	// The checksum is content-addressed: same content at a different seq
 	// hashes identically (seq is writer-local bookkeeping), any body change
 	// hashes differently.
-	same, _ := NewEpochFull(99, asOf, []byte("combos"), epochBlobs(), nil)
+	same, _ := NewEpochFull(99, asOf, []byte("combos"), epochBlobs(), surfaces)
 	if same.Checksum() != ep.Checksum() {
 		t.Error("checksum depends on sequence number")
 	}
 	changed := epochBlobs()
 	changed[BlobKey{Zone: "z1", Type: "t1", Prob: "0.95"}] = []byte(`{"a":2}`)
-	diff, _ := NewEpochFull(7, asOf, []byte("combos"), changed, nil)
+	diff, _ := NewEpochFull(7, asOf, []byte("combos"), changed, surfaces)
 	if diff.Checksum() == ep.Checksum() {
 		t.Error("checksum missed a body change")
+	}
+	surf, err := core.NewAdviseSurface(0.99, 5*time.Minute, []uint32{100}, []uint32{13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := epochSurfaces(t, epochBlobs())
+	moved[BlobKey{Zone: "z1", Type: "t1", Prob: "0.99"}] = encodeSurface(surf)
+	if other, _ := NewEpochFull(7, asOf, []byte("combos"), epochBlobs(), moved); other.Checksum() == ep.Checksum() {
+		t.Error("checksum missed a surface change")
 	}
 
 	// ETag is recomputed from (asOf, count) — the writer's own derivation —

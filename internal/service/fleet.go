@@ -199,7 +199,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if !s.checkStaleness(w, et.asOf) {
 		return
 	}
-	entries := et.fleet[probKey(prob)]
+	entries := et.fleetAt(probKey(prob))
 	if len(entries) == 0 {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no advise surfaces at probability %v", prob)
 		return
@@ -207,7 +207,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 	cands := make([]fleetCandidate, 0, len(entries))
 	for _, e := range entries {
-		if !fleetMatch(req.Zones, e.zone) || !fleetMatch(req.Types, e.typ) {
+		if !fleetMatch(req.Zones, e.key.Zone) || !fleetMatch(req.Types, e.key.Type) {
 			continue
 		}
 		q, ok := e.surf.Lookup(d)
@@ -215,7 +215,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		cands = append(cands, fleetCandidate{
-			cur:   fleetCursor{tick: spot.Ticks(q.Bid), zone: e.zone, typ: e.typ},
+			cur:   fleetCursor{tick: spot.Ticks(q.Bid), zone: e.key.Zone, typ: e.key.Type},
 			quote: q,
 		})
 	}

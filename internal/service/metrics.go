@@ -62,9 +62,15 @@ const (
 	stageCompact
 )
 
-// observeStage records one refresh stage that ran from began until now.
-func (m *serviceMetrics) observeStage(stage int, began time.Time) {
-	m.refreshStage[stage].Observe(time.Since(began).Seconds())
+// stage runs fn as one refresh stage: a span on tr named after the stage,
+// ended with fn's error, and one observation of the stage's histogram.
+func (s *Server) stage(tr *trace.Trace, stage int, fn func() error) error {
+	began := time.Now()
+	sp := tr.StartSpan(refreshStages[stage])
+	err := fn()
+	sp.EndErr(err)
+	s.metrics.refreshStage[stage].Observe(time.Since(began).Seconds())
+	return err
 }
 
 func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {

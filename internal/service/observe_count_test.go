@@ -210,8 +210,8 @@ func TestIncrementalRefreshAfterDroppedPrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prob := range probabilities {
-		k := tableKey{combo: combo, prob: prob}
-		inc, full := srv.blobs.Load().preds[k], cold.blobs.Load().preds[k]
+		k := comboKey(combo, prob)
+		inc, full := srv.blobs.Load().predictor(k), cold.blobs.Load().predictor(k)
 		if !inc.Now().Equal(ser.TimeAt(ser.Len() - 1)) {
 			t.Errorf("p=%v: clock at %v, want the series' last tick %v", prob, inc.Now(), ser.TimeAt(ser.Len()-1))
 		}

@@ -2,9 +2,11 @@ package service
 
 import (
 	"net/http"
+	"sort"
 	"strconv"
 	"time"
 
+	"github.com/drafts-go/drafts/internal/core"
 	"github.com/drafts-go/drafts/internal/spot"
 )
 
@@ -101,8 +103,8 @@ func (s *Server) handlePredictionsMarshal(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	pred, ok := et.preds[tableKey{combo: combo, prob: prob}]
-	if !ok {
+	pred := et.predictor(comboKey(combo, prob))
+	if pred == nil {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s at probability %v", combo, prob)
 		return
 	}
@@ -122,8 +124,8 @@ func (s *Server) handleCombosMarshal(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	seen := make(map[spot.Combo]bool)
-	for k := range et.preds {
-		seen[k.combo] = true
+	for k := range et.predictors() {
+		seen[spot.Combo{Zone: spot.Zone(k.Zone), Type: spot.InstanceType(k.Type)}] = true
 	}
 	if !s.checkStaleness(w, et.asOf) {
 		return
@@ -157,7 +159,7 @@ func (s *Server) handleAdviseScan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid duration %q", durStr)
 		return
 	}
-	pred := et.preds[tableKey{combo: combo, prob: prob}]
+	pred := et.predictor(comboKey(combo, prob))
 	if pred == nil {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no predictor for %s at probability %v", combo, prob)
 		return
@@ -186,6 +188,41 @@ func (s *Server) blobSnapshotEqual(c spot.Combo, prob float64, body []byte) bool
 	if et == nil {
 		return false
 	}
-	b, ok := et.tables[blobKey{zone: string(c.Zone), typ: string(c.Type), prob: probKey(prob)}]
-	return ok && string(b) == string(body)
+	i, ok := et.index[comboKey(c, prob)]
+	return ok && string(et.entries[i].body) == string(body)
+}
+
+// sortedCombos renders a combo set as the /v1/combos listing, each zone
+// renamed through rename (physical -> visible; nil renames nothing), sorted
+// by (zone, type) in the renamed namespace.
+func sortedCombos(set map[spot.Combo]bool, rename map[spot.Zone]spot.Zone) []comboJSON {
+	list := make([]comboJSON, 0, len(set))
+	for c := range set {
+		zone := c.Zone
+		if vis, ok := rename[zone]; ok {
+			zone = vis
+		}
+		list = append(list, comboJSON{Zone: string(zone), InstanceType: string(c.Type)})
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].Zone != list[j].Zone {
+			return list[i].Zone < list[j].Zone
+		}
+		return list[i].InstanceType < list[j].InstanceType
+	})
+	return list
+}
+
+// comboKey is the key of the entry for (c, prob).
+func comboKey(c spot.Combo, prob float64) BlobKey {
+	return BlobKey{Zone: string(c.Zone), Type: string(c.Type), Prob: probKey(prob)}
+}
+
+// predictors returns the epoch's predictors by key.
+func (et *encodedTables) predictors() map[BlobKey]*core.Predictor {
+	out := make(map[BlobKey]*core.Predictor, len(et.entries))
+	for _, e := range et.entries {
+		out[e.key] = e.pred
+	}
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
@@ -55,46 +54,34 @@ type snapshotEntry struct {
 // windows inline, 2 carried every table next to its predictor.
 const snapshotVersion = 3
 
-// EncodeSnapshot serializes the installed epoch's predictors. It returns
-// an error when there is nothing to snapshot yet, and on a replica, whose
-// epochs carry no predictors.
+// EncodeSnapshot serializes the installed epoch's predictors, in the
+// epoch's entry order. It returns an error when there is nothing to
+// snapshot yet, and on a replica, whose epochs carry no predictors.
 func (s *Server) EncodeSnapshot() ([]byte, error) {
 	et := s.blobs.Load()
-	if et == nil || len(et.preds) == 0 {
+	if et == nil || len(et.entries) == 0 || et.entries[0].pred == nil {
 		return nil, fmt.Errorf("service: no tables to snapshot")
 	}
 	s.mu.Lock()
 	lastErr := s.lastErr
 	s.mu.Unlock()
-	keys := make([]tableKey, 0, len(et.preds))
-	for k := range et.preds {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.combo.Zone != b.combo.Zone {
-			return a.combo.Zone < b.combo.Zone
-		}
-		if a.combo.Type != b.combo.Type {
-			return a.combo.Type < b.combo.Type
-		}
-		return a.prob < b.prob
-	})
 	snap := serviceSnapshot{
 		Version:  snapshotVersion,
 		AsOf:     et.asOf,
 		EpochSeq: et.seq,
 		LastErr:  lastErr,
+		Entries:  make([]snapshotEntry, 0, len(et.entries)),
 	}
-	for _, k := range keys {
+	for i := range et.entries {
+		e := &et.entries[i]
 		var buf bytes.Buffer
-		if err := et.preds[k].Save(&buf); err != nil {
-			return nil, fmt.Errorf("service: saving predictor for %s/p=%v: %w", k.combo, k.prob, err)
+		if err := e.pred.Save(&buf); err != nil {
+			return nil, fmt.Errorf("service: saving predictor for %s/%s/p=%s: %w", e.key.Zone, e.key.Type, e.key.Prob, err)
 		}
 		snap.Entries = append(snap.Entries, snapshotEntry{
-			Zone:        string(k.combo.Zone),
-			Type:        string(k.combo.Type),
-			Probability: k.prob,
+			Zone:        e.key.Zone,
+			Type:        e.key.Type,
+			Probability: e.surf.Probability,
 			Predictor:   json.RawMessage(bytes.TrimSpace(buf.Bytes())),
 		})
 	}
@@ -121,35 +108,29 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	if len(snap.Entries) == 0 {
 		return fmt.Errorf("service: snapshot holds no tables")
 	}
-	tables := make(map[tableKey]core.BidTable, len(snap.Entries))
-	preds := make(map[tableKey]*core.Predictor, len(snap.Entries))
-	surfaces := make(map[blobKey]*surfaceEntry, len(snap.Entries))
+	slots := make([]slot, len(snap.Entries))
 	var (
 		series      *history.Series
 		seriesCombo spot.Combo
 	)
-	for _, e := range snap.Entries {
-		k := tableKey{
-			combo: spot.Combo{Zone: spot.Zone(e.Zone), Type: spot.InstanceType(e.Type)},
-			prob:  e.Probability,
-		}
+	for i, e := range snap.Entries {
+		combo := spot.Combo{Zone: spot.Zone(e.Zone), Type: spot.InstanceType(e.Type)}
 		if len(e.Predictor) == 0 || string(e.Predictor) == "null" {
-			return fmt.Errorf("service: snapshot entry %s/p=%v has no predictor", k.combo, k.prob)
+			return fmt.Errorf("service: snapshot entry %s/p=%v has no predictor", combo, e.Probability)
 		}
 		// Entries are sorted by combo, so each series is fetched once.
-		if series == nil || seriesCombo != k.combo {
-			series, _ = s.cfg.Source.Full(k.combo)
-			seriesCombo = k.combo
+		if series == nil || seriesCombo != combo {
+			series, _ = s.cfg.Source.Full(combo)
+			seriesCombo = combo
 		}
 		pred, err := core.LoadPredictor(bytes.NewReader(e.Predictor), series)
 		if err != nil {
-			return fmt.Errorf("service: restoring predictor for %s/p=%v: %w", k.combo, k.prob, err)
+			return fmt.Errorf("service: restoring predictor for %s/p=%v: %w", combo, e.Probability, err)
 		}
-		table, se, ok := ladder(pred)
-		if !ok {
-			return fmt.Errorf("service: restored predictor for %s/p=%v has no price history", k.combo, k.prob)
+		slots[i].key = BlobKey{Zone: e.Zone, Type: e.Type, Prob: probKey(e.Probability)}
+		if !slots[i].ladder(pred) {
+			return fmt.Errorf("service: restored predictor for %s/p=%v has no price history", combo, e.Probability)
 		}
-		tables[k], preds[k], surfaces[k.blob()] = table, pred, se
 	}
 	// Resume the epoch counter where the snapshot left it, so the install
 	// below publishes as EpochSeq+1 and replication sequence numbers stay
@@ -160,9 +141,9 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	// Install under the snapshot's original epoch: the warm restart serves
 	// the same bytes — and the same ETag, so client caches keep
 	// revalidating successfully — it served before the crash.
-	if err := s.install(tables, preds, surfaces, snap.AsOf, snap.LastErr, nil, false); err != nil {
+	if err := s.install(slots, snap.AsOf, snap.LastErr, nil, false); err != nil {
 		return fmt.Errorf("service: installing restored tables: %w", err)
 	}
-	s.logger.Info("snapshot restored", "tables", len(tables), "as_of", snap.AsOf)
+	s.logger.Info("snapshot restored", "tables", len(slots), "as_of", snap.AsOf)
 	return nil
 }

@@ -156,13 +156,13 @@ func TestSnapshotRestoreReplaysTail(t *testing.T) {
 	}
 	clocks := func(want time.Time, when string) {
 		t.Helper()
-		preds := restored.blobs.Load().preds
+		preds := restored.blobs.Load().predictors()
 		if len(preds) == 0 {
 			t.Fatal("no predictors restored")
 		}
 		for k, pred := range preds {
 			if !pred.Now().Equal(want) {
-				t.Errorf("%s/p=%v %s: predictor clock %v, want %v", k.combo, k.prob, when, pred.Now(), want)
+				t.Errorf("%s/%s/p=%s %s: predictor clock %v, want %v", k.Zone, k.Type, k.Prob, when, pred.Now(), want)
 			}
 		}
 	}

@@ -178,7 +178,7 @@ func TestWALCompactionKeepsRestoreWindows(t *testing.T) {
 			t.Errorf("%s: replayed series starts at %v; compaction kept the whole log", c, ser.Start)
 		}
 	}
-	if n := len(restored.blobs.Load().preds); n != 2*len(testCombos) {
+	if n := len(restored.blobs.Load().predictors()); n != 2*len(testCombos) {
 		t.Fatalf("restored %d predictors, want %d", n, 2*len(testCombos))
 	}
 }
@@ -200,8 +200,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if _, err := r.st.CompactBefore(w.walCutoff(time.Now().UTC())); err != nil {
 		t.Fatal(err)
 	}
-	before := map[tableKey][]byte{}
-	for k, pred := range w.blobs.Load().preds {
+	before := map[BlobKey][]byte{}
+	for k, pred := range w.blobs.Load().predictors() {
 		var buf bytes.Buffer
 		if err := pred.Save(&buf); err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
-	restoredPreds := restored.blobs.Load().preds
+	restoredPreds := restored.blobs.Load().predictors()
 	if len(restoredPreds) != len(before) {
 		t.Fatalf("restored %d predictors, want %d", len(restoredPreds), len(before))
 	}
@@ -223,7 +223,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), before[k]) {
-			t.Errorf("%s/p=%v: restored predictor saves different bytes", k.combo, k.prob)
+			t.Errorf("%s/%s/p=%s: restored predictor saves different bytes", k.Zone, k.Type, k.Prob)
 		}
 	}
 

@@ -181,15 +181,15 @@ type Server struct {
 	// through it).
 	now func() time.Time
 
+	// params are the effective predictor parameters at each of the
+	// probabilities, settled once at construction: a fresh predictor gets
+	// them, and an installed one is extended only while its own match.
+	params [len(probabilities)]core.Params
+
 	// mu orders epoch installs and guards lastErr, the most recent refresh
 	// error ("" after a clean refresh).
 	mu      sync.Mutex
 	lastErr string
-}
-
-type tableKey struct {
-	combo spot.Combo
-	prob  float64
 }
 
 // New validates the configuration and returns a writer server with no
@@ -238,6 +238,15 @@ func newServer(cfg Config, role string) (*Server, error) {
 			cfg.RefreshEvery/4, cfg.RefreshEvery, time.Now().UnixNano()),
 		now: time.Now,
 	}
+	// The parameters reject what the predictors would: a negative
+	// MaxHistory fails here, not in every refresh.
+	for i, prob := range probabilities {
+		p, err := core.Params{Probability: prob, MaxHistory: cfg.MaxHistory}.WithDefaults()
+		if err != nil {
+			return nil, fmt.Errorf("service: predictor parameters: %w", err)
+		}
+		s.params[i] = p
+	}
 	if cfg.MaxConcurrent > 0 {
 		s.sem = resilience.NewSemaphore(int64(cfg.MaxConcurrent), cfg.MaxQueue)
 	}
@@ -259,9 +268,9 @@ func newServer(cfg Config, role string) (*Server, error) {
 // Combos whose installed predictor sits on the history's grid take the
 // incremental path: the predictor is cloned and fed only the ticks that
 // arrived since, producing byte-identical tables at a fraction of the
-// full-window cost (TestIncrementalRefreshEquivalence). Each predictor's table and advise
-// surface come from one guarantee walk inside the fan-out, and the three
-// are installed together as one new epoch.
+// full-window cost (TestIncrementalRefreshEquivalence). Each predictor's
+// table and advise surface come from one guarantee walk inside the
+// fan-out, and the entries are installed together as one new epoch.
 //
 // Refreshes are best-effort per combo: a predictor failure is counted,
 // logged, and surfaced through /healthz and the refresh metrics, but the
@@ -292,126 +301,51 @@ func (s *Server) Refresh() error {
 	})
 	defer endCycle()
 	if s.cfg.PreRefresh != nil {
-		t := time.Now()
-		sp := tr.StartSpan("ticks.ingest")
-		err := s.cfg.PreRefresh()
-		sp.EndErr(err)
-		s.metrics.observeStage(stageIngest, t)
-		if err != nil {
+		if err := s.stage(tr, stageIngest, s.cfg.PreRefresh); err != nil {
 			s.logger.Warn("refresh: pre-refresh hook failed; using histories as they stand", "err", err)
 		}
-	}
-	combos := s.cfg.Source.Combos()
-	n := len(combos) * len(probabilities)
-	fresh := make(map[tableKey]core.BidTable, n)
-	freshPreds := make(map[tableKey]*core.Predictor, n)
-	surfaces := make(map[blobKey]*surfaceEntry, n)
-
-	// The installed epoch's predictors feed the incremental path. An epoch
-	// is immutable, so reading them during the fan-out needs no lock.
-	var prevPreds map[tableKey]*core.Predictor
-	if prev := s.blobs.Load(); prev != nil {
-		prevPreds = prev.preds
-	}
-
-	// The effective parameters a fresh predictor would get, per probability
-	// level: an installed predictor is reusable only if its parameters match
-	// exactly. A Params validation error here would also fail NewPredictor
-	// below, so it is left for the worker loop to report.
-	var wantParams [len(probabilities)]core.Params
-	for i, prob := range probabilities {
-		if p, err := (core.Params{Probability: prob, MaxHistory: s.cfg.MaxHistory}).WithDefaults(); err == nil {
-			wantParams[i] = p
-		}
-	}
-
-	var (
-		mu          sync.Mutex
-		wg          sync.WaitGroup
-		firstErr    error
-		lastErr     error
-		errCount    int
-		skipped     int
-		incremental int
-	)
-	workers := s.cfg.RefreshWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	// One span covers the whole fan-out: the per-combo qbets updates and
 	// guarantee walks run inside it (per-combo spans would blow the fixed
 	// span budget at fleet scale).
-	buildBegan := time.Now()
-	buildSpan := tr.StartSpan("tables.build")
-	work := make(chan spot.Combo)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				series, ok := s.cfg.Source.Full(c)
-				if !ok || series.Len() == 0 {
-					mu.Lock()
-					skipped++
-					mu.Unlock()
-					continue
-				}
-				for i, prob := range probabilities {
-					key := tableKey{combo: c, prob: prob}
-					pred := s.extendPredictor(prevPreds[key], wantParams[i], series)
-					if pred != nil {
-						mu.Lock()
-						incremental++
-						mu.Unlock()
-					} else {
-						var err error
-						pred, err = core.NewPredictor(core.Params{
-							Probability: prob,
-							MaxHistory:  s.cfg.MaxHistory,
-						}, series.Start)
-						if err != nil {
-							s.metrics.comboErrors.Inc()
-							s.logger.Warn("refresh: predictor failed",
-								"zone", string(c.Zone), "type", string(c.Type),
-								"probability", prob, "err", err)
-							mu.Lock()
-							errCount++
-							if firstErr == nil {
-								firstErr = err
-							}
-							lastErr = err
-							mu.Unlock()
-							continue
-						}
-						pred.ObserveSeries(series)
-					}
-					table, se, ok := ladder(pred)
-					mu.Lock()
-					if ok {
-						fresh[key] = table
-						freshPreds[key] = pred
-						surfaces[key.blob()] = se
-					} else {
-						skipped++
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, c := range combos {
-		work <- c
-	}
-	close(work)
-	wg.Wait()
-	buildSpan.End()
-	s.metrics.observeStage(stageBuild, buildBegan)
+	var slots []slot
+	_ = s.stage(tr, stageBuild, func() error {
+		slots = s.build(s.cfg.Source.Combos())
+		return nil
+	})
 
-	s.metrics.combosComputed.Add(uint64(len(fresh)))
+	// Total the outcomes in combo order.
+	var (
+		built, skipped, incremental, errCount int
+		firstErr, lastErr                     error
+	)
+	for i := range slots {
+		sl := &slots[i]
+		if sl.incremental {
+			incremental++
+		}
+		switch {
+		case sl.err != nil:
+			s.metrics.comboErrors.Inc()
+			s.logger.Warn("refresh: predictor failed",
+				"zone", sl.key.Zone, "type", sl.key.Type,
+				"probability", probabilities[i%len(probabilities)], "err", sl.err)
+			errCount++
+			if firstErr == nil {
+				firstErr = sl.err
+			}
+			lastErr = sl.err
+		case sl.skipped:
+			skipped++
+		case sl.surf != nil:
+			built++
+		}
+	}
+	s.metrics.combosComputed.Add(uint64(built))
 	s.metrics.combosSkipped.Add(uint64(skipped))
 	s.metrics.refreshIncremental.Add(uint64(incremental))
 
-	if len(fresh) == 0 && errCount > 0 {
+	if built == 0 && errCount > 0 {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr))
 	}
 
@@ -420,7 +354,7 @@ func (s *Server) Refresh() error {
 	if errCount > 0 {
 		errStr = fmt.Sprintf("%d combo failures, last: %v", errCount, lastErr)
 	}
-	if err := s.install(fresh, freshPreds, surfaces, now, errStr, tr, true); err != nil {
+	if err := s.install(slots, now, errStr, tr, true); err != nil {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh kept the previous epoch: %w", err))
 	}
 	s.metrics.lastSuccess.SetTime(now)
@@ -428,15 +362,77 @@ func (s *Server) Refresh() error {
 	elapsed := endCycle()
 	if s.cfg.Tracer != nil {
 		s.logger.Info("refresh complete",
-			"tables", len(fresh), "skipped", skipped, "combo_errors", errCount,
+			"tables", built, "skipped", skipped, "combo_errors", errCount,
 			"incremental", incremental, "elapsed", elapsed.Round(time.Millisecond),
 			"trace_id", tr.IDString())
 	} else {
 		s.logger.Info("refresh complete",
-			"tables", len(fresh), "skipped", skipped, "combo_errors", errCount,
+			"tables", built, "skipped", skipped, "combo_errors", errCount,
 			"incremental", incremental, "elapsed", elapsed.Round(time.Millisecond))
 	}
 	return nil
+}
+
+// slot is one (combo, probability)'s result in a refresh or a snapshot
+// restore: the entry its predictor yields, with the table still to be
+// encoded, or why there is none.
+type slot struct {
+	entry                     // built by ladder; encodeTables adds the body
+	table       core.BidTable // the table to encode
+	incremental bool          // the predictor extends the installed one
+	skipped     bool          // no history, or no table yet
+	err         error         // the predictor could not be built
+}
+
+// build runs the refresh fan-out: one slot per (combo, probability), in
+// combo order, each written only by the worker that took its combo, so
+// the workers share no state. The installed epoch's predictors feed the
+// incremental path; an epoch is immutable, so reading them needs no lock.
+// A combo without history counts as skipped once, in its first slot.
+func (s *Server) build(combos []spot.Combo) []slot {
+	prev := s.blobs.Load()
+	slots := make([]slot, len(combos)*len(probabilities))
+	workers := s.cfg.RefreshWorkers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := range work {
+				c := combos[ci]
+				out := slots[ci*len(probabilities) : (ci+1)*len(probabilities)]
+				series, ok := s.cfg.Source.Full(c)
+				if !ok || series.Len() == 0 {
+					out[0].skipped = true
+					continue
+				}
+				for i, params := range s.params {
+					sl := &out[i]
+					sl.key = BlobKey{Zone: string(c.Zone), Type: string(c.Type), Prob: probKey(params.Probability)}
+					pred := s.extendPredictor(prev.predictor(sl.key), params, series)
+					if pred != nil {
+						sl.incremental = true
+					} else {
+						if pred, sl.err = core.NewPredictor(params, series.Start); sl.err != nil {
+							continue
+						}
+						pred.ObserveSeries(series)
+					}
+					sl.skipped = !sl.ladder(pred)
+				}
+			}
+		}()
+	}
+	for ci := range combos {
+		work <- ci
+	}
+	close(work)
+	wg.Wait()
+	return slots
 }
 
 // refreshFailed records a refresh that left the previous epoch in place:
@@ -498,30 +494,25 @@ func (s *Server) persist(now time.Time, tr *trace.Trace) {
 	if s.cfg.Durable == nil {
 		return
 	}
-	t := time.Now()
-	sp := tr.StartSpan("snapshot.encode")
-	payload, err := s.EncodeSnapshot()
-	sp.EndErr(err)
-	s.metrics.observeStage(stageSnapshotEncode, t)
-	if err != nil {
+	var payload []byte
+	if err := s.stage(tr, stageSnapshotEncode, func() (err error) {
+		payload, err = s.EncodeSnapshot()
+		return err
+	}); err != nil {
 		s.logger.Error("refresh: encoding snapshot failed", "err", err)
 		return
 	}
-	t = time.Now()
-	wsp := tr.StartSpan("snapshot.write")
-	err = s.cfg.Durable.WriteSnapshot(payload)
-	wsp.EndErr(err)
-	s.metrics.observeStage(stageSnapshotWrite, t)
-	if err != nil {
+	if err := s.stage(tr, stageSnapshotWrite, func() error {
+		return s.cfg.Durable.WriteSnapshot(payload)
+	}); err != nil {
 		s.logger.Error("refresh: writing snapshot failed", "err", err)
 		return
 	}
-	t = time.Now()
-	csp := tr.StartSpan("wal.compact")
-	removed, err := s.cfg.Durable.CompactBefore(s.walCutoff(now))
-	csp.EndErr(err)
-	s.metrics.observeStage(stageCompact, t)
-	if err != nil {
+	var removed int
+	if err := s.stage(tr, stageCompact, func() (err error) {
+		removed, err = s.cfg.Durable.CompactBefore(s.walCutoff(now))
+		return err
+	}); err != nil {
 		s.logger.Warn("refresh: WAL compaction failed", "err", err)
 		return
 	}
@@ -541,8 +532,8 @@ func (s *Server) walCutoff(now time.Time) time.Time {
 	if et == nil {
 		return cutoff
 	}
-	for _, pred := range et.preds {
-		if oldest, ok := pred.Oldest(); ok && oldest.Before(cutoff) {
+	for i := range et.entries {
+		if oldest, ok := et.entries[i].pred.Oldest(); ok && oldest.Before(cutoff) {
 			cutoff = oldest
 		}
 	}
@@ -763,7 +754,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		epoch uint64
 	)
 	if et := s.blobs.Load(); et != nil {
-		n, asOf, epoch = len(et.tables), et.asOf, et.seq
+		n, asOf, epoch = len(et.entries), et.asOf, et.seq
 	}
 	resp := map[string]any{"status": "ok", "tables": n, "as_of": asOf,
 		"role": s.role, "epoch": epoch}

@@ -50,6 +50,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Source: history.NewStore(), RefreshEvery: -time.Minute}); err == nil {
 		t.Error("negative refresh accepted")
 	}
+	if _, err := New(Config{Source: history.NewStore(), MaxHistory: -1}); err == nil {
+		t.Error("negative max history accepted")
+	}
 }
 
 func TestHealth(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
@@ -17,28 +15,11 @@ import (
 // they are installed behind the same atomic pointer, shipped to replicas in
 // their canonical wire encoding, and rebuilt there bit-identically — so a
 // replica's /v1/advise and /v1/fleet answers are byte-for-byte the
-// writer's. This file holds the storage entry, the canonical wire codec,
-// and the cross-combo fleet index the /v1/fleet argmin runs over.
+// writer's. This file holds the canonical wire codec, the walk that builds
+// a surface, and the per-probability lists the /v1/fleet argmin runs over.
 
 // surfaceWireVersion versions the canonical surface encoding below.
 const surfaceWireVersion = 1
-
-// surfaceEntry is one stored surface: the lookup structure plus its
-// canonical encoding. The encoding — not the in-memory form — is what the
-// epoch checksum covers and what ships to replicas, so writer and replica
-// hash identical bytes.
-type surfaceEntry struct {
-	surf *core.AdviseSurface
-	enc  []byte
-}
-
-// fleetEntry is one row of the per-probability fleet index: a combo and its
-// surface, pre-sorted by (zone, type) so /v1/fleet scans deterministically.
-type fleetEntry struct {
-	zone string
-	typ  string
-	surf *core.AdviseSurface
-}
 
 // encodeSurface renders the canonical wire form:
 //
@@ -88,62 +69,29 @@ func decodeSurface(p []byte) (*core.AdviseSurface, error) {
 	return core.NewAdviseSurface(prob, step, bids, guar)
 }
 
-// ladder derives a predictor's table and advise surface from its one
-// guarantee walk; ok is false while the predictor has no price history.
-func ladder(pred *core.Predictor) (core.BidTable, *surfaceEntry, bool) {
+// ladder fills sl from its predictor's one guarantee walk: the advise
+// surface, its canonical encoding, and the bid table read off it. It
+// returns false, leaving sl unbuilt, while the predictor has no price
+// history.
+func (sl *slot) ladder(pred *core.Predictor) bool {
 	surf, ok := pred.Surface()
 	if !ok {
-		return core.BidTable{}, nil, false
+		return false
 	}
-	return surf.Table(pred.Now()), &surfaceEntry{surf: surf, enc: encodeSurface(surf)}, true
+	sl.pred, sl.surf, sl.enc = pred, surf, encodeSurface(surf)
+	sl.table = surf.Table(pred.Now())
+	return true
 }
 
-// buildFleetIndex groups surfaces by probability spelling and sorts each
-// group by (zone, type), the deterministic scan order /v1/fleet pages over.
-func buildFleetIndex(surfaces map[blobKey]*surfaceEntry) map[string][]fleetEntry {
-	if len(surfaces) == 0 {
-		return nil
-	}
-	idx := make(map[string][]fleetEntry)
-	for k, se := range surfaces {
-		idx[k.prob] = append(idx[k.prob], fleetEntry{zone: k.zone, typ: k.typ, surf: se.surf})
-	}
-	for prob, list := range idx {
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].zone != list[j].zone {
-				return list[i].zone < list[j].zone
-			}
-			return list[i].typ < list[j].typ
-		})
-		idx[prob] = list
-	}
-	return idx
-}
-
-// attachSurfaces installs a surface set (and its fleet index) into an
-// epoch under construction, charging the canonical encodings to the
-// epoch's byte gauge.
-func (et *encodedTables) attachSurfaces(surfaces map[blobKey]*surfaceEntry) {
-	et.surfaces = surfaces
-	et.fleet = buildFleetIndex(surfaces)
-	for _, se := range surfaces {
-		et.bytes += len(se.enc)
-	}
-}
-
-// lookupSurface resolves a (zone, type, probability-string) triple to its
-// surface, canonicalizing non-canonical probability spellings on miss,
-// exactly like lookupBlob.
-func (et *encodedTables) lookupSurface(zone, typ, prob string) (*core.AdviseSurface, bool) {
-	if se, ok := et.surfaces[blobKey{zone: zone, typ: typ, prob: prob}]; ok {
-		return se.surf, true
-	}
-	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if se, ok := et.surfaces[blobKey{zone: zone, typ: typ, prob: probKey(f)}]; ok {
-			return se.surf, true
+// fleetAt returns the entries at one probability spelling, in (zone, type)
+// order.
+func (et *encodedTables) fleetAt(prob string) []*entry {
+	for _, l := range et.fleet {
+		if l.prob == prob {
+			return l.rows
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // surfaceComboString renders the canonical combo spelling used in advise
