@@ -48,10 +48,15 @@ func BenchmarkFigure4BidTable(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// ablationViolationRate feeds a series into a QBETS upper-bound predictor
-// and returns the next-step violation rate.
-func ablationViolationRate(prices []float64, cfg qbets.Config) float64 {
-	p := qbets.MustNew(cfg)
+// ablationViolationRate feeds a series of tick prices into a QBETS
+// upper-bound predictor over the production price store and returns the
+// next-step violation rate.
+func ablationViolationRate(b *testing.B, prices []float64, cfg qbets.Config) float64 {
+	cfg.NewStore = func() qbets.OrderStats { return qbets.NewLevelStore(spot.PriceTick) }
+	p, err := qbets.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	viol, scored := 0, 0
 	for _, v := range prices {
 		if bound, ok := p.Bound(); ok {
@@ -84,10 +89,10 @@ func BenchmarkAblationChangePoints(b *testing.B) {
 	b.ResetTimer()
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		with = ablationViolationRate(prices, base)
+		with = ablationViolationRate(b, prices, base)
 		off := base
 		off.NoChangePoint = true
-		without = ablationViolationRate(prices, off)
+		without = ablationViolationRate(b, prices, off)
 	}
 	b.ReportMetric(with, "violation-rate-with-cp")
 	b.ReportMetric(without, "violation-rate-without-cp")
@@ -101,16 +106,16 @@ func BenchmarkAblationAutocorr(b *testing.B) {
 	x := 0.0
 	for i := range prices {
 		x = 0.97*x + rng.NormFloat64()
-		prices[i] = 10 + x
+		prices[i] = spot.RoundToTick(10 + x)
 	}
 	base := qbets.Config{Kind: qbets.UpperBound, Quantile: 0.975, Confidence: 0.99}
 	b.ResetTimer()
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		with = ablationViolationRate(prices, base)
+		with = ablationViolationRate(b, prices, base)
 		off := base
 		off.NoAutocorr = true
-		without = ablationViolationRate(prices, off)
+		without = ablationViolationRate(b, prices, off)
 	}
 	b.ReportMetric(with, "violation-rate-with-ess")
 	b.ReportMetric(without, "violation-rate-without-ess")
@@ -164,21 +169,13 @@ func BenchmarkQBETSObserveFenwick(b *testing.B) {
 
 func benchQBETSObserve(b *testing.B, store func() qbets.OrderStats) {
 	s := benchSeries(b, spot.Combo{Zone: "us-east-1b", Type: "c4.large"}, 26000)
-	p := qbets.MustNew(qbets.Config{
+	p, err := qbets.New(qbets.Config{
 		Kind: qbets.UpperBound, Quantile: 0.975, Confidence: 0.99,
 		NewStore: store,
 	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Observe(s.Prices[i%s.Len()])
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkQBETSObserveTreap measures the same update with the generic
-// treap store.
-func BenchmarkQBETSObserveTreap(b *testing.B) {
-	s := benchSeries(b, spot.Combo{Zone: "us-east-1b", Type: "c4.large"}, 26000)
-	p := qbets.MustNew(qbets.Config{Kind: qbets.UpperBound, Quantile: 0.975, Confidence: 0.99})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Observe(s.Prices[i%s.Len()])

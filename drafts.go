@@ -46,8 +46,6 @@ type (
 	InstanceType = spot.InstanceType
 	// Combo is one market: an (availability zone, instance type) pair.
 	Combo = spot.Combo
-	// TypeSpec describes an instance type's capability and On-demand price.
-	TypeSpec = spot.TypeSpec
 	// Series is a uniform-grid (5-minute) market price history.
 	Series = history.Series
 
@@ -63,8 +61,8 @@ type (
 	// BidPoint is one entry of a BidTable.
 	BidPoint = core.BidPoint
 
-	// HistoryStore archives price series per combo with 90-day retention;
-	// it satisfies the service's Source interface.
+	// HistoryStore archives price series per combo; it satisfies the
+	// service's Source interface.
 	HistoryStore = history.Store
 
 	// ServiceClient talks to a DrAFTS prediction service over REST.
@@ -108,9 +106,6 @@ func LoadHistoryDir(dir string) (*HistoryStore, int, error) { return history.Loa
 
 // NewServiceServer constructs a prediction service over a price source.
 func NewServiceServer(cfg ServiceConfig) (*ServiceServer, error) { return service.New(cfg) }
-
-// Catalog returns the 53-type instance catalog the paper's study covered.
-func Catalog() []TypeSpec { return spot.Catalog() }
 
 // Combos enumerates the 452 (zone, type) combinations available across the
 // modelled regions — the paper's backtest population.

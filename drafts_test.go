@@ -90,9 +90,6 @@ func TestOptimizeCostValidation(t *testing.T) {
 }
 
 func TestCatalogAndCombos(t *testing.T) {
-	if len(Catalog()) != 53 {
-		t.Errorf("catalog size %d", len(Catalog()))
-	}
 	if len(Combos()) != 452 {
 		t.Errorf("combos %d", len(Combos()))
 	}

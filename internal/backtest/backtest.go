@@ -249,7 +249,7 @@ func runCombo(cfg Config, combo spot.Combo, s *history.Series) (ComboOutcome, er
 		}
 		d := time.Duration(needs[i]) * s.Step
 		hours := float64(billing.ChargeableHours(d, billing.UserTerminated))
-		outcome.ODCost += od * hours
+		outcome.ODCost += billing.OnDemandCost(od, d)
 		bid := draftsBids[i]
 		if bid < od {
 			outcome.StrategyCost += bid * hours

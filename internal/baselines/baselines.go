@@ -100,7 +100,7 @@ func tickAt(prices []float64, i int) (int64, error) {
 // integer ticks, so each price enters and leaves it once and each quantile
 // is one O(log m) Select, with no copy of the window. That relies on the
 // tick-grid invariant history.Series documents; a price off the grid is an
-// error. stats.KthSmallest over the window is the test oracle.
+// error. A sorted copy of the window is the test oracle.
 func ECDFBids(s *history.Series, quantile float64, maxHistory int, queries []int) ([]float64, error) {
 	if !(quantile > 0 && quantile < 1) {
 		return nil, fmt.Errorf("baselines: quantile %v outside (0,1)", quantile)

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -84,7 +85,7 @@ func TestECDFBidsErrors(t *testing.T) {
 	}
 	// A price between ticks breaks the tick-grid invariant the sliding
 	// window reads quantiles back through.
-	off := s.Clone()
+	off := &history.Series{Start: s.Start, Step: s.Step, Prices: slices.Clone(s.Prices)}
 	off.Prices[40] += spot.PriceTick / 3
 	if _, err := ECDFBids(off, 0.5, 0, []int{60}); err == nil {
 		t.Error("off-grid price accepted")
@@ -128,7 +129,9 @@ func TestECDFBidsMatchesKthSmallest(t *testing.T) {
 				for qi, q := range queries {
 					w := window(s.Prices, q, maxHistory)
 					k := min(max(int(math.Ceil(quantile*float64(len(w)))), 1), len(w))
-					want := spot.NextTickAbove(stats.KthSmallest(w, k))
+					sorted := append([]float64(nil), w...)
+					sort.Float64s(sorted)
+					want := spot.NextTickAbove(sorted[k-1])
 					if math.Float64bits(bids[qi]) != math.Float64bits(want) {
 						t.Fatalf("%v maxHistory=%d q=%v at %d: bid %v, want %v",
 							c, maxHistory, quantile, q, bids[qi], want)
@@ -235,7 +238,7 @@ func TestAR1UnderestimatesSpikyTails(t *testing.T) {
 
 func TestAR1BidsTickGridAndOverflow(t *testing.T) {
 	s := genSeries(t, spot.Combo{Zone: "us-east-1b", Type: "c4.large"}, 100)
-	off := s.Clone()
+	off := &history.Series{Start: s.Start, Step: s.Step, Prices: slices.Clone(s.Prices)}
 	off.Prices[40] += spot.PriceTick / 3
 	if _, err := AR1Bids(off, 0.975, 0.99, 0, []int{60}); err == nil || !strings.Contains(err.Error(), "tick grid") {
 		t.Errorf("off-grid price: err = %v, want a tick-grid error", err)

@@ -33,13 +33,6 @@ const (
 	ProviderTerminated
 )
 
-func (r Reason) String() string {
-	if r == UserTerminated {
-		return "user-terminated"
-	}
-	return "provider-terminated"
-}
-
 // ChargeableHours returns how many instance-hours a run of the given
 // duration is billed for under the given termination reason.
 func ChargeableHours(d time.Duration, reason Reason) int {

@@ -150,9 +150,3 @@ func TestOnDemandCost(t *testing.T) {
 		t.Errorf("OD cost = %v, want %v", got, 3*od)
 	}
 }
-
-func TestReasonString(t *testing.T) {
-	if UserTerminated.String() != "user-terminated" || ProviderTerminated.String() != "provider-terminated" {
-		t.Error("Reason strings wrong")
-	}
-}

@@ -157,7 +157,7 @@ func TestRouterPlacesReadsOnRingOwner(t *testing.T) {
 	// Every request for one combo lands on the ring owner — the same node
 	// every time, and the node the ring itself names.
 	path := "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99"
-	owner, _ := m.Ring().Lookup(routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"))
+	owner := m.Ring().Candidates(routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"), 1)[0]
 	for i := 0; i < 5; i++ {
 		code, _, served := routerGet(t, ts.URL, path)
 		if code != http.StatusOK {
@@ -185,7 +185,7 @@ func TestRouterFailsOverOnRetryableStatus(t *testing.T) {
 
 	path := "/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99"
 	key := routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99")
-	owner, _ := m.Ring().Lookup(key)
+	owner := m.Ring().Candidates(key, 1)[0]
 	ownerNode, otherNode := a, b
 	if owner == b.ts.URL {
 		ownerNode, otherNode = b, a
@@ -244,7 +244,7 @@ func TestRouterAdviseGoesToRingOwner(t *testing.T) {
 	if want := routeKey("/v1/predictions", "zone=us-east-1b&type=c4.large&probability=0.99"); key != want {
 		t.Fatalf("advise key %q, want the predictions key %q", key, want)
 	}
-	owner, _ := m.Ring().Lookup(key)
+	owner := m.Ring().Candidates(key, 1)[0]
 	ownerNode, otherNode := writer, replica
 	if owner == replica.ts.URL {
 		ownerNode, otherNode = replica, writer

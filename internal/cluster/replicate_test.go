@@ -217,7 +217,10 @@ func TestReplicateFullThenDelta(t *testing.T) {
 // TestKillPointsEveryFrameBoundary cuts the ship stream at every frame
 // boundary (and mid-frame just past each) and proves the receiver
 // discards the torn tail, resumes from a frame-aligned cursor, and
-// installs a byte-identical epoch.
+// installs a byte-identical epoch. Subtests are named by frame index and
+// cut kind ("frame03/boundary" cuts before frame 3, "frame03/mid" three
+// bytes into it, "end" after the last frame), so they keep their names
+// when the wire format or the test epoch's content changes.
 func TestKillPointsEveryFrameBoundary(t *testing.T) {
 	ep := testEpoch(t, 1, blobsFor(1))
 	stream := encodeStream(ep, nil)
@@ -232,16 +235,26 @@ func TestKillPointsEveryFrameBoundary(t *testing.T) {
 		boundaries = append(boundaries, off)
 	}
 
-	var cuts []int
-	for _, b := range boundaries {
-		cuts = append(cuts, b)
+	type killPoint struct {
+		name string
+		cut  int
+	}
+	var cuts []killPoint
+	for i, b := range boundaries {
+		if b == len(stream) {
+			cuts = append(cuts, killPoint{"end", b})
+			continue
+		}
+		cuts = append(cuts, killPoint{fmt.Sprintf("frame%02d/boundary", i), b})
 		if b+3 < len(stream) {
-			cuts = append(cuts, b+3) // mid-frame: tears the torn-tail path
+			// Mid-frame: tears the torn-tail path.
+			cuts = append(cuts, killPoint{fmt.Sprintf("frame%02d/mid", i), b + 3})
 		}
 	}
 
-	for _, cut := range cuts {
-		t.Run(fmt.Sprintf("cut_%d_of_%d", cut, len(stream)), func(t *testing.T) {
+	for _, kp := range cuts {
+		cut := kp.cut
+		t.Run(kp.name, func(t *testing.T) {
 			sh := testShipper(10 * time.Millisecond)
 			sh.Publish(ep)
 			proxy := newShipProxy(sh)
@@ -353,7 +366,6 @@ func TestPartitionMidStreamHealConverge(t *testing.T) {
 		t.Fatalf("post-heal step: %v", err)
 	}
 	assertEpochEqual(t, srv.CurrentEpoch(), e4)
-	assertEpochEqual(t, srv.CurrentEpoch(), sh.Current())
 	if st := rc.Status(); st.Installs != 2 {
 		t.Fatalf("installs = %d, want 2 (e1 + e4; e2/e3 skipped)", st.Installs)
 	}

@@ -110,13 +110,6 @@ func (sh *Shipper) Publish(ep *service.Epoch) {
 	sh.mu.Unlock()
 }
 
-// Current returns the latest published epoch (nil before the first).
-func (sh *Shipper) Current() *service.Epoch {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.cur
-}
-
 // Stats returns a snapshot of the ship counters.
 func (sh *Shipper) Stats() ShipStats {
 	sh.mu.Lock()

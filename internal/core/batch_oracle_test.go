@@ -36,11 +36,12 @@ import (
 // part of oracleTables.
 type levelTracker struct {
 	level    float64
-	resolved *qbets.FenwickStore // resolved durations, in grid steps
-	r        int                 // first pending (unresolved) start index
-	t        int                 // last observed grid index; -1 before any
-	window   int                 // only episodes starting within the last window steps count; 0 = unlimited
-	rank     *stats.RankTable    // order-statistic rank of the bound
+	resolved []int            // 1-based Fenwick tree of resolved durations, in grid steps
+	n        int              // resolved durations held
+	r        int              // first pending (unresolved) start index
+	t        int              // last observed grid index; -1 before any
+	window   int              // only episodes starting within the last window steps count; 0 = unlimited
+	rank     *stats.RankTable // order-statistic rank of the bound
 
 	// queue of resolved episodes in start order, for window eviction.
 	queue []episode
@@ -52,12 +53,13 @@ type episode struct {
 	dur   int32
 }
 
-// newLevelTracker tracks one bid level; its bound is the lower
-// c-confidence bound on the qd-quantile of the survival durations.
-func newLevelTracker(level float64, window int, qd, c float64) *levelTracker {
+// newLevelTracker tracks one bid level over a series at most ticks grid
+// points long; its bound is the lower c-confidence bound on the
+// qd-quantile of the survival durations.
+func newLevelTracker(level float64, ticks, window int, qd, c float64) *levelTracker {
 	return &levelTracker{
 		level:    level,
-		resolved: qbets.NewFenwickStore(1, 256),
+		resolved: make([]int, ticks+1),
 		t:        -1,
 		window:   window,
 		rank:     durationRank(qd, c),
@@ -69,7 +71,7 @@ func (lt *levelTracker) observe(i int, price float64) {
 	if price >= lt.level {
 		// Crossing: resolve every pending start with its survival length.
 		for s := lt.r; s < i; s++ {
-			lt.resolved.Insert(float64(i - s))
+			lt.addResolved(i-s, 1)
 			lt.queue = append(lt.queue, episode{start: int32(s), dur: int32(i - s)})
 		}
 		lt.r = i + 1 // index i itself cannot start an episode
@@ -78,13 +80,21 @@ func (lt *levelTracker) observe(i int, price float64) {
 	if lt.window > 0 {
 		horizon := i - lt.window
 		for lt.qhead < len(lt.queue) && int(lt.queue[lt.qhead].start) < horizon {
-			lt.resolved.Remove(float64(lt.queue[lt.qhead].dur))
+			lt.addResolved(int(lt.queue[lt.qhead].dur), -1)
 			lt.qhead++
 		}
 		if lt.qhead > len(lt.queue)/2 && lt.qhead > 1024 {
 			lt.queue = append(lt.queue[:0], lt.queue[lt.qhead:]...)
 			lt.qhead = 0
 		}
+	}
+}
+
+// addResolved adds delta occurrences of a resolved duration of d steps.
+func (lt *levelTracker) addResolved(d, delta int) {
+	lt.n += delta
+	for i := d; i < len(lt.resolved); i += i & -i {
+		lt.resolved[i] += delta
 	}
 }
 
@@ -102,7 +112,7 @@ func (lt *levelTracker) effR() int {
 // sampleSize returns resolved plus censored episode counts. The start at
 // the current instant carries no information and is excluded.
 func (lt *levelTracker) sampleSize() (resolved, censored int) {
-	resolved = lt.resolved.Len()
+	resolved = lt.n
 	censored = lt.t - lt.effR()
 	if censored < 0 {
 		censored = 0
@@ -120,7 +130,11 @@ func (lt *levelTracker) countAtMost(v int) int {
 	if pending < 0 {
 		pending = 0
 	}
-	return lt.resolved.CountAtMost(float64(v)) + pending
+	resolved := 0
+	for i := min(v, len(lt.resolved)-1); i > 0; i -= i & -i {
+		resolved += lt.resolved[i]
+	}
+	return resolved + pending
 }
 
 // bound returns the duration lower bound in grid steps at the tracker's
@@ -196,7 +210,7 @@ func oracleTables(b *Batch, queries []int) ([]BidTable, error) {
 	grid := geometricGrid(lo+spot.PriceTick, b.MaxBid, tableRatio)
 	trackers := make([]*levelTracker, len(grid))
 	for i, lvl := range grid {
-		trackers[i] = newLevelTracker(lvl, params.MaxHistory, qd, c)
+		trackers[i] = newLevelTracker(lvl, s.Len(), params.MaxHistory, qd, c)
 	}
 
 	pricePred, err := qbets.New(priceQBETSConfig(params))

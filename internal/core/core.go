@@ -125,15 +125,6 @@ func (t BidTable) BidFor(d time.Duration) (float64, bool) {
 	return t.Points[i].Bid, true
 }
 
-// MinBid returns the table's smallest bid (the step-1 minimum bid), or ok
-// false for an empty table.
-func (t BidTable) MinBid() (float64, bool) {
-	if len(t.Points) == 0 {
-		return 0, false
-	}
-	return t.Points[0].Bid, true
-}
-
 // enforceMonotone makes guaranteed durations non-decreasing in the bid by
 // taking a running maximum. The market mechanism implies monotonicity
 // (§3: "as bids get larger, the durations must increase monotonically for

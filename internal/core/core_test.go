@@ -73,12 +73,6 @@ func TestBidTableBidFor(t *testing.T) {
 	if _, ok := tab.BidFor(13 * time.Hour); ok {
 		t.Error("unguaranteeable duration accepted")
 	}
-	if mb, ok := tab.MinBid(); !ok || mb != 0.10 {
-		t.Errorf("MinBid = %v, %v", mb, ok)
-	}
-	if _, ok := (BidTable{}).MinBid(); ok {
-		t.Error("empty table MinBid should fail")
-	}
 }
 
 func TestEnforceMonotone(t *testing.T) {
@@ -230,7 +224,7 @@ func scanBound(prices []float64, level, qd, c float64) (int, bool) {
 func TestTrackerMatchesScan(t *testing.T) {
 	s := mustGen(t, spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}, 4000)
 	for _, level := range []float64{0.05, 0.12, 0.3, 0.8, 2.0} {
-		tr := newLevelTracker(level, 0, 0.025, 0.99)
+		tr := newLevelTracker(level, s.Len(), 0, 0.025, 0.99)
 		rt := newRunTracker(s.Len(), 0.025, 0.99)
 		for i, p := range s.Prices {
 			tr.observe(i, p)
@@ -260,7 +254,7 @@ func TestTrackerWindowMatchesWindowedScan(t *testing.T) {
 	s := mustGen(t, spot.Combo{Zone: "us-west-1a", Type: "c3.2xlarge"}, 6000)
 	const w = 1500
 	level := 0.3
-	tr := newLevelTracker(level, w, 0.025, 0.99)
+	tr := newLevelTracker(level, s.Len(), w, 0.025, 0.99)
 	for i, p := range s.Prices {
 		tr.observe(i, p)
 		got, gok := tr.bound()

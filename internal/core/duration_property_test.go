@@ -130,7 +130,7 @@ func TestBatchTablesArePresentMomentOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the future violently.
-	mutated := s.Clone()
+	mutated := cloneSeries(s)
 	for i := 3001; i < mutated.Len(); i++ {
 		mutated.Prices[i] = spot.RoundToTick(mutated.Prices[i] * 7)
 	}

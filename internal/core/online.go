@@ -156,9 +156,6 @@ func (p *Predictor) Now() time.Time {
 	return p.start.Add(time.Duration(p.count-1) * p.step)
 }
 
-// Warmed reports whether the price bound carries full confidence.
-func (p *Predictor) Warmed() bool { return p.price.Warmed() }
-
 // MinBid returns the smallest bid DrAFTS will quote right now: one tick
 // above the QBETS upper bound on the next market price.
 func (p *Predictor) MinBid() (float64, bool) {

@@ -100,7 +100,7 @@ func TestPredictorSaveLoadContinuesIdentically(t *testing.T) {
 	cont.ObserveSeries(ser)
 	// Checkpointed predictor sees the first 2000, round-trips, then the rest.
 	ck := mk()
-	ck.ObserveSeries(ser.Slice(0, 2000))
+	ck.ObserveSeries(span(ser, 0, 2000))
 	var buf bytes.Buffer
 	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -153,21 +153,21 @@ func TestLoadPredictorRejectsDefects(t *testing.T) {
 	}
 
 	altered := func(i int) *history.Series {
-		cp := ser.Clone()
+		cp := cloneSeries(ser)
 		cp.Prices[i] += spot.PriceTick
 		return cp
 	}
-	offGrid := ser.Clone()
+	offGrid := cloneSeries(ser)
 	offGrid.Start = offGrid.Start.Add(time.Minute)
-	coarse := ser.Clone()
+	coarse := cloneSeries(ser)
 	coarse.Step = 2 * ser.Step
 	for name, tc := range map[string]struct {
 		series *history.Series
 		want   string
 	}{
 		"no-series":           {nil, "no history series"},
-		"shorter-than-window": {ser.Slice(300, ser.Len()), "window points"},
-		"ends-before-clock":   {ser.Slice(0, 499), "before predictor clock"},
+		"shorter-than-window": {span(ser, 300, ser.Len()), "window points"},
+		"ends-before-clock":   {span(ser, 0, 499), "before predictor clock"},
 		"off-grid-clock":      {offGrid, "not on the series grid"},
 		"other-step":          {coarse, "step"},
 		"altered-price":       {altered(350), "checksum"},
@@ -232,7 +232,7 @@ func TestPredictorSaveLoadDroppedPrices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ck.ObserveSeries(ser.Slice(0, 2500))
+			ck.ObserveSeries(span(ser, 0, 2500))
 			var buf bytes.Buffer
 			if err := ck.Save(&buf); err != nil {
 				t.Fatal(err)
@@ -253,7 +253,7 @@ func TestPredictorSaveLoadDroppedPrices(t *testing.T) {
 					t.Fatalf("%s, max history %d: Oldest %v, want %v", name, maxHistory, oldest, ser.TimeAt(from))
 				}
 			}
-			for _, src := range []*history.Series{ser, ser.Slice(from, ser.Len())} {
+			for _, src := range []*history.Series{ser, span(ser, from, ser.Len())} {
 				restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), src)
 				if err != nil {
 					t.Fatalf("%s, max history %d, series from %v: %v", name, maxHistory, src.Start, err)

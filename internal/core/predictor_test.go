@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +19,17 @@ func mustGen(t *testing.T, c spot.Combo, n int) *history.Series {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// span returns prices [from, to) of s as a series starting at from's time.
+// It shares s's prices.
+func span(s *history.Series, from, to int) *history.Series {
+	return &history.Series{Start: s.TimeAt(from), Step: s.Step, Prices: s.Prices[from:to]}
+}
+
+// cloneSeries returns a copy of s that shares no prices with it.
+func cloneSeries(s *history.Series) *history.Series {
+	return &history.Series{Start: s.Start, Step: s.Step, Prices: slices.Clone(s.Prices)}
 }
 
 func testParams(p float64) Params {
@@ -70,16 +82,20 @@ func TestOnlinePredictorLifecycle(t *testing.T) {
 }
 
 func TestWarmedOnStationaryFeed(t *testing.T) {
-	// Warmed is only a sometimes-property on spiky market data (a change
-	// point resets the history); on a stationary i.i.d. feed it must hold
-	// once the effective sample size clears the binomial minimum.
+	// Until the effective sample size has a binomial rank, the price bound
+	// is its warm-up fallback, the sample maximum. On spiky market data a
+	// change point can reset the history; on a stationary i.i.d. feed the
+	// bound must be a deeper order statistic after 4000 points.
 	p, _ := NewPredictor(testParams(0.95), t0)
 	rng := stats.NewRNG(77)
+	maxSeen := 0.0
 	for i := 0; i < 4000; i++ {
-		p.Observe(spot.RoundToTick(0.05 + 0.02*rng.Float64()))
+		v := spot.RoundToTick(0.05 + 0.02*rng.Float64())
+		maxSeen = math.Max(maxSeen, v)
+		p.Observe(v)
 	}
-	if !p.Warmed() {
-		t.Error("not warmed after 4000 i.i.d. points")
+	if b, ok := p.price.Bound(); !ok || b >= maxSeen {
+		t.Errorf("price bound %v (ok %v) after 4000 i.i.d. points is not below the sample maximum %v", b, ok, maxSeen)
 	}
 }
 
@@ -227,15 +243,15 @@ func TestBatchMatchesOnline(t *testing.T) {
 	}
 	for qi, q := range queries {
 		p, _ := NewPredictor(params, t0)
-		p.ObserveSeries(s.Slice(0, q+1))
+		p.ObserveSeries(span(s, 0, q+1))
 		mbOnline, ok := p.MinBid()
 		if !ok {
 			t.Fatal("no online min bid")
 		}
-		mbBatch, ok := tables[qi].MinBid()
-		if !ok {
+		if len(tables[qi].Points) == 0 {
 			t.Fatal("no batch min bid")
 		}
+		mbBatch := tables[qi].Points[0].Bid
 		if mbOnline != mbBatch {
 			t.Errorf("query %d: min bid online %v vs batch %v", q, mbOnline, mbBatch)
 		}

@@ -60,8 +60,7 @@ func newRunTracker(window int, qd, c float64) *runTracker {
 }
 
 // durationRank returns the shared rank table for the lower c-confidence
-// bound on the qd-quantile: LowerBoundIndex(n, qd, c) is
-// UpperBoundIndex(n, 1-qd, c).
+// bound on the qd-quantile: the upper bound's table at 1-qd.
 func durationRank(qd, c float64) *stats.RankTable { return stats.RankTableFor(1-qd, c) }
 
 // cross records a price at or above the tracker's at tick i (ticks must

@@ -93,14 +93,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Lookup returns the member that owns key; ok is false on an empty ring.
-func (r *Ring) Lookup(key string) (string, bool) {
-	if r.Len() == 0 {
-		return "", false
-	}
-	return r.members[r.points[r.search(key)].member], true
-}
-
 // Candidates returns up to n distinct members in ownership order: the
 // owner first, then the members whose points follow clockwise — the
 // natural failover sequence, because those are exactly the members that

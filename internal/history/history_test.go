@@ -63,43 +63,6 @@ func TestSeriesAt(t *testing.T) {
 	}
 }
 
-func TestWindowAndSlice(t *testing.T) {
-	s := rampSeries(100)
-	w := s.Window(t0.Add(30*time.Minute), t0.Add(time.Hour))
-	if w.Len() != 6 {
-		t.Fatalf("window len = %d, want 6", w.Len())
-	}
-	if !w.Start.Equal(t0.Add(30 * time.Minute)) {
-		t.Errorf("window start = %v", w.Start)
-	}
-	if w.Prices[0] != s.Prices[6] {
-		t.Errorf("window misaligned")
-	}
-	// Partial-interval boundaries round inward on the left, outward on the right.
-	w2 := s.Window(t0.Add(31*time.Minute), t0.Add(59*time.Minute))
-	if !w2.Start.Equal(t0.Add(35*time.Minute)) || w2.Len() != 5 {
-		t.Errorf("partial window start %v len %d", w2.Start, w2.Len())
-	}
-	// Clamping.
-	w3 := s.Slice(-5, 1000)
-	if w3.Len() != 100 {
-		t.Errorf("clamped slice len = %d", w3.Len())
-	}
-	w4 := s.Slice(50, 10)
-	if w4.Len() != 0 {
-		t.Errorf("inverted slice len = %d", w4.Len())
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	s := rampSeries(5)
-	c := s.Clone()
-	c.Prices[0] = 99
-	if s.Prices[0] == 99 {
-		t.Error("Clone shares backing array")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	s := rampSeries(5)
 	if err := s.Validate(); err != nil {
@@ -118,17 +81,6 @@ func TestValidate(t *testing.T) {
 	bad3 := &Series{Start: t0, Step: 0, Prices: []float64{1}}
 	if err := bad3.Validate(); err == nil {
 		t.Error("zero step accepted")
-	}
-}
-
-func TestPoints(t *testing.T) {
-	s := rampSeries(3)
-	pts := s.Points()
-	if len(pts) != 3 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if !pts[2].At.Equal(t0.Add(10*time.Minute)) || pts[2].Price != 0.1002 {
-		t.Errorf("pts[2] = %+v", pts[2])
 	}
 }
 
@@ -212,43 +164,8 @@ func TestStorePutGetHistory(t *testing.T) {
 	if full.Len() != 1000 || !slices.Equal(full.Prices, want) {
 		t.Error("Put changed a Full view taken before it")
 	}
-
-	now := t0.Add(1000 * 5 * time.Minute)
-	h, err := st.History(c, t0, now, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 1000 {
-		t.Errorf("history len = %d", h.Len())
-	}
-	if _, err := st.History(spot.Combo{Zone: "x", Type: "y"}, t0, now, now); err == nil {
-		t.Error("missing combo accepted")
-	}
-}
-
-func TestStoreRetentionClipping(t *testing.T) {
-	st := NewStore()
-	c := spot.Combo{Zone: "us-west-2a", Type: "m1.large"}
-	// 100 days of data.
-	n := int(100 * 24 * time.Hour / spot.UpdatePeriod)
-	s := NewSeries(t0)
-	for i := 0; i < n; i++ {
-		s.Append(0.05)
-	}
-	if err := st.Put(c, s); err != nil {
-		t.Fatal(err)
-	}
-	now := s.End()
-	h, err := st.History(c, t0, now, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxPts := int(Retention / spot.UpdatePeriod)
-	if h.Len() > maxPts {
-		t.Errorf("retention not enforced: got %d points, cap %d", h.Len(), maxPts)
-	}
-	if h.Start.Before(now.Add(-Retention)) {
-		t.Errorf("history starts %v, before retention horizon", h.Start)
+	if _, ok := st.Full(spot.Combo{Zone: "x", Type: "y"}); ok {
+		t.Error("missing combo found")
 	}
 }
 
@@ -257,15 +174,15 @@ func TestStoreAppendCreates(t *testing.T) {
 	c := spot.Combo{Zone: "us-east-1c", Type: "m3.medium"}
 	st.Append(c, t0, 0.1)
 	st.Append(c, t0, 0.2)
-	p, err := st.Price(c, t0.Add(6*time.Minute))
-	if err != nil || p != 0.2 {
-		t.Errorf("Price = %v, %v", p, err)
+	s, ok := st.Full(c)
+	if !ok {
+		t.Fatal("Append did not create the series")
 	}
-	if _, err := st.Price(c, t0.Add(time.Hour)); err == nil {
+	if p, ok := s.At(t0.Add(6 * time.Minute)); !ok || p != 0.2 {
+		t.Errorf("price at 6m = %v, %v", p, ok)
+	}
+	if _, ok := s.At(t0.Add(time.Hour)); ok {
 		t.Error("price beyond series accepted")
-	}
-	if _, err := st.Price(spot.Combo{}, t0); err == nil {
-		t.Error("price for missing combo accepted")
 	}
 }
 
@@ -368,8 +285,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		st.Combos()
 		st.Full(c)
-		st.Price(c, t0)
-		st.History(c, t0, t0.Add(time.Hour), t0.Add(time.Hour))
 	}
 	<-done
 	if s, ok := st.Full(c); !ok || s.Len() != 2000 {

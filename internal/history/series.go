@@ -75,50 +75,6 @@ func (s *Series) At(t time.Time) (price float64, ok bool) {
 // Append adds the next grid point's price.
 func (s *Series) Append(p float64) { s.Prices = append(s.Prices, p) }
 
-// Slice returns a view (shared backing array) covering grid indices
-// [from, to). Out-of-range bounds are clamped.
-func (s *Series) Slice(from, to int) *Series {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(s.Prices) {
-		to = len(s.Prices)
-	}
-	if from > to {
-		from = to
-	}
-	return &Series{Start: s.TimeAt(from), Step: s.Step, Prices: s.Prices[from:to]}
-}
-
-// Window returns the sub-series covering [from, to) as a view.
-func (s *Series) Window(from, to time.Time) *Series {
-	i := s.IndexOf(from)
-	if from.After(s.TimeAt(i)) { // partial interval: start at the next full point
-		i++
-	}
-	j := s.IndexOf(to)
-	if to.After(s.TimeAt(j)) {
-		j++
-	}
-	return s.Slice(i, j)
-}
-
-// Clone deep-copies the series.
-func (s *Series) Clone() *Series {
-	cp := &Series{Start: s.Start, Step: s.Step, Prices: make([]float64, len(s.Prices))}
-	copy(cp.Prices, s.Prices)
-	return cp
-}
-
-// Points materializes the series as explicit price announcements.
-func (s *Series) Points() []spot.PricePoint {
-	out := make([]spot.PricePoint, len(s.Prices))
-	for i, p := range s.Prices {
-		out[i] = spot.PricePoint{At: s.TimeAt(i), Price: p}
-	}
-	return out
-}
-
 // Validate checks structural invariants: a positive step and finite,
 // positive prices. It does not check that prices lie on the tick grid:
 // the predictors snap each price to its tick as they observe it (core's

@@ -10,9 +10,12 @@ import (
 )
 
 // Store is a thread-safe archive of price series keyed by (zone, type)
-// combo, enforcing the provider's 90-day retention window on reads. It
-// plays the role of the EC2 DescribeSpotPriceHistory endpoint for every
-// consumer in this repository.
+// combo. It plays the role of the EC2 DescribeSpotPriceHistory endpoint
+// for every consumer in this repository. It keeps every price it is given:
+// the provider's 90-day retention (Retention) holds downstream, where
+// core.DefaultMaxHistory bounds every predictor's window and WAL
+// compaction drops segments older than both Retention and every installed
+// predictor's window.
 type Store struct {
 	mu     sync.RWMutex
 	series map[spot.Combo]*Series
@@ -81,40 +84,4 @@ func (st *Store) Full(c spot.Combo) (*Series, bool) {
 	}
 	n := len(s.Prices)
 	return &Series{Start: s.Start, Step: s.Step, Prices: s.Prices[:n:n]}, true
-}
-
-// History answers the provider-style query: the price series for combo c
-// covering [from, to), clipped to the retention window measured backwards
-// from now. This is what an external customer could actually observe.
-func (st *Store) History(c spot.Combo, from, to, now time.Time) (*Series, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s, ok := st.series[c]
-	if !ok {
-		return nil, fmt.Errorf("history: no series for %v", c)
-	}
-	oldest := now.Add(-Retention)
-	if from.Before(oldest) {
-		from = oldest
-	}
-	if to.After(now) {
-		to = now
-	}
-	w := s.Window(from, to)
-	return w.Clone(), nil
-}
-
-// Price returns the market price for combo c in force at time t.
-func (st *Store) Price(c spot.Combo, t time.Time) (float64, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s, ok := st.series[c]
-	if !ok {
-		return 0, fmt.Errorf("history: no series for %v", c)
-	}
-	p, ok := s.At(t)
-	if !ok {
-		return 0, fmt.Errorf("history: %v has no price at %v", c, t)
-	}
-	return p, nil
 }

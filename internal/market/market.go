@@ -157,9 +157,6 @@ func (m *Market) Price() float64 { return m.price }
 // Series returns the emitted price history (shared; do not mutate).
 func (m *Market) Series() *history.Series { return m.series }
 
-// OnDemand returns the combo's On-demand price.
-func (m *Market) OnDemand() float64 { return m.od }
-
 // Step advances the market by one repricing period: background arrivals
 // and departures, supply evolution, clearing, and price announcement.
 func (m *Market) Step() {
@@ -353,39 +350,4 @@ func (ex *Exchange) Now() time.Time {
 		return time.Time{}
 	}
 	return ex.Markets[0].Now()
-}
-
-// Submit routes the §2 request 4-tuple (Region, Availability_zone,
-// Instance_type, Max_bid_price) to the matching market. A request with an
-// empty zone is placed in the zone the provider chooses — which, per the
-// paper, is chosen "without regard for price": the first market that
-// accepts the bid.
-func (ex *Exchange) Submit(req spot.Request) (*Instance, *Market, error) {
-	if err := req.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if req.Zone != "" {
-		for _, m := range ex.Markets {
-			if m.Combo.Zone == req.Zone && m.Combo.Type == req.Type {
-				inst, err := m.Submit(req.MaxBid)
-				return inst, m, err
-			}
-		}
-		return nil, nil, fmt.Errorf("market: no market for %s/%s", req.Zone, req.Type)
-	}
-	var lastErr error
-	for _, m := range ex.Markets {
-		if m.Combo.Zone.Region() != req.Region || m.Combo.Type != req.Type {
-			continue
-		}
-		inst, err := m.Submit(req.MaxBid)
-		if err == nil {
-			return inst, m, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("market: no market for type %s in %s", req.Type, req.Region)
-	}
-	return nil, nil, lastErr
 }

@@ -40,7 +40,7 @@ func TestReserveFloorHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reserve := spot.RoundToTick(0.25 * m.OnDemand())
+	reserve := spot.RoundToTick(0.25 * m.od)
 	for i := 0; i < 2000; i++ {
 		m.Step()
 		if m.Price() < reserve {

@@ -1,6 +1,7 @@
 package obfuscate
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -103,7 +104,7 @@ func TestDeobfuscateRecoversPermutation(t *testing.T) {
 		v := make(map[spot.Zone]*history.Series)
 		for _, z := range zones {
 			phys, _ := m.Physical(z)
-			s := physical[phys].Clone()
+			s := &history.Series{Start: physical[phys].Start, Step: physical[phys].Step, Prices: slices.Clone(physical[phys].Prices)}
 			if jitter {
 				// Different accounts sample the feed at slightly different
 				// times; perturb a few points to prove robustness.

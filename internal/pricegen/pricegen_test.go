@@ -380,7 +380,7 @@ func TestContinueMatchesSeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, got, want.Slice(have, have+n), fmt.Sprintf("%v [%d,%d)", c, have, have+n))
+			sameBits(t, got, &history.Series{Start: want.TimeAt(have), Step: want.Step, Prices: want.Prices[have : have+n]}, fmt.Sprintf("%v [%d,%d)", c, have, have+n))
 			have += n
 		}
 		// The memo's cursor now sits at total: rewind behind it, then
@@ -390,7 +390,7 @@ func TestContinueMatchesSeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, got, want.Slice(r[0], r[0]+r[1]), fmt.Sprintf("%v [%d,%d)", c, r[0], r[0]+r[1]))
+			sameBits(t, got, &history.Series{Start: want.TimeAt(r[0]), Step: want.Step, Prices: want.Prices[r[0] : r[0]+r[1]]}, fmt.Sprintf("%v [%d,%d)", c, r[0], r[0]+r[1]))
 		}
 	}
 }

@@ -147,8 +147,6 @@ func chooseDrAFTS(q Quoter, region spot.Region, prof workload.Profile, need time
 // Queue is the platform's per-tool FIFO job queue with revocation requeue.
 type Queue struct {
 	byTool map[string][]workload.Job
-	order  []string // tools in first-seen order, for deterministic iteration
-	total  int
 }
 
 // NewQueue returns an empty queue.
@@ -159,11 +157,7 @@ func NewQueue() *Queue {
 // Push appends a job to its tool's queue.
 func (q *Queue) Push(j workload.Job) {
 	tool := j.Profile.Tool
-	if _, seen := q.byTool[tool]; !seen {
-		q.order = append(q.order, tool)
-	}
 	q.byTool[tool] = append(q.byTool[tool], j)
-	q.total++
 }
 
 // Requeue puts a revoked job back at the front of its tool's queue (it
@@ -171,11 +165,7 @@ func (q *Queue) Push(j workload.Job) {
 // §4.3).
 func (q *Queue) Requeue(j workload.Job) {
 	tool := j.Profile.Tool
-	if _, seen := q.byTool[tool]; !seen {
-		q.order = append(q.order, tool)
-	}
 	q.byTool[tool] = append([]workload.Job{j}, q.byTool[tool]...)
-	q.total++
 }
 
 // Pop removes the oldest queued job for a tool.
@@ -186,23 +176,8 @@ func (q *Queue) Pop(tool string) (workload.Job, bool) {
 	}
 	j := jobs[0]
 	q.byTool[tool] = jobs[1:]
-	q.total--
 	return j, true
 }
 
 // Len returns the queued count for one tool.
 func (q *Queue) Len(tool string) int { return len(q.byTool[tool]) }
-
-// TotalLen returns the queued count across tools.
-func (q *Queue) TotalLen() int { return q.total }
-
-// Tools returns tools with at least one queued job, in first-seen order.
-func (q *Queue) Tools() []string {
-	var out []string
-	for _, tool := range q.order {
-		if len(q.byTool[tool]) > 0 {
-			out = append(out, tool)
-		}
-	}
-	return out
-}

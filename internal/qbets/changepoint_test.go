@@ -40,9 +40,9 @@ func TestChangePointTablesMatchBinomial(t *testing.T) {
 // bound and q below a lower one, to the bit (1-(1-0.025) is not 0.025).
 func TestPredictorChangePointProbability(t *testing.T) {
 	for _, cfg := range []Config{
-		{Kind: UpperBound, Quantile: math.Sqrt(0.95), Confidence: 0.99},
-		{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99},
-		{Kind: LowerBound, Quantile: 1 - math.Sqrt(0.95), Confidence: 0.95, ChangePointWindow: 8},
+		{Kind: UpperBound, Quantile: math.Sqrt(0.95), Confidence: 0.99, NewStore: treapStore},
+		{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99, NewStore: treapStore},
+		{Kind: LowerBound, Quantile: 1 - math.Sqrt(0.95), Confidence: 0.95, ChangePointWindow: 8, NewStore: treapStore},
 	} {
 		p := MustNew(cfg)
 		viol := cfg.Quantile

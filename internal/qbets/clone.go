@@ -6,8 +6,8 @@ import "fmt"
 // themselves. Every backend in this package implements it; Predictor.Clone
 // requires it of whatever store the predictor was configured with, because
 // a clone rebuilt by re-insertion would not be guaranteed to reproduce the
-// original's future behaviour (a treap's priority stream, for instance,
-// advances per insertion).
+// original's future behaviour (a randomized store's priority stream, for
+// instance, advances per insertion).
 type StoreCloner interface {
 	// CloneOrderStats returns an independent deep copy of the store.
 	CloneOrderStats() OrderStats
@@ -26,26 +26,6 @@ func (f *FenwickStore) Clone() *FenwickStore {
 
 // CloneOrderStats implements StoreCloner.
 func (f *FenwickStore) CloneOrderStats() OrderStats { return f.Clone() }
-
-// Clone returns an independent deep copy of the treap, including its
-// deterministic priority stream, so original and clone evolve identically
-// under identical subsequent operations.
-func (t *Treap) Clone() *Treap {
-	return &Treap{root: cloneTreapNodes(t.root), state: t.state}
-}
-
-func cloneTreapNodes(n *treapNode) *treapNode {
-	if n == nil {
-		return nil
-	}
-	cp := *n
-	cp.left = cloneTreapNodes(n.left)
-	cp.right = cloneTreapNodes(n.right)
-	return &cp
-}
-
-// CloneOrderStats implements StoreCloner.
-func (t *Treap) CloneOrderStats() OrderStats { return t.Clone() }
 
 // Clone returns an independent deep copy of the predictor: identical
 // retained history, change-point detector state, autocorrelation estimate,

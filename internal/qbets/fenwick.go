@@ -104,26 +104,6 @@ func (f *FenwickStore) Remove(v float64) bool {
 	return true
 }
 
-// CountAtMost returns how many stored values are <= v. Values below the
-// grid count as zero matches.
-func (f *FenwickStore) CountAtMost(v float64) int {
-	if math.IsNaN(v) || v < -f.tick/2 {
-		return 0
-	}
-	b := int(math.Round(v / f.tick))
-	if b < 0 {
-		return 0
-	}
-	if b >= len(f.counts) {
-		return f.n
-	}
-	sum := 0
-	for i := b + 1; i > 0; i -= i & -i {
-		sum += f.tree[i]
-	}
-	return sum
-}
-
 // Select returns the k-th smallest stored value (1-based) by binary
 // indexed descent.
 func (f *FenwickStore) Select(k int) float64 {
@@ -150,4 +130,3 @@ func (f *FenwickStore) Select(k int) float64 {
 }
 
 var _ OrderStats = (*FenwickStore)(nil)
-var _ OrderStats = (*Treap)(nil)

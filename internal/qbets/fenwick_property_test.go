@@ -1,6 +1,7 @@
 package qbets
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -95,4 +96,25 @@ func TestGrowthPreservesContents(t *testing.T) {
 	if got := fs.Select(101); got != 2500 {
 		t.Fatalf("max = %v", got)
 	}
+}
+
+// CountAtMost returns how many stored values are <= v, the dual of Select
+// that the tests check it against. Values below the grid count as zero
+// matches.
+func (f *FenwickStore) CountAtMost(v float64) int {
+	if math.IsNaN(v) || v < -f.tick/2 {
+		return 0
+	}
+	b := int(math.Round(v / f.tick))
+	if b < 0 {
+		return 0
+	}
+	if b >= len(f.counts) {
+		return f.n
+	}
+	sum := 0
+	for i := b + 1; i > 0; i -= i & -i {
+		sum += f.tree[i]
+	}
+	return sum
 }

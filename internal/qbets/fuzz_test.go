@@ -97,9 +97,9 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	// Seed with genuine saved states across config variants, each with the
 	// window its predictor observed.
 	for _, cfg := range []Config{
-		{Kind: UpperBound, Quantile: 0.975, Confidence: 0.99},
-		{Kind: LowerBound, Quantile: 0.025, Confidence: 0.95, NoChangePoint: true},
-		{Kind: UpperBound, Quantile: 0.5, Confidence: 0.9, MaxHistory: 32, ChangePointWindow: 8},
+		{Kind: UpperBound, Quantile: 0.975, Confidence: 0.99, NewStore: treapStore},
+		{Kind: LowerBound, Quantile: 0.025, Confidence: 0.95, NoChangePoint: true, NewStore: treapStore},
+		{Kind: UpperBound, Quantile: 0.5, Confidence: 0.9, MaxHistory: 32, ChangePointWindow: 8, NewStore: treapStore},
 	} {
 		p, err := New(cfg)
 		if err != nil {
@@ -121,7 +121,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, windowLen uint16) {
 		window := persistFuzzWindow(int(windowLen))
-		p, err := Load(bytes.NewReader(data), window, nil)
+		p, err := Load(bytes.NewReader(data), window, treapStore)
 		if err != nil {
 			return
 		}
@@ -129,7 +129,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if err := p.Save(&first); err != nil {
 			t.Fatalf("saving accepted state: %v", err)
 		}
-		p2, err := Load(bytes.NewReader(first.Bytes()), window, nil)
+		p2, err := Load(bytes.NewReader(first.Bytes()), window, treapStore)
 		if err != nil {
 			t.Fatalf("reloading saved state: %v", err)
 		}

@@ -271,8 +271,8 @@ func TestPredictorCloneLevelStore(t *testing.T) {
 			t.Fatalf("step %d: original bound %v/%v, clone %v/%v", i, bo, oko, bc, okc)
 		}
 	}
-	if orig.ChangePoints() != clone.ChangePoints() {
-		t.Fatalf("change points diverged: %d vs %d", orig.ChangePoints(), clone.ChangePoints())
+	if orig.changePoints != clone.changePoints {
+		t.Fatalf("change points diverged: %d vs %d", orig.changePoints, clone.changePoints)
 	}
 }
 

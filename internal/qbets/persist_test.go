@@ -24,15 +24,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), fed, nil)
+	restored, err := Load(bytes.NewReader(buf.Bytes()), fed, treapStore)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != orig.Len() {
 		t.Fatalf("restored Len %d, want %d", restored.Len(), orig.Len())
 	}
-	if restored.ChangePoints() != orig.ChangePoints() {
-		t.Errorf("change points %d vs %d", restored.ChangePoints(), orig.ChangePoints())
+	if restored.changePoints != orig.changePoints {
+		t.Errorf("change points %d vs %d", restored.changePoints, orig.changePoints)
 	}
 	b1, ok1 := orig.Bound()
 	b2, ok2 := restored.Bound()
@@ -74,7 +74,7 @@ func TestSaveLoadAcrossChangePoints(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf, fed, nil)
+	restored, err := Load(&buf, fed, treapStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestSaveLoadAcrossChangePoints(t *testing.T) {
 		orig.Observe(v)
 		restored.Observe(v)
 	}
-	if orig.ChangePoints() != restored.ChangePoints() {
-		t.Errorf("change point counts diverged: %d vs %d", orig.ChangePoints(), restored.ChangePoints())
+	if orig.changePoints != restored.changePoints {
+		t.Errorf("change point counts diverged: %d vs %d", orig.changePoints, restored.changePoints)
 	}
 	ba, _ := orig.Bound()
 	bb, _ := restored.Bound()
@@ -96,45 +96,45 @@ func TestSaveLoadAcrossChangePoints(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	window := []float64{1, 2, 3}
-	if _, err := Load(strings.NewReader("{not json"), window, nil); err == nil {
+	if _, err := Load(strings.NewReader("{not json"), window, treapStore); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version":99}`), window, nil); err == nil {
+	if _, err := Load(strings.NewReader(`{"version":99}`), window, treapStore); err == nil {
 		t.Error("unknown version accepted")
 	}
 	// A version-1 state carried its history inline; it is not read.
 	v1 := `{"version":1,"quantile":0.975,"confidence":0.99,"change_point_window":2,` +
 		`"viol_ring":[false,false],"history":[1,2]}`
-	if _, err := Load(strings.NewReader(v1), window, nil); err == nil {
+	if _, err := Load(strings.NewReader(v1), window, treapStore); err == nil {
 		t.Error("version-1 state accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version":2,"quantile":2,"confidence":0.9}`), window, nil); err == nil {
+	if _, err := Load(strings.NewReader(`{"version":2,"quantile":2,"confidence":0.9}`), window, treapStore); err == nil {
 		t.Error("invalid config accepted")
 	}
 	bad := `{"version":2,"quantile":0.975,"confidence":0.99,"change_point_window":60,` +
 		`"viol_ring":[true],"history_len":1}`
-	if _, err := Load(strings.NewReader(bad), window, nil); err == nil {
+	if _, err := Load(strings.NewReader(bad), window, treapStore); err == nil {
 		t.Error("ring/window mismatch accepted")
 	}
 	ok := `{"version":2,"quantile":0.975,"confidence":0.99,"change_point_window":2,` +
 		`"viol_ring":[false,false],"history_len":2}`
-	if _, err := Load(strings.NewReader(ok), window, nil); err != nil {
+	if _, err := Load(strings.NewReader(ok), window, treapStore); err != nil {
 		t.Errorf("valid state rejected: %v", err)
 	}
-	if _, err := Load(strings.NewReader(ok), window[:1], nil); err == nil {
+	if _, err := Load(strings.NewReader(ok), window[:1], treapStore); err == nil {
 		t.Error("window shorter than the history accepted")
 	}
-	if _, err := Load(strings.NewReader(ok), []float64{1, math.Inf(1)}, nil); err == nil {
+	if _, err := Load(strings.NewReader(ok), []float64{1, math.Inf(1)}, treapStore); err == nil {
 		t.Error("non-finite history value accepted")
 	}
 	capped := `{"version":2,"quantile":0.975,"confidence":0.99,"change_point_window":2,` +
 		`"max_history":1,"viol_ring":[false,false],"history_len":2}`
-	if _, err := Load(strings.NewReader(capped), window, nil); err == nil {
+	if _, err := Load(strings.NewReader(capped), window, treapStore); err == nil {
 		t.Error("history beyond max history accepted")
 	}
 	neg := `{"version":2,"quantile":0.975,"confidence":0.99,"change_point_window":2,` +
 		`"viol_ring":[false,false],"history_len":-1}`
-	if _, err := Load(strings.NewReader(neg), window, nil); err == nil {
+	if _, err := Load(strings.NewReader(neg), window, treapStore); err == nil {
 		t.Error("negative history length accepted")
 	}
 }
@@ -163,7 +163,7 @@ func TestSaveOmitsHistoryValues(t *testing.T) {
 	if n := buf.Len(); n > 1024 {
 		t.Errorf("saved state is %d bytes; want it independent of the history length", n)
 	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), fed, nil)
+	restored, err := Load(bytes.NewReader(buf.Bytes()), fed, treapStore)
 	if err != nil {
 		t.Fatal(err)
 	}

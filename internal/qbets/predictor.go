@@ -29,8 +29,9 @@ func (k Kind) String() string {
 	return "lower"
 }
 
-// Config parameterizes a Predictor. The zero value is not valid; use
-// sensible defaults via New's normalization or the Default* constants.
+// Config parameterizes a Predictor. The zero value is not valid: New
+// fills the zero-valued tuning fields with the Default* constants and
+// requires Quantile, Confidence and NewStore.
 type Config struct {
 	// Kind selects an upper or lower quantile bound.
 	Kind Kind
@@ -60,7 +61,8 @@ type Config struct {
 	// treats the whole retained history as stationary (used by the
 	// ablation benchmarks and by tests that need identical histories).
 	NoChangePoint bool
-	// NewStore constructs the order-statistic backend. Default: a treap.
+	// NewStore constructs the order-statistic backend (LevelStore or
+	// FenwickStore). It has no default.
 	NewStore func() OrderStats
 }
 
@@ -105,7 +107,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.AutocorrEvery = -1
 	}
 	if c.NewStore == nil {
-		c.NewStore = func() OrderStats { return NewTreap(0x51ED) }
+		return c, fmt.Errorf("qbets: no order-statistic store (Config.NewStore is nil)")
 	}
 	return c, nil
 }
@@ -130,7 +132,7 @@ type Predictor struct {
 	rho      float64 // latest lag-1 autocorrelation estimate (NaN = none)
 
 	sinceMedianTest int
-	changePoints    int // total change points detected (for introspection)
+	changePoints    int // total change points detected, kept in snapshots
 
 	// pendingFlush counts down to the post-change-point flush: the window
 	// retained at fire time straddles the regime shift, so W observations
@@ -153,8 +155,8 @@ func New(cfg Config) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A lower bound on the q-quantile takes the rank LowerBoundIndex
-	// computes: UpperBoundIndex at 1-q. A violation lands beyond the
+	// A lower bound on the q-quantile takes the rank of an upper bound on
+	// the (1-q)-quantile (the symmetry x -> -x). A violation lands beyond the
 	// target quantile: above it (probability 1-q) for an upper bound,
 	// below it (probability q) for a lower one.
 	q, viol := cfg.Quantile, 1-cfg.Quantile
@@ -173,20 +175,8 @@ func New(cfg Config) (*Predictor, error) {
 	return p, nil
 }
 
-// MustNew is New for statically correct configurations.
-func MustNew(cfg Config) *Predictor {
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Len returns the number of retained observations.
 func (p *Predictor) Len() int { return p.store.Len() }
-
-// ChangePoints returns how many change points the detectors have fired.
-func (p *Predictor) ChangePoints() int { return p.changePoints }
 
 // Observe feeds the next observation. It first scores the observation
 // against the current bound (feeding the change-point detector), then
@@ -269,8 +259,7 @@ func (p *Predictor) observe(v float64) bool {
 // During warm-up — when the (effective) history is too short for the
 // binomial bound to exist at the requested confidence — Bound falls back
 // to the sample extreme (maximum for an upper bound, minimum for a lower
-// bound), the most conservative prediction the data supports. Warmed
-// reports whether the bound carries its full confidence guarantee.
+// bound), the most conservative prediction the data supports.
 //
 // Bound writes nothing: with this package's stores, concurrent Bound
 // calls need no synchronisation among themselves, only against Observe.
@@ -293,17 +282,6 @@ func (p *Predictor) Bound() (float64, bool) {
 	}
 	k = scaleRank(k, n, nEff)
 	return p.store.Select(k), true
-}
-
-// Warmed reports whether the history is long enough for Bound to carry the
-// configured confidence level (rather than the warm-up fallback).
-func (p *Predictor) Warmed() bool {
-	n := p.store.Len()
-	if n == 0 {
-		return false
-	}
-	_, ok := p.rank.Index(p.effectiveLen(n))
-	return ok
 }
 
 // effectiveLen is the sample size the rank is chosen for: the n retained
@@ -440,25 +418,4 @@ func (p *Predictor) estimateRho() float64 {
 		hist = hist[len(hist)-autocorrSpan:]
 	}
 	return stats.Autocorrelation(hist, 1)
-}
-
-// BoundSeries runs a fresh predictor over values in order and returns, for
-// every index i, the bound in force after observing values[0..i] — i.e.
-// the prediction that applies to observation i+1. Entries are NaN until
-// the history is long enough.
-func BoundSeries(values []float64, cfg Config) ([]float64, error) {
-	p, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(values))
-	for i, v := range values {
-		p.Observe(v)
-		if b, ok := p.Bound(); ok {
-			out[i] = b
-		} else {
-			out[i] = math.NaN()
-		}
-	}
-	return out, nil
 }

@@ -10,7 +10,28 @@ import (
 )
 
 func upperCfg() Config {
-	return Config{Kind: UpperBound, Quantile: 0.975, Confidence: 0.99}
+	return Config{Kind: UpperBound, Quantile: 0.975, Confidence: 0.99, NewStore: treapStore}
+}
+
+// MustNew is New for the tests' statically correct configurations.
+func MustNew(cfg Config) *Predictor {
+	p, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// warmed reports whether the history is long enough for Bound to carry the
+// configured confidence level rather than the warm-up fallback: it reads
+// the rank Bound reads.
+func (p *Predictor) warmed() bool {
+	n := p.store.Len()
+	if n == 0 {
+		return false
+	}
+	_, ok := p.rank.Index(p.effectiveLen(n))
+	return ok
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -31,6 +52,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(upperCfg()); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
+	noStore := upperCfg()
+	noStore.NewStore = nil
+	if _, err := New(noStore); err == nil {
+		t.Error("config without an order-statistic store accepted")
+	}
 }
 
 func TestMustNewPanicsOnBadConfig(t *testing.T) {
@@ -48,8 +74,8 @@ func TestWarmupFallbackIsSampleMax(t *testing.T) {
 	if _, ok := p.Bound(); ok {
 		t.Fatal("bound available with no data")
 	}
-	if p.Warmed() {
-		t.Fatal("Warmed true with no data")
+	if p.warmed() {
+		t.Fatal("warmed with no data")
 	}
 	rng := stats.NewRNG(1)
 	maxSeen := math.Inf(-1)
@@ -66,18 +92,18 @@ func TestWarmupFallbackIsSampleMax(t *testing.T) {
 		if b != maxSeen {
 			t.Fatalf("warm-up bound at n=%d is %v, want sample max %v", i+1, b, maxSeen)
 		}
-		if p.Warmed() {
-			t.Fatalf("Warmed true during warm-up at n=%d", i+1)
+		if p.warmed() {
+			t.Fatalf("warmed during warm-up at n=%d", i+1)
 		}
 	}
 	p.Observe(rng.Float64())
-	if !p.Warmed() {
-		t.Fatal("Warmed false at the first size with a bound")
+	if !p.warmed() {
+		t.Fatal("not warmed at the first size with a bound")
 	}
 }
 
 func TestWarmupFallbackIsSampleMinForLowerBound(t *testing.T) {
-	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99})
+	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99, NewStore: treapStore})
 	p.Observe(5)
 	p.Observe(2)
 	p.Observe(9)
@@ -90,30 +116,30 @@ func TestWarmupFallbackIsSampleMinForLowerBound(t *testing.T) {
 // TestLowerBoundMinSamplesSymmetry: a lower bound on the 0.025-quantile
 // warms up at the same size as an upper bound on the 0.975-quantile.
 func TestLowerBoundMinSamplesSymmetry(t *testing.T) {
-	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99, NoAutocorr: true, NoChangePoint: true})
+	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99, NoAutocorr: true, NoChangePoint: true, NewStore: treapStore})
 	for n := 1; n <= 182; n++ {
-		if p.Warmed() {
+		if p.warmed() {
 			t.Fatalf("lower bound warmed at n=%d, want 182", n-1)
 		}
 		p.Observe(float64(n))
 	}
-	if !p.Warmed() {
+	if !p.warmed() {
 		t.Error("lower bound not warmed at n=182")
 	}
 }
 
-// TestWarmedAgreesWithBound: Warmed reads the rank Bound uses. At q=0.1,
+// TestWarmedAgreesWithBound: warmed reads the rank Bound uses. At q=0.1,
 // c=0.9 one observation already has a binomial bound (BinomialSF(1, 1,
 // 0.9) reaches 0.9), though the closed form MinSamplesForUpperBound asks
 // for two.
 func TestWarmedAgreesWithBound(t *testing.T) {
-	if _, ok := stats.UpperBoundIndex(1, 0.1, 0.9); !ok {
-		t.Fatal("UpperBoundIndex(1, 0.1, 0.9) has no bound")
+	if stats.BinomialSF(1, 1, 0.9) < 0.9 {
+		t.Fatal("BinomialSF(1, 1, 0.9) below 0.9: one observation has no bound")
 	}
-	p := MustNew(Config{Kind: UpperBound, Quantile: 0.1, Confidence: 0.9})
+	p := MustNew(Config{Kind: UpperBound, Quantile: 0.1, Confidence: 0.9, NewStore: treapStore})
 	p.Observe(3)
-	if !p.Warmed() {
-		t.Error("Warmed false at n=1, where Bound has a binomial bound")
+	if !p.warmed() {
+		t.Error("not warmed at n=1, where Bound has a binomial bound")
 	}
 }
 
@@ -147,7 +173,7 @@ func TestUpperBoundCoverageIID(t *testing.T) {
 
 func TestLowerBoundCoverageIID(t *testing.T) {
 	rng := stats.NewRNG(43)
-	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99})
+	p := MustNew(Config{Kind: LowerBound, Quantile: 0.025, Confidence: 0.99, NewStore: treapStore})
 	const n = 20000
 	violations, scored := 0, 0
 	for i := 0; i < n; i++ {
@@ -220,7 +246,7 @@ func TestChangePointAdaptation(t *testing.T) {
 	if adapted > 8*DefaultChangePointWindow {
 		t.Errorf("adaptation took %d observations (window %d)", adapted, DefaultChangePointWindow)
 	}
-	if p.ChangePoints() == 0 {
+	if p.changePoints == 0 {
 		t.Error("no change point recorded despite 10x regime shift")
 	}
 }
@@ -254,8 +280,8 @@ func TestConstantSeriesNoSpuriousChangePoints(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		p.Observe(0.25)
 	}
-	if p.ChangePoints() != 0 {
-		t.Errorf("constant series fired %d change points", p.ChangePoints())
+	if p.changePoints != 0 {
+		t.Errorf("constant series fired %d change points", p.changePoints)
 	}
 	b, ok := p.Bound()
 	if !ok || b != 0.25 {
@@ -328,26 +354,22 @@ func TestObserveSkipsValuesOffTheLevelGrid(t *testing.T) {
 	}
 }
 
+// TestBoundSeries: the bound after each observation, which predicts the
+// next one, is the running maximum through warm-up and stays inside the
+// data's range after it.
 func TestBoundSeries(t *testing.T) {
 	rng := stats.NewRNG(47)
-	vals := make([]float64, 400)
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	bounds, err := BoundSeries(vals, upperCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounds) != len(vals) {
-		t.Fatalf("len = %d, want %d", len(bounds), len(vals))
-	}
+	p := MustNew(upperCfg())
 	runningMax := math.Inf(-1)
-	for i, b := range bounds {
-		if vals[i] > runningMax {
-			runningMax = vals[i]
+	for i := 0; i < 400; i++ {
+		v := rng.Float64()
+		p.Observe(v)
+		if v > runningMax {
+			runningMax = v
 		}
-		if math.IsNaN(b) {
-			t.Fatalf("bound at %d unexpectedly NaN", i)
+		b, ok := p.Bound()
+		if !ok {
+			t.Fatalf("no bound after observation %d", i)
 		}
 		if b < 0 || b > 1 {
 			t.Fatalf("bound at %d = %v outside data range", i, b)
@@ -355,12 +377,6 @@ func TestBoundSeries(t *testing.T) {
 		if i < 181 && b != runningMax {
 			t.Fatalf("warm-up bound at %d = %v, want running max %v", i, b, runningMax)
 		}
-	}
-}
-
-func TestBoundSeriesBadConfig(t *testing.T) {
-	if _, err := BoundSeries([]float64{1}, Config{}); err == nil {
-		t.Error("expected error")
 	}
 }
 
@@ -408,7 +424,7 @@ func TestAutocorrCorrectionMakesBoundConservative(t *testing.T) {
 		off.Observe(x)
 		bOn, ok1 := on.Bound()
 		bOff, ok2 := off.Bound()
-		if ok1 && ok2 && on.Warmed() && off.Warmed() && bOn < bOff-1e-12 {
+		if ok1 && ok2 && on.warmed() && off.warmed() && bOn < bOff-1e-12 {
 			t.Fatalf("step %d: corrected bound %v below uncorrected %v", i, bOn, bOff)
 		}
 	}

@@ -272,3 +272,18 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// Queued reports how many callers are currently waiting: the tests' probe
+// of the wait queue.
+func (s *Semaphore) Queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiters.Len()
+}
+
+// InFlight reports the admitted weight currently held.
+func (s *Semaphore) InFlight() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur
+}

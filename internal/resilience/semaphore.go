@@ -53,20 +53,6 @@ func NewSemaphore(capacity int64, maxQueue int) *Semaphore {
 	return &Semaphore{capacity: capacity, maxQueue: maxQueue}
 }
 
-// Queued reports how many callers are currently waiting.
-func (s *Semaphore) Queued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.waiters.Len()
-}
-
-// InFlight reports the admitted weight currently held.
-func (s *Semaphore) InFlight() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
 // Acquire admits weight units, queueing FIFO when the semaphore is full.
 // It returns an error wrapping ErrShed when the queue is full or ctx ends
 // before admission. A weight above capacity is clamped so oversized

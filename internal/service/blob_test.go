@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -225,10 +226,20 @@ func TestBatchEndpoint(t *testing.T) {
 	srv := testServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	cl := &Client{BaseURL: ts.URL}
-
-	tables, err := cl.Tables(testCombos, 0.95)
+	parts := make([]string, len(testCombos))
+	for i, c := range testCombos {
+		parts[i] = c.String()
+	}
+	resp, err := http.Get(ts.URL + "/v1/tables?probability=0.95&combos=" + strings.Join(parts, ","))
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var tables []TableJSON
+	if err := json.NewDecoder(resp.Body).Decode(&tables); err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != len(testCombos) {

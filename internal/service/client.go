@@ -308,29 +308,6 @@ func (c *Client) Predictions(combo spot.Combo, probability float64) (core.BidTab
 	return table, nil
 }
 
-// Tables fetches several combos' bid tables in one round trip via the
-// batch endpoint (GET /v1/tables), returned in request order. Combos are
-// addressed by their canonical names as listed by Combos; the batch
-// endpoint does not translate account-obfuscated zones, so Account is not
-// sent.
-func (c *Client) Tables(combos []spot.Combo, probability float64) ([]TableJSON, error) {
-	if len(combos) == 0 {
-		return nil, fmt.Errorf("service client: no combos requested")
-	}
-	parts := make([]string, len(combos))
-	for i, combo := range combos {
-		parts[i] = combo.String()
-	}
-	q := url.Values{}
-	q.Set("combos", strings.Join(parts, ","))
-	q.Set("probability", strconv.FormatFloat(probability, 'f', -1, 64))
-	var out []TableJSON
-	if err := c.get("/v1/tables", q, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Advise asks the service directly for the smallest bid guaranteeing the
 // duration; unlike BidFor it can escalate beyond the published table span.
 func (c *Client) Advise(combo spot.Combo, probability float64, d time.Duration) (core.Quote, error) {

@@ -166,7 +166,7 @@ func TestAdviseEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mb, _ := table.MinBid(); quote.Bid < mb {
+	if mb := table.Points[0].Bid; quote.Bid < mb {
 		t.Errorf("advised bid %v below table minimum %v", quote.Bid, mb)
 	}
 

@@ -258,10 +258,6 @@ func (s *Server) published(et *encodedTables) {
 	}
 }
 
-// Role reports which role the server was constructed for: "writer" (New)
-// or "replica" (NewReplica).
-func (s *Server) Role() string { return s.role }
-
 // NewReplica builds a read-only server: it serves the same REST API from
 // the same blob store and middleware stack as a writer, but owns no
 // price histories and never computes tables — epochs arrive exclusively

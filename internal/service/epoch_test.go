@@ -161,10 +161,10 @@ func TestReplicaGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replica.Role() != "replica" {
-		t.Errorf("role %q", replica.Role())
+	if replica.role != roleReplica {
+		t.Errorf("role %q", replica.role)
 	}
-	if testServer(t).Role() != "writer" {
+	if testServer(t).role != roleWriter {
 		t.Error("writer role mislabelled")
 	}
 	if replica.CurrentEpoch() != nil {

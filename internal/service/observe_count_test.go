@@ -140,7 +140,7 @@ func TestObservationCountersExact(t *testing.T) {
 	// An incremental refresh observes only the ticks after the installed
 	// predictors' clocks: here the defects all sit in the new ticks.
 	const cut = 2000
-	src := seriesSource{combo: clean.Slice(0, cut)}
+	src := seriesSource{combo: &history.Series{Start: clean.Start, Step: clean.Step, Prices: clean.Prices[:cut]}}
 	srv, err = New(Config{Source: src, MaxHistory: 1000, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestIncrementalRefreshAfterDroppedPrices(t *testing.T) {
 	for i, v := range []float64{math.NaN(), 0, -0.05, math.Inf(1), math.NaN()} {
 		ser.Prices[300+251*i] = v
 	}
-	src := seriesSource{combo: ser.Slice(0, 2000)}
+	src := seriesSource{combo: &history.Series{Start: ser.Start, Step: ser.Step, Prices: ser.Prices[:2000]}}
 	srv, err := New(Config{Source: src, MaxHistory: 1000, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -20,12 +20,13 @@ import (
 // deep-copied history series per combo or a cloned price window — costs
 // about that whole window (~207 KB) and fails the bound.
 //
-// The duration scans draw ~200 KB count buffers from a sync.Pool, which
-// every garbage collection empties; a refill would charge one buffer per
-// refresh worker to whichever refresh runs next. The collector is
-// therefore off while the test runs, and one unmeasured refresh fills
-// the pool first, so the measured refreshes see the steady state in which
-// the buffers are reused. Appending the new ticks to the history is the
+// The duration scans draw their run-length buffers (core's runScratch:
+// one int32 per run in the window and a histogram as long as the bound's
+// rank) from a sync.Pool, which garbage collection empties; a refill would
+// charge each refresh worker's buffers, regrown by append, to whichever
+// refresh runs next. The collector is therefore off while the test runs,
+// and one unmeasured refresh fills the pool first, so the measured
+// refreshes see the steady state in which the buffers are reused. Appending the new ticks to the history is the
 // feed's cost, not the refresh's, and happens between measurements.
 func TestIncrementalRefreshAllocs(t *testing.T) {
 	if raceEnabled {

@@ -129,7 +129,7 @@ func TestPredictionsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mb, _ := table.MinBid(); bid < mb {
+	if mb := table.Points[0].Bid; bid < mb {
 		t.Errorf("BidFor returned %v below table minimum %v", bid, mb)
 	}
 	// Unguaranteeable duration must error.

@@ -112,13 +112,6 @@ var catalogIndex = func() map[InstanceType]TypeSpec {
 	return m
 }()
 
-// Catalog returns the full instance-type catalog in a stable order.
-func Catalog() []TypeSpec {
-	out := make([]TypeSpec, len(catalog))
-	copy(out, catalog)
-	return out
-}
-
 // Types returns the names of all catalog types in a stable order.
 func Types() []InstanceType {
 	out := make([]InstanceType, len(catalog))
@@ -209,16 +202,5 @@ func Combos() []Combo {
 		}
 		return out[i].Type < out[j].Type
 	})
-	return out
-}
-
-// CombosIn enumerates available combos restricted to one region.
-func CombosIn(r Region) []Combo {
-	var out []Combo
-	for _, c := range Combos() {
-		if c.Zone.Region() == r {
-			out = append(out, c)
-		}
-	}
 	return out
 }

@@ -1,6 +1,6 @@
 // Package spot defines the domain model of the Amazon EC2 Spot tier as it
 // existed before the December 2017 pricing change: Regions, Availability
-// Zones, instance types, the request 4-tuple, and the price-tick arithmetic
+// Zones, instance types, markets, and the price-tick arithmetic
 // used throughout the repository.
 //
 // All other packages build on these types. The package is deliberately free
@@ -9,7 +9,6 @@
 package spot
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -53,14 +52,6 @@ func (z Zone) Region() Region {
 	return Region(z[:len(z)-1])
 }
 
-// Letter returns the single-character zone suffix ("a", "b", ...).
-func (z Zone) Letter() string {
-	if z == "" {
-		return ""
-	}
-	return string(z[len(z)-1])
-}
-
 // ZonesOf returns the zones an ordinary account sees in a region. The paper
 // reports that its test account saw 4 zones in us-east-1, 2 in us-west-1 and
 // 3 in us-west-2 (9 in total, §4.1), even though us-east-1 physically had 5.
@@ -94,33 +85,6 @@ func AllZones() []Zone {
 
 // InstanceType names an EC2 instance type, e.g. "c4.large".
 type InstanceType string
-
-// Request is the 4-tuple a user submits to the Spot tier (paper, Eq. 1):
-// (Region, Availability_zone, Instance_type, Max_bid_price). Zone may be
-// empty, in which case the provider chooses one without regard for price.
-type Request struct {
-	Region Region
-	Zone   Zone // optional; empty lets the provider choose
-	Type   InstanceType
-	MaxBid float64 // maximum hourly bid in USD; the only bid a user submits
-}
-
-// Validate reports whether the request is internally consistent.
-func (r Request) Validate() error {
-	if r.Region == "" {
-		return fmt.Errorf("spot: request missing region")
-	}
-	if r.Zone != "" && r.Zone.Region() != r.Region {
-		return fmt.Errorf("spot: zone %q is not in region %q", r.Zone, r.Region)
-	}
-	if r.Type == "" {
-		return fmt.Errorf("spot: request missing instance type")
-	}
-	if !(r.MaxBid > 0) || math.IsInf(r.MaxBid, 0) || math.IsNaN(r.MaxBid) {
-		return fmt.Errorf("spot: invalid max bid %v", r.MaxBid)
-	}
-	return nil
-}
 
 // Combo identifies one market: an (availability zone, instance type) pair.
 // The paper treats every combo as a separate category of resource because

@@ -23,15 +23,6 @@ func TestZoneRegion(t *testing.T) {
 	}
 }
 
-func TestZoneLetter(t *testing.T) {
-	if got := Zone("us-east-1d").Letter(); got != "d" {
-		t.Errorf("Letter() = %q, want %q", got, "d")
-	}
-	if got := Zone("").Letter(); got != "" {
-		t.Errorf("Letter() on empty zone = %q, want empty", got)
-	}
-}
-
 func TestZonesOfCounts(t *testing.T) {
 	// The paper's test account saw 4 + 2 + 3 = 9 zones (§4.1, footnote 5).
 	counts := map[Region]int{USEast1: 4, USWest1: 2, USWest2: 3}
@@ -92,21 +83,6 @@ func TestCombosSorted(t *testing.T) {
 	}
 }
 
-func TestCombosInPartition(t *testing.T) {
-	total := 0
-	for _, r := range Regions() {
-		for _, c := range CombosIn(r) {
-			if c.Zone.Region() != r {
-				t.Errorf("CombosIn(%s) returned %v", r, c)
-			}
-			total++
-		}
-	}
-	if total != len(Combos()) {
-		t.Errorf("regional combos sum to %d, want %d", total, len(Combos()))
-	}
-}
-
 func TestPaperQuotedPrices(t *testing.T) {
 	// §4.1.2: cg1.4xlarge in us-east-1 had an On-demand price of $2.10.
 	p, err := ODPrice("cg1.4xlarge", USEast1)
@@ -155,30 +131,6 @@ func TestAvailableRules(t *testing.T) {
 	for _, c := range cases {
 		if got := Available(c.t, c.z); got != c.want {
 			t.Errorf("Available(%s, %s) = %v, want %v", c.t, c.z, got, c.want)
-		}
-	}
-}
-
-func TestRequestValidate(t *testing.T) {
-	good := Request{Region: USEast1, Zone: "us-east-1b", Type: "c4.large", MaxBid: 0.25}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid request rejected: %v", err)
-	}
-	noZone := Request{Region: USEast1, Type: "c4.large", MaxBid: 0.25}
-	if err := noZone.Validate(); err != nil {
-		t.Errorf("zoneless request rejected: %v", err)
-	}
-	bad := []Request{
-		{Zone: "us-east-1b", Type: "c4.large", MaxBid: 0.25},                  // missing region
-		{Region: USWest1, Zone: "us-east-1b", Type: "c4.large", MaxBid: 0.25}, // zone/region mismatch
-		{Region: USEast1, Zone: "us-east-1b", MaxBid: 0.25},                   // missing type
-		{Region: USEast1, Zone: "us-east-1b", Type: "c4.large", MaxBid: 0},    // zero bid
-		{Region: USEast1, Zone: "us-east-1b", Type: "c4.large", MaxBid: -1},   // negative bid
-		{Region: USEast1, Zone: "us-east-1b", Type: "c4.large", MaxBid: math.NaN()},
-	}
-	for i, r := range bad {
-		if err := r.Validate(); err == nil {
-			t.Errorf("bad request %d accepted: %+v", i, r)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds the usual moments and extremes of a sample.
 type Summary struct {
@@ -40,119 +37,3 @@ func Describe(xs []float64) Summary {
 
 // Stddev is the square root of the unbiased variance.
 func (s Summary) Stddev() float64 { return math.Sqrt(s.Variance) }
-
-// QuantileSorted returns the q-th empirical quantile of data that is
-// already sorted ascending, using the inverse-CDF (type 1) definition: the
-// smallest observation x such that ECDF(x) >= q. This is the definition
-// the paper's "Empirical-CDF" baseline bidder uses.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
-}
-
-// Quantile sorts a copy of xs and returns QuantileSorted.
-func Quantile(xs []float64, q float64) float64 {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return QuantileSorted(cp, q)
-}
-
-// ECDF is a frozen empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF copies and sorts the sample.
-func NewECDF(xs []float64) *ECDF {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return &ECDF{sorted: cp}
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// At returns the fraction of the sample <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// Walking past exact ties matches SearchFloat64s's own comparisons.
-	for i < len(e.sorted) && e.sorted[i] == x { //draftsvet:ignore floatcmp tie walk mirrors SearchFloat64s comparisons
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th quantile of the frozen sample.
-func (e *ECDF) Quantile(q float64) float64 { return QuantileSorted(e.sorted, q) }
-
-// KthSmallest returns the k-th smallest element (1-based) of xs without
-// fully sorting it, using in-place quickselect on a copy. It panics if k is
-// out of range; callers always derive k from the sample length.
-func KthSmallest(xs []float64, k int) float64 {
-	if k < 1 || k > len(xs) {
-		panic("stats: KthSmallest rank out of range")
-	}
-	cp := append([]float64(nil), xs...)
-	return quickselect(cp, k-1)
-}
-
-// quickselect partitions a around the median-of-three pivot until the
-// element at target rank is in place.
-func quickselect(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		// Median-of-three pivot to avoid quadratic behaviour on sorted input.
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return a[k]
-		}
-	}
-	return a[k]
-}

@@ -71,27 +71,6 @@ func TestQuantileUnsortedMatchesSorted(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("ECDF.At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if got := e.Quantile(0.5); got != 2 {
-		t.Errorf("ECDF.Quantile(0.5) = %v, want 2", got)
-	}
-	if !math.IsNaN(NewECDF(nil).At(1)) {
-		t.Error("empty ECDF.At should be NaN")
-	}
-}
-
 func TestKthSmallestMatchesSort(t *testing.T) {
 	rng := NewRNG(99)
 	for trial := 0; trial < 50; trial++ {
@@ -153,4 +132,91 @@ func TestKthSmallestProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// QuantileSorted returns the q-th empirical quantile of data that is
+// already sorted ascending, using the inverse-CDF (type 1) definition: the
+// smallest observation x such that ECDF(x) >= q. This is the definition
+// the paper's "Empirical-CDF" baseline bidder uses. The tests read sample
+// quantiles with it.
+func QuantileSorted(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return math.NaN()
+	}
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[n-1]
+	}
+	idx := int(math.Ceil(q*float64(n))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return sorted[idx]
+}
+
+// Quantile sorts a copy of xs and returns QuantileSorted.
+func Quantile(xs []float64, q float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return QuantileSorted(cp, q)
+}
+
+// KthSmallest returns the k-th smallest element (1-based) of xs without
+// fully sorting it, using in-place quickselect on a copy: the order
+// statistic the confidence-bound coverage tests check. It panics if k is
+// out of range; callers always derive k from the sample length.
+func KthSmallest(xs []float64, k int) float64 {
+	if k < 1 || k > len(xs) {
+		panic("stats: KthSmallest rank out of range")
+	}
+	cp := append([]float64(nil), xs...)
+	return quickselect(cp, k-1)
+}
+
+// quickselect partitions a around the median-of-three pivot until the
+// element at target rank is in place.
+func quickselect(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		// Median-of-three pivot to avoid quadratic behaviour on sorted input.
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			return a[k]
+		}
+	}
+	return a[k]
 }

@@ -7,11 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// RankTable answers UpperBoundIndex for one fixed (q, c) from breakpoints
-// computed once per process and shared by every caller, which is how
-// every online QBETS consumer asks: each predictor, duration tracker and
-// guarantee walk looks up the rank of its current sample size, ticks on
-// end, always for the same few (q, c).
+// RankTable answers, for one fixed (q, c), the QBETS rank question: the
+// deepest rank k such that the k-th largest of n i.i.d. observations is an
+// upper c-confidence bound on their q-quantile, the largest k with
+// BinomialSF(k, n, 1-q) >= c (none when even k = 1 falls short). It reads
+// k off breakpoints computed once per process and shared by every caller,
+// which is how every online QBETS consumer asks: each predictor, duration
+// tracker and guarantee walk looks up the rank of its current sample size,
+// ticks on end, always for the same few (q, c).
 //
 // The rank k(n) never decreases in n and rises by at most 1 per unit of
 // n: adding one observation can lift the count above the quantile by at
@@ -25,9 +28,9 @@ import (
 // breakpoint is found by galloping from the previous gap (the gaps settle
 // near 1/(1-q)) and then bisecting: a few evaluations per rank
 // step. Lookups are lock-free reads of an immutable snapshot; a mutex
-// serialises the extensions. Results are identical to UpperBoundIndex
-// (TestRankTableMatchesUpperBoundIndex, FuzzRankTable). Get a table from
-// RankTableFor; the zero value is unusable.
+// serialises the extensions. Results are identical to a bisection over
+// BinomialSF (TestRankTableMatchesUpperBoundIndex, FuzzRankTable). Get a
+// table from RankTableFor; the zero value is unusable.
 type RankTable struct {
 	q, c float64
 	mu   sync.Mutex // held while extending
@@ -53,11 +56,12 @@ var (
 	noRank     = &RankTable{}
 )
 
-// RankTableFor returns the process-wide table for UpperBoundIndex(·, q, c),
-// keyed by the bits of q and c. A lower bound on the q-quantile uses
-// RankTableFor(1-q, c), the argument LowerBoundIndex passes on. For a q
-// or c outside (0, 1) it returns a table that answers (0, false) for
-// every size and stores nothing.
+// RankTableFor returns the process-wide table for (q, c), keyed by the
+// bits of q and c. A lower bound on the q-quantile uses RankTableFor(1-q,
+// c): by the symmetry x -> -x, the k-th smallest bounds the q-quantile
+// from below when the k-th largest bounds the (1-q)-quantile from above.
+// For a q or c outside (0, 1) it returns a table that answers (0, false)
+// for every size and stores nothing.
 func RankTableFor(q, c float64) *RankTable {
 	if checkQuantileArgs(1, q, c) != nil {
 		return noRank
@@ -70,7 +74,8 @@ func RankTableFor(q, c float64) *RankTable {
 	return t.(*RankTable)
 }
 
-// Index returns UpperBoundIndex(n, q, c). It is safe for concurrent use.
+// Index returns the rank for a sample of n, with ok false when no rank
+// reaches confidence c. It is safe for concurrent use.
 func (t *RankTable) Index(n int) (k int, ok bool) {
 	if n <= 0 || t == noRank {
 		return 0, false

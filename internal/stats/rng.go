@@ -60,16 +60,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Pareto draws from a Pareto distribution with scale xm > 0 and shape
-// alpha > 0 (heavy-tailed; used for price spikes and job durations).
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
@@ -80,25 +70,10 @@ func (r *RNG) UniformRange(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Fork derives a child generator whose stream is independent of (and
-// deterministic given) the parent's seed and the label. It lets one master
-// seed drive many parallel simulations without sharing a generator across
-// goroutines.
-func (r *RNG) Fork(label int64) *RNG {
-	// SplitMix64 over the parent draw and the label gives well-separated
-	// child seeds even for adjacent labels.
-	x := uint64(r.Int63()) ^ (uint64(label) * 0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return NewRNG(int64(x))
-}
-
 // ForkSeed derives a deterministic child seed from a parent seed and a
-// label without consuming any state: the same (seed, label) always yields
-// the same child. Use this when the parent RNG must not advance.
+// label: the same (seed, label) always yields the same child, and
+// SplitMix64 mixing gives well-separated streams even for adjacent labels,
+// so one master seed can drive many independent simulations.
 func ForkSeed(seed, label int64) int64 {
 	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(label)*0xD1B54A32D192ED03
 	x ^= x >> 30

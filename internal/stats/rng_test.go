@@ -127,9 +127,8 @@ func TestUniformRange(t *testing.T) {
 }
 
 func TestForkIndependence(t *testing.T) {
-	parent := NewRNG(42)
-	c1 := parent.Fork(1)
-	c2 := parent.Fork(2)
+	c1 := NewRNG(ForkSeed(42, 1))
+	c2 := NewRNG(ForkSeed(42, 2))
 	same := 0
 	for i := 0; i < 64; i++ {
 		if c1.Float64() == c2.Float64() {
@@ -151,4 +150,14 @@ func TestForkSeedDeterministic(t *testing.T) {
 	if ForkSeed(10, 3) == ForkSeed(11, 3) {
 		t.Error("adjacent seeds collided")
 	}
+}
+
+// Pareto draws from a Pareto distribution with scale xm > 0 and shape
+// alpha > 0: the heavy-tailed input of the tests.
+func (r *RNG) Pareto(xm, alpha float64) float64 {
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	return xm / math.Pow(u, 1/alpha)
 }

@@ -235,20 +235,6 @@ func (g *Gauge) SetTime(t time.Time) {
 	g.Set(float64(t.UnixNano()) / 1e9)
 }
 
-// Add adds delta to the current value.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -264,28 +250,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		return nil
 	}
 	return f.get(nil, func() any { return new(Gauge) }).(*Gauge)
-}
-
-// GaugeVec is a gauge family with label dimensions.
-type GaugeVec struct {
-	f *family
-}
-
-// GaugeVec returns the labeled gauge family with the given name.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := r.getFamily(name, help, typeGauge, labels, nil)
-	if f == nil {
-		return nil
-	}
-	return &GaugeVec{f: f}
-}
-
-// With returns the gauge for the given label values. Nil-safe.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(values, func() any { return new(Gauge) }).(*Gauge)
 }
 
 // --- Histogram -----------------------------------------------------------
@@ -319,11 +283,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
 }
 
 // Count returns the total number of observations (0 on nil).

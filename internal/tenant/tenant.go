@@ -339,17 +339,9 @@ func (r *Registry) Lookup(key string) *Tenant {
 // Len is the number of registered tenants (revoked included).
 func (r *Registry) Len() int { return len(r.tenants) }
 
-// Tenants returns the registered tenants sorted by ID. Callers must treat
-// the slice as read-only.
-func (r *Registry) Tenants() []*Tenant { return r.tenants }
-
 // Accounts returns the distinct non-empty account IDs, sorted — the set
 // draftsd derives obfuscation mappings for.
 func (r *Registry) Accounts() []string { return r.accounts }
-
-// HasAccounts reports whether any tenant carries an account mapping, i.e.
-// whether the blob store needs per-tenant zone views at all.
-func (r *Registry) HasAccounts() bool { return len(r.accounts) > 0 }
 
 // SetConcurrencyShare installs each tenant's weighted share of the
 // admission semaphore's capacity: ceil(capacity x oversub x weight /

@@ -65,8 +65,8 @@ func TestLookup(t *testing.T) {
 	if got := r.Accounts(); len(got) != 1 || got[0] != "acct-1" {
 		t.Fatalf("Accounts() = %v", got)
 	}
-	if !r.HasAccounts() || r.Len() != 3 {
-		t.Fatalf("HasAccounts=%v Len=%d", r.HasAccounts(), r.Len())
+	if len(r.Accounts()) == 0 || r.Len() != 3 {
+		t.Fatalf("Accounts=%v Len=%d", r.Accounts(), r.Len())
 	}
 }
 

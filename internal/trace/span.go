@@ -44,14 +44,6 @@ type Trace struct {
 	spans [MaxSpans]Span
 }
 
-// ID returns the trace ID (zero on nil).
-func (tr *Trace) ID() TraceID {
-	if tr == nil {
-		return TraceID{}
-	}
-	return tr.id
-}
-
 // IDString returns the 32-hex trace ID — the request_id the service
 // reports. Allocates; call it only on error/echo paths. "" on nil.
 func (tr *Trace) IDString() string {
@@ -105,14 +97,6 @@ func (tr *Trace) SetStatus(code int) {
 		return
 	}
 	tr.status = code
-}
-
-// Status returns the recorded status (0 on nil or when unset).
-func (tr *Trace) Status() int {
-	if tr == nil {
-		return 0
-	}
-	return tr.status
 }
 
 // Fail records err as the trace's error, forcing it into the flight
@@ -181,15 +165,6 @@ func (sp *Span) EndErr(err error) {
 		sp.errMsg = err.Error()
 	}
 	sp.End()
-}
-
-// Fail records err on an already-claimed span without ending it.
-// Fail(nil) no-ops.
-func (sp *Span) Fail(err error) {
-	if sp == nil || err == nil {
-		return
-	}
-	sp.errMsg = err.Error()
 }
 
 // End completes the trace: it stamps the duration, decides whether the

@@ -252,14 +252,6 @@ func (t *Tracer) start(kind string, tid TraceID, sid, parent SpanID, sampled, re
 	return tr
 }
 
-// Flight returns the tracer's flight recorder (nil on a nil tracer).
-func (t *Tracer) Flight() *Flight {
-	if t == nil {
-		return nil
-	}
-	return t.flight
-}
-
 // Stats is a point-in-time snapshot of the tracer's counters.
 type Stats struct {
 	Started      uint64 `json:"traces_started"`

@@ -54,14 +54,6 @@ type Trace struct {
 	Jobs []Job
 }
 
-// Span returns the submission window length.
-func (t Trace) Span() time.Duration {
-	if len(t.Jobs) == 0 {
-		return 0
-	}
-	return t.Jobs[len(t.Jobs)-1].Submit
-}
-
 // TotalWork returns the summed runtimes.
 func (t Trace) TotalWork() time.Duration {
 	var sum time.Duration
