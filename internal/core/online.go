@@ -21,7 +21,7 @@ type Predictor struct {
 	start time.Time
 	step  time.Duration
 
-	win   tickWindow // the last MaxHistory offered ticks
+	win   tickWindow // the last MaxHistory offered ticks; full chunks shared with clones and siblings
 	count int        // ticks offered ever, dropped prices included: the clock
 	// dropped is the clock count of the newest offered tick whose window
 	// tick is maybeDropped, 0 when there is none (see Oldest).
@@ -109,6 +109,12 @@ func (p *Predictor) ObserveAll(prices []float64) {
 	if k := p.win.pushPrices(prices); k > 0 {
 		p.dropped = p.count - len(prices) + k
 	}
+	p.observePrice(prices)
+}
+
+// observePrice feeds the valid prices among prices, in order, to the
+// price QBETS alone, and counts them with one counter Add.
+func (p *Predictor) observePrice(prices []float64) {
 	accepted := 0
 	for len(prices) > 0 {
 		n := 0
@@ -125,6 +131,59 @@ func (p *Predictor) ObserveAll(prices []float64) {
 		prices = prices[n:]
 	}
 	mObservations.Load().Add(uint64(accepted))
+}
+
+// Sibling returns the predictor for params over the same market as p, at
+// p's clock. It reads p's window: like Clone, it shares every full chunk
+// and copies only the partly filled tail, so the market's ticks are
+// pushed into a window once however many probabilities read them, and
+// only the sibling's own price QBETS observes the prices. params must
+// keep p's MaxHistory, the window's limit.
+//
+// prices end with the prices p was offered, its latest last (a history
+// series' prices up to Now). With old nil the sibling is built cold: a
+// new price QBETS observes every price p was offered. Otherwise old is
+// params' predictor at the clock p was extended from (the sibling of p's
+// predecessor, or a predictor restored next to it), and a clone of old's
+// price QBETS observes only the prices p was offered since. The clock
+// checks are O(1); that old saw the same prices as p up to its clock is
+// the caller's to keep (the service reads both from one series).
+func (p *Predictor) Sibling(params Params, old *Predictor, prices []float64) (*Predictor, error) {
+	params, err := params.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if params.MaxHistory != p.params.MaxHistory {
+		return nil, fmt.Errorf("core: sibling max history %d differs from the window's %d", params.MaxHistory, p.params.MaxHistory)
+	}
+	q := &Predictor{
+		params:  params,
+		start:   p.start,
+		step:    p.step,
+		win:     p.win.clone(),
+		count:   p.count,
+		dropped: p.dropped,
+	}
+	seen := 0 // ticks old was offered
+	if old == nil {
+		q.price, err = qbets.New(priceQBETSConfig(params))
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		if old.params != params || !old.start.Equal(p.start) || old.step != p.step || old.count > p.count {
+			return nil, fmt.Errorf("core: sibling's predecessor (p=%v, %d ticks from %v) is not on the clock of %d ticks from %v",
+				old.params.Probability, old.count, old.start, p.count, p.start)
+		}
+		q.price = old.price.Clone()
+		seen = old.count
+	}
+	fresh := p.count - seen
+	if fresh > len(prices) {
+		return nil, fmt.Errorf("core: %d prices given, the sibling needs the last %d", len(prices), fresh)
+	}
+	q.observePrice(prices[len(prices)-fresh:])
+	return q, nil
 }
 
 // validPrice reports whether Observe accepts price: market prices are

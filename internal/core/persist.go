@@ -23,7 +23,9 @@ import (
 // those ticks, so LoadPredictor re-slices the window from the replayed
 // history series. A CRC-32C over the window's prices travels instead, and
 // a restore whose series disagrees with the saved window in length, grid
-// alignment or any single tick fails.
+// alignment or any single tick fails. The probabilities of one market
+// save the same window, so a restore re-slices it once: LoadPredictor
+// shares an already restored sibling's window when it matches.
 
 // predictorState is the wire form of a Predictor: parameters, the clock
 // (start, step and the count of ticks offered, so Now survives the round
@@ -70,7 +72,12 @@ func (p *Predictor) Save(w io.Writer) error {
 // saved checksum. The embedded QBETS state is rebuilt from the window's
 // tail with the same tick-bucketed order-statistic store NewPredictor
 // uses, so the restored forecaster is bit-identical to the saved one.
-func LoadPredictor(r io.Reader, series *history.Series) (*Predictor, error) {
+//
+// sib, when not nil, is a predictor of the same market already restored
+// from series (another probability's). When the saved clock, window
+// length, MaxHistory and window checksum all match sib's, the window is
+// sib's, shared as Sibling shares it, and nothing is re-sliced.
+func LoadPredictor(r io.Reader, series *history.Series, sib *Predictor) (*Predictor, error) {
 	var st predictorState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: decoding predictor state: %w", err)
@@ -103,7 +110,10 @@ func LoadPredictor(r io.Reader, series *history.Series) (*Predictor, error) {
 		if upto, err = seriesUpTo(series, p.Now(), p.step, st.Window); err != nil {
 			return nil, err
 		}
-		if k := p.win.pushPrices(upto[len(upto)-st.Window:]); k > 0 {
+		if sib != nil && sib.start.Equal(p.start) && sib.step == p.step && sib.count == p.count &&
+			sib.win.n == st.Window && sib.win.limit == p.win.limit && sib.win.checksum() == st.WindowCRC {
+			p.win, p.dropped = sib.win.clone(), sib.dropped
+		} else if k := p.win.pushPrices(upto[len(upto)-st.Window:]); k > 0 {
 			p.dropped = p.count - st.Window + k
 		}
 	}

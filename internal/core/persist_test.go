@@ -38,7 +38,7 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	q, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser)
+	q, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser, nil)
 	if err != nil {
 		t.Fatalf("LoadPredictor: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestPredictorSaveLoadContinuesIdentically(t *testing.T) {
 	}
 	// The restore re-slices the window from the longer series, as a
 	// service restore does from a WAL that kept growing after the snapshot.
-	restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser)
+	restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestLoadPredictorRejectsDefects(t *testing.T) {
 		"v1":          `{"version":1,"params":{"Probability":0.95},"step_ns":300000000000,"count":2,"prices":[0.1,0.1]}`,
 	}
 	for name, in := range cases {
-		if _, err := LoadPredictor(bytes.NewReader([]byte(in)), ser); err == nil {
+		if _, err := LoadPredictor(bytes.NewReader([]byte(in)), ser, nil); err == nil {
 			t.Errorf("LoadPredictor accepted %s", name)
 		}
 	}
@@ -173,7 +173,7 @@ func TestLoadPredictorRejectsDefects(t *testing.T) {
 		"altered-price":       {altered(350), "checksum"},
 		"altered-last-price":  {altered(499), "checksum"},
 	} {
-		_, err := LoadPredictor(strings.NewReader(good), tc.series)
+		_, err := LoadPredictor(strings.NewReader(good), tc.series, nil)
 		if err == nil {
 			t.Errorf("LoadPredictor accepted %s", name)
 			continue
@@ -185,10 +185,10 @@ func TestLoadPredictorRejectsDefects(t *testing.T) {
 
 	// Sanity: the untampered state still loads, also from a series whose
 	// ticks outside the window differ.
-	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), ser); err != nil {
+	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), ser, nil); err != nil {
 		t.Errorf("LoadPredictor rejected valid state: %v", err)
 	}
-	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), altered(150)); err != nil {
+	if _, err := LoadPredictor(bytes.NewReader([]byte(good)), altered(150), nil); err != nil {
 		t.Errorf("LoadPredictor rejected a change outside the window: %v", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestPredictorSaveLoadDroppedPrices(t *testing.T) {
 				}
 			}
 			for _, src := range []*history.Series{ser, span(ser, from, ser.Len())} {
-				restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), src)
+				restored, err := LoadPredictor(bytes.NewReader(buf.Bytes()), src, nil)
 				if err != nil {
 					t.Fatalf("%s, max history %d, series from %v: %v", name, maxHistory, src.Start, err)
 				}
@@ -291,7 +291,7 @@ func BenchmarkLoadPredictor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser); err != nil {
+		if _, err := LoadPredictor(bytes.NewReader(buf.Bytes()), ser, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,8 +36,12 @@ type chunk struct {
 // offered ticks (every one when limit is 0), oldest first, each the
 // price's tick on the spot.PriceTick grid (windowTick). Chunks are
 // written only while they are the window's tail and not yet full; a
-// window owns its tail exclusively, so clones never see each other's
-// writes.
+// window owns its tail exclusively, and a window is written only after
+// clone gave it its own tail, so windows never see each other's writes.
+// Every full chunk is shared: by a predictor's clones (Clone) and by the
+// other probabilities' predictors of the same market (Sibling,
+// LoadPredictor), so a market's ticks are held once however many
+// predictors read them.
 type tickWindow struct {
 	chunks []*chunk // chunks[0].ticks[off] is the oldest live tick
 	off    int

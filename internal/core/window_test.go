@@ -101,18 +101,24 @@ func fuzzPrices(rng *rand.Rand, n int) []float64 {
 // against a []uint32 model: after every step each live window (the newest
 // clone and up to three ancestors, still fed) must hold its model's
 // ticks, keep its chunk layout tight, checksum as the materialized float
-// prices do and cache each full chunk's tick bounds.
+// prices do and cache each full chunk's tick bounds. A sel with its top
+// bit set runs the sibling lane instead (fuzzSiblings).
 func FuzzTickWindow(f *testing.F) {
 	for sel := range windowLimits {
 		f.Add(uint8(sel), int64(sel), []byte{0, 4, 8, 3, 12, 16, 3, 20, 24, 28, 32, 1, 3, 2})
 		f.Add(uint8(sel), int64(100+sel), []byte{16, 16, 16, 3, 16, 0, 0, 3, 20, 3, 24, 28, 32})
+		f.Add(uint8(0x80|sel), int64(200+sel), []byte{8, 0, 1, 12, 1, 24, 2, 4, 1, 16, 0})
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, seed int64, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		limit := windowLimits[int(sel&0x7f)%len(windowLimits)]
+		if sel&0x80 != 0 {
+			fuzzSiblings(t, limit, rng, ops)
+			return
+		}
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		rng := rand.New(rand.NewSource(seed))
-		limit := windowLimits[int(sel)%len(windowLimits)]
 		live := []*windowModel{{w: tickWindow{limit: limit}}}
 		for step, op := range ops {
 			switch op % 5 {

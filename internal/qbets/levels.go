@@ -313,10 +313,12 @@ func (s *LevelStore) merge(l, r int) {
 }
 
 // newSlot returns a fresh slot at the end of the payload slices, growing
-// their capacity by a quarter when they are full.
+// their capacity by a quarter when no whole slot is left. A clone's
+// capacity is what its allocation's size class rounded it to, so a
+// partial slot may be left over.
 func (s *LevelStore) newSlot() int32 {
 	used := len(s.lv) / levelFan
-	if len(s.lv) == cap(s.lv) {
+	if len(s.lv)+levelFan > min(cap(s.lv), cap(s.ct)) {
 		s.resize(used + used/4 + 1)
 	}
 	s.lv = s.lv[:len(s.lv)+levelFan]

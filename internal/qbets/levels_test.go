@@ -335,3 +335,28 @@ func TestLevelStoreFootprint(t *testing.T) {
 		t.Fatalf("%d live levels, want %d", live, window)
 	}
 }
+
+// TestLevelStoreCloneThenGrow clones stores of many sizes and then adds
+// new levels to the clone until blocks split. A clone's payload slices
+// take the capacity an allocation size class rounds them to, which need
+// not be a whole number of slots; a split must still get a full slot.
+func TestLevelStoreCloneThenGrow(t *testing.T) {
+	const tick = spot.PriceTick
+	for levels := 1; levels < 64*48; levels += 29 {
+		orig := NewLevelStore(tick)
+		fen := NewFenwickStore(tick, 4)
+		for i := 0; i < levels; i++ {
+			v := float64(1+(i*7919)%20000) * tick
+			orig.Insert(v)
+			fen.Insert(v)
+		}
+		clone := orig.Clone()
+		for i := 0; i < 300; i++ {
+			v := float64(20001+(i*104729)%20000) * tick
+			clone.Insert(v)
+			fen.Insert(v)
+		}
+		checkLevelStore(t, clone)
+		compareLevelLane(t, levels, levelLane{clone, fen}, []int{1, fen.Len() / 3, fen.Len()})
+	}
+}

@@ -189,7 +189,10 @@ func (p *Predictor) Observe(v float64) {
 }
 
 // ObserveAll feeds vs in order, exactly as one Observe per value would,
-// and counts the accepted values with one counter Add for the call.
+// and counts the accepted values with one counter Add for the call. It
+// then trims the history buffer (trimHistory), which a long run of
+// observations may have grown far beyond what change-point truncation
+// left live.
 func (p *Predictor) ObserveAll(vs []float64) {
 	accepted := 0
 	for _, v := range vs {
@@ -198,6 +201,23 @@ func (p *Predictor) ObserveAll(vs []float64) {
 		}
 	}
 	mObservations.Load().Add(uint64(accepted))
+	p.trimHistory()
+}
+
+// trimHistory moves the retained history into a buffer of its own length
+// when the current buffer's capacity exceeds four times it (and 1,024
+// values). A predictor keeps its history buffer for as long as it lives,
+// and a cold build's buffer otherwise keeps the peak length the history
+// reached before its last truncation. With MaxHistory the buffer of a
+// full history holds at most about twice the history (evictOldest), so
+// steady state never trims. Observe does not trim: the backtest feeds
+// predictors one value at a time, and reallocating after every flush
+// would cost it more than the memory is worth.
+func (p *Predictor) trimHistory() {
+	if n := p.histLen(); cap(p.chron) > max(4*n, 1024) {
+		p.chron = append(make([]float64, 0, n), p.history()...)
+		p.head = 0
+	}
 }
 
 // observe is Observe without the counter: it reports whether v was

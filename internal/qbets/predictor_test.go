@@ -3,6 +3,7 @@ package qbets
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/drafts-go/drafts/internal/stats"
@@ -508,5 +509,42 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("ObserveAll saved state differs from per-tick Observe's")
+	}
+}
+
+// TestObserveAllTrimsHistory feeds a long stationary series that shifts
+// level shortly before its end, so a change point leaves a short history
+// behind a long one, in bulk and value by value: ObserveAll leaves the
+// history buffer at most four times the retained history (or 1,024
+// values), while Observe keeps the peak-sized buffer, and both leave the
+// same bound and history.
+func TestObserveAllTrimsHistory(t *testing.T) {
+	vs := make([]float64, 30300)
+	for i := range vs {
+		vs[i] = float64(1000+(i*7919)%97) * 0.0001
+		if i >= 30000 {
+			vs[i] += 0.05
+		}
+	}
+	cfg := upperCfg()
+	cfg.NewStore = func() OrderStats { return NewLevelStore(0.0001) }
+	bulk, single := MustNew(cfg), MustNew(cfg)
+	bulk.ObserveAll(vs)
+	for _, v := range vs {
+		single.Observe(v)
+	}
+	if bulk.changePoints == 0 {
+		t.Fatal("no change point fired; the fixture does not shrink the history")
+	}
+	if n := bulk.histLen(); cap(bulk.chron) > max(4*n, 1024) {
+		t.Errorf("after ObserveAll the history buffer holds %d values for %d retained", cap(bulk.chron), n)
+	}
+	if cap(single.chron) <= max(4*single.histLen(), 1024) {
+		t.Fatalf("Observe left %d of capacity for %d values: the fixture no longer grows a peak buffer", cap(single.chron), single.histLen())
+	}
+	b1, _ := bulk.Bound()
+	b2, _ := single.Bound()
+	if math.Float64bits(b1) != math.Float64bits(b2) || !slices.Equal(bulk.history(), single.history()) {
+		t.Errorf("trimmed predictor diverged: bound %v vs %v", b1, b2)
 	}
 }

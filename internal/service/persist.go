@@ -112,20 +112,25 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	var (
 		series      *history.Series
 		seriesCombo spot.Combo
+		first       *core.Predictor // the combo's first restored predictor
 	)
 	for i, e := range snap.Entries {
 		combo := spot.Combo{Zone: spot.Zone(e.Zone), Type: spot.InstanceType(e.Type)}
 		if len(e.Predictor) == 0 || string(e.Predictor) == "null" {
 			return fmt.Errorf("service: snapshot entry %s/p=%v has no predictor", combo, e.Probability)
 		}
-		// Entries are sorted by combo, so each series is fetched once.
+		// Entries are sorted by combo, so each series is fetched once, and
+		// the combo's later entries share its first entry's window.
 		if series == nil || seriesCombo != combo {
 			series, _ = s.cfg.Source.Full(combo)
-			seriesCombo = combo
+			seriesCombo, first = combo, nil
 		}
-		pred, err := core.LoadPredictor(bytes.NewReader(e.Predictor), series)
+		pred, err := core.LoadPredictor(bytes.NewReader(e.Predictor), series, first)
 		if err != nil {
 			return fmt.Errorf("service: restoring predictor for %s/p=%v: %w", combo, e.Probability, err)
+		}
+		if first == nil {
+			first = pred
 		}
 		slots[i].key = BlobKey{Zone: e.Zone, Type: e.Type, Prob: probKey(e.Probability)}
 		if !slots[i].ladder(pred) {

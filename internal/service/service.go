@@ -265,10 +265,11 @@ func newServer(cfg Config, role string) (*Server, error) {
 
 // Refresh recomputes every combo's bid tables from the current histories,
 // fanned out across RefreshWorkers goroutines (GOMAXPROCS by default).
-// Combos whose installed predictor sits on the history's grid take the
-// incremental path: the predictor is cloned and fed only the ticks that
-// arrived since, producing byte-identical tables at a fraction of the
-// full-window cost (TestIncrementalRefreshEquivalence). Each predictor's
+// Combos whose installed predictors sit on the history's grid take the
+// incremental path: the first probability's predictor is cloned and fed
+// only the ticks that arrived since, and every other probability's reads
+// its window (buildCombo), producing byte-identical tables at a fraction
+// of the full-window cost (TestIncrementalRefreshEquivalence). Each predictor's
 // table and advise surface come from one guarantee walk inside the
 // fan-out, and the entries are installed together as one new epoch.
 //
@@ -410,20 +411,7 @@ func (s *Server) build(combos []spot.Combo) []slot {
 					out[0].skipped = true
 					continue
 				}
-				for i, params := range s.params {
-					sl := &out[i]
-					sl.key = BlobKey{Zone: string(c.Zone), Type: string(c.Type), Prob: probKey(params.Probability)}
-					pred := s.extendPredictor(prev.predictor(sl.key), params, series)
-					if pred != nil {
-						sl.incremental = true
-					} else {
-						if pred, sl.err = core.NewPredictor(params, series.Start); sl.err != nil {
-							continue
-						}
-						pred.ObserveSeries(series)
-					}
-					sl.skipped = !sl.ladder(pred)
-				}
+				s.buildCombo(prev, c, series, out)
 			}
 		}()
 	}
@@ -433,6 +421,61 @@ func (s *Server) build(combos []spot.Combo) []slot {
 	close(work)
 	wg.Wait()
 	return slots
+}
+
+// buildCombo fills one combo's slots, one per probability. It decides
+// once for the combo whether to extend the installed predictors or build
+// cold: the first probability's predictor extends its installed one
+// (extendPredictor) only when every probability's installed predictor
+// sits at the same clock, and otherwise every predictor is built cold.
+// Every other probability's predictor reads the first one's window
+// (core.Predictor.Sibling), so the combo's ticks enter one window.
+func (s *Server) buildCombo(prev *encodedTables, c spot.Combo, series *history.Series, out []slot) {
+	var olds [len(probabilities)]*core.Predictor
+	for i, params := range s.params {
+		out[i].key = BlobKey{Zone: string(c.Zone), Type: string(c.Type), Prob: probKey(params.Probability)}
+		olds[i] = prev.predictor(out[i].key)
+	}
+	var first *core.Predictor
+	if s.sameClock(olds) {
+		first = s.extendPredictor(olds[0], s.params[0], series)
+	}
+	incremental := first != nil
+	if !incremental {
+		var err error
+		if first, err = core.NewPredictor(s.params[0], series.Start); err != nil {
+			for i := range out {
+				out[i].err = err
+			}
+			return
+		}
+		first.ObserveSeries(series)
+		olds = [len(probabilities)]*core.Predictor{}
+	}
+	for i := range out {
+		sl := &out[i]
+		pred := first
+		if i > 0 {
+			if pred, sl.err = first.Sibling(s.params[i], olds[i], series.Prices); sl.err != nil {
+				continue
+			}
+		}
+		sl.incremental = incremental
+		sl.skipped = !sl.ladder(pred)
+	}
+}
+
+// sameClock reports whether a combo's installed predictors, one per
+// probability, are all present with the server's parameters and at the
+// first one's clock and window length: the state one build left them in.
+func (s *Server) sameClock(olds [len(probabilities)]*core.Predictor) bool {
+	for i, old := range olds {
+		if old == nil || old.Params() != s.params[i] ||
+			!old.Now().Equal(olds[0].Now()) || old.Len() != olds[0].Len() {
+			return false
+		}
+	}
+	return true
 }
 
 // refreshFailed records a refresh that left the previous epoch in place:
