@@ -1,15 +1,20 @@
 package service
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
 	"github.com/drafts-go/drafts/internal/history"
 	"github.com/drafts-go/drafts/internal/pricegen"
 	"github.com/drafts-go/drafts/internal/qbets"
+	"github.com/drafts-go/drafts/internal/spot"
 	"github.com/drafts-go/drafts/internal/store"
 	"github.com/drafts-go/drafts/internal/telemetry"
 )
@@ -173,5 +178,60 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 		if err := srv.Refresh(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// fleetCatalog is the serve benchmark's read shape built once per binary:
+// the first 452 catalog combos, 30 days of 5-minute prices from seed 1,
+// one cold refresh.
+var fleetCatalog struct {
+	once sync.Once
+	srv  *Server
+	err  error
+}
+
+func fleetCatalogServer(b *testing.B) *Server {
+	b.Helper()
+	fleetCatalog.once.Do(func() {
+		st := history.NewStore()
+		start := time.Date(2016, 9, 1, 0, 0, 0, 0, time.UTC)
+		if err := (pricegen.Generator{Seed: 1}).Populate(st, spot.Combos()[:452], start, 30*24*12); err != nil {
+			fleetCatalog.err = err
+			return
+		}
+		srv, err := New(Config{Source: st, RefreshWorkers: runtime.GOMAXPROCS(0)})
+		if err == nil {
+			err = srv.Refresh()
+		}
+		fleetCatalog.srv, fleetCatalog.err = srv, err
+	})
+	if fleetCatalog.err != nil {
+		b.Fatal(fleetCatalog.err)
+	}
+	return fleetCatalog.srv
+}
+
+// BenchmarkFleetCatalog measures the catalog-wide fleet page the serve
+// benchmark posts: p=0.95, count 10, durations cycling through 1h-12h,
+// no filters, over 452 combos. Its ratio to BenchmarkPredictionsEncoded
+// sets fleetWeight.
+func BenchmarkFleetCatalog(b *testing.B) {
+	h := fleetCatalogServer(b).Handler()
+	bodies := make([][]byte, 12)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"duration":"%dh","probability":0.95,"count":10}`, i+1))
+	}
+	var body bytes.Reader
+	req := httptest.NewRequest(http.MethodPost, "/v1/fleet", &body)
+	rec := httptest.NewRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(bodies[i%len(bodies)])
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
+	}
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 }

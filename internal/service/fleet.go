@@ -80,16 +80,6 @@ type fleetCursor struct {
 	typ  string
 }
 
-func (c fleetCursor) less(o fleetCursor) bool {
-	if c.tick != o.tick {
-		return c.tick < o.tick
-	}
-	if c.zone != o.zone {
-		return c.zone < o.zone
-	}
-	return c.typ < o.typ
-}
-
 const fleetCursorPrefix = "1:"
 
 func encodeFleetCursor(c fleetCursor) string {
@@ -142,16 +132,71 @@ func fleetMatch(patterns []string, v string) bool {
 	return false
 }
 
-// fleetCandidate is one compliant combo during ranking.
-type fleetCandidate struct {
-	cur   fleetCursor
+// fleetPos is a row's place in the ranking: its bid tick, then its index
+// in the (zone, type)-ordered scan, which orders equal ticks exactly as
+// comparing zone then type would.
+type fleetPos struct {
+	tick, idx int
+}
+
+func (p fleetPos) less(o fleetPos) bool {
+	return p.tick < o.tick || p.tick == o.tick && p.idx < o.idx
+}
+
+// fleetRow is one compliant row kept for the page.
+type fleetRow struct {
+	fleetPos
 	quote core.Quote
 }
 
-// handleFleet serves POST /v1/fleet. The scan is cheap — one surface
-// lookup per catalog combo, each one binary search — so every page
-// recomputes the full ranking and resumes at the cursor; no per-client
-// state is held.
+// fleetTop selects one fleet page in a single pass over the scan: it
+// counts every compliant row and keeps, sorted, the k cheapest at or after
+// from. Rows must be offered in ascending idx, so a row never ranks before
+// a kept row of equal tick.
+type fleetTop struct {
+	from  fleetPos // the zero value admits every row: ticks are never negative
+	k     int      // rows kept: the page plus one, to know whether more follow
+	total int
+	n     int
+	rows  [maxFleetCount + 1]fleetRow
+}
+
+func (t *fleetTop) offer(tick, idx int, q core.Quote) {
+	t.total++
+	p := fleetPos{tick: tick, idx: idx}
+	if p.less(t.from) {
+		return
+	}
+	i := t.n
+	if i == t.k {
+		if tick >= t.rows[i-1].tick {
+			return
+		}
+		i--
+	} else {
+		t.n++
+	}
+	for ; i > 0 && t.rows[i-1].tick > tick; i-- {
+		t.rows[i] = t.rows[i-1]
+	}
+	t.rows[i] = fleetRow{fleetPos: p, quote: q}
+}
+
+// fleetFrom translates a cursor into the first position a row may take:
+// rows at the cursor's tick rank after it from the first (zone, type) past
+// the cursor's, whether or not the cursor's own combo is in the epoch.
+func fleetFrom(rows []*entry, c fleetCursor) fleetPos {
+	idx := sort.Search(len(rows), func(i int) bool {
+		k := rows[i].key
+		return k.Zone > c.zone || k.Zone == c.zone && k.Type > c.typ
+	})
+	return fleetPos{tick: c.tick, idx: idx}
+}
+
+// handleFleet serves POST /v1/fleet. Every page scans the whole catalog
+// once — one surface lookup per combo passing the filters, each one binary
+// search — keeping only the page's rows (fleetTop), and resumes at the
+// cursor; no per-client state is held.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	var req FleetRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxFleetBody)).Decode(&req); err != nil {
@@ -205,8 +250,11 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cands := make([]fleetCandidate, 0, len(entries))
-	for _, e := range entries {
+	top := fleetTop{k: count + 1}
+	if hasAfter {
+		top.from = fleetFrom(entries, after)
+	}
+	for i, e := range entries {
 		if !fleetMatch(req.Zones, e.key.Zone) || !fleetMatch(req.Types, e.key.Type) {
 			continue
 		}
@@ -214,37 +262,31 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		cands = append(cands, fleetCandidate{
-			cur:   fleetCursor{tick: spot.Ticks(q.Bid), zone: e.key.Zone, typ: e.key.Type},
-			quote: q,
-		})
+		top.offer(spot.Ticks(q.Bid), i, q)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].cur.less(cands[j].cur) })
 
-	start := 0
-	if hasAfter {
-		start = sort.Search(len(cands), func(i int) bool { return after.less(cands[i].cur) })
-	}
-	page := cands[start:]
+	page := top.rows[:min(top.n, count)]
 	next := ""
-	if len(page) > count {
-		page = page[:count]
-		next = encodeFleetCursor(page[len(page)-1].cur)
+	if top.n > count {
+		last := page[count-1]
+		k := entries[last.idx].key
+		next = encodeFleetCursor(fleetCursor{tick: last.tick, zone: k.Zone, typ: k.Type})
 	}
 	resp := FleetResponse{
 		DurationSeconds: d.Seconds(),
 		Probability:     prob,
 		AsOf:            et.asOf,
-		TotalCompliant:  len(cands),
+		TotalCompliant:  top.total,
 		Results:         make([]FleetQuote, 0, len(page)),
 		NextCursor:      next,
 	}
-	for _, c := range page {
+	for _, r := range page {
+		k := entries[r.idx].key
 		resp.Results = append(resp.Results, FleetQuote{
-			Zone:            c.cur.zone,
-			InstanceType:    c.cur.typ,
-			Bid:             c.quote.Bid,
-			DurationSeconds: c.quote.Duration.Seconds(),
+			Zone:            k.Zone,
+			InstanceType:    k.Type,
+			Bid:             r.quote.Bid,
+			DurationSeconds: r.quote.Duration.Seconds(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

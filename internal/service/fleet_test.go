@@ -5,13 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
+	"github.com/drafts-go/drafts/internal/core"
 	"github.com/drafts-go/drafts/internal/history"
+	"github.com/drafts-go/drafts/internal/spot"
+	"github.com/drafts-go/drafts/internal/telemetry"
 )
 
 func postFleet(t *testing.T, h http.Handler, body string) (int, FleetResponse, []byte) {
@@ -298,5 +304,320 @@ func TestFleetClient(t *testing.T) {
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != codeInvalidArgument {
 		t.Fatalf("want typed invalid_argument error, got %v", err)
+	}
+}
+
+// tiedFleetServer is a replica serving a synthetic p=0.95 epoch over n
+// combos spread across the catalog's zones. Every surface escalates over
+// four bids 10 ticks apart from a base drawn out of four values, so its
+// quotes fall on seven ticks and many combos in different zones tie on
+// the bid; guarantees drawn from 2-30 five-minute steps leave some combos
+// unable to carry 1h or 2h.
+func tiedFleetServer(t testing.TB, n int) *Server {
+	t.Helper()
+	all := spot.Combos()
+	rng := rand.New(rand.NewSource(int64(n)))
+	blobs := make(map[BlobKey][]byte, n)
+	surfaces := make(map[BlobKey][]byte, n)
+	for i := 0; i < n; i++ {
+		c := all[i*len(all)/n]
+		base := uint32(500 + 10*rng.Intn(4))
+		bids := []uint32{base, base + 10, base + 20, base + 30}
+		guar := make([]uint32, len(bids))
+		for j := range guar {
+			guar[j] = uint32(2 + rng.Intn(29))
+		}
+		surf, err := core.NewAdviseSurface(0.95, 5*time.Minute, bids, guar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := BlobKey{Zone: string(c.Zone), Type: string(c.Type), Prob: "0.95"}
+		blobs[k] = []byte(`{}`)
+		surfaces[k] = encodeSurface(surf)
+	}
+	ep, err := NewEpochFull(1, t0, []byte(`[]`), blobs, surfaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewReplica(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.InstallEpoch(ep); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// sortFleet is the reference ranking: every compliant row that passes
+// the filters collected, all of them sorted by (bid tick, zone, type), and
+// the page sliced after the cursor. handleFleet must answer exactly this
+// while keeping only the page's rows. It also returns the surface lookups
+// it made, one per row passing the filters. req must be a valid request.
+func sortFleet(t *testing.T, et *encodedTables, req FleetRequest) (FleetResponse, int) {
+	t.Helper()
+	d, err := time.ParseDuration(req.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := req.Probability
+	if prob == 0 {
+		prob = 0.99
+	}
+	count := req.Count
+	if count == 0 {
+		count = defaultFleetCount
+	}
+	count = min(count, maxFleetCount)
+	after, hasAfter, err := decodeFleetCursor(req.Cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type candidate struct {
+		cur   fleetCursor
+		quote core.Quote
+	}
+	less := func(a, b fleetCursor) bool {
+		if a.tick != b.tick {
+			return a.tick < b.tick
+		}
+		if a.zone != b.zone {
+			return a.zone < b.zone
+		}
+		return a.typ < b.typ
+	}
+	var cands []candidate
+	lookups := 0
+	for _, e := range et.fleetAt(probKey(prob)) {
+		if !fleetMatch(req.Zones, e.key.Zone) || !fleetMatch(req.Types, e.key.Type) {
+			continue
+		}
+		lookups++
+		q, ok := e.surf.Lookup(d)
+		if !ok {
+			continue
+		}
+		cands = append(cands, candidate{
+			cur:   fleetCursor{tick: spot.Ticks(q.Bid), zone: e.key.Zone, typ: e.key.Type},
+			quote: q,
+		})
+	}
+	sort.Slice(cands, func(i, j int) bool { return less(cands[i].cur, cands[j].cur) })
+	start := 0
+	if hasAfter {
+		start = sort.Search(len(cands), func(i int) bool { return less(after, cands[i].cur) })
+	}
+	page := cands[start:]
+	resp := FleetResponse{
+		DurationSeconds: d.Seconds(),
+		Probability:     prob,
+		AsOf:            et.asOf,
+		TotalCompliant:  len(cands),
+		Results:         []FleetQuote{},
+	}
+	if len(page) > count {
+		page = page[:count]
+		resp.NextCursor = encodeFleetCursor(page[len(page)-1].cur)
+	}
+	for _, c := range page {
+		resp.Results = append(resp.Results, FleetQuote{
+			Zone:            c.cur.zone,
+			InstanceType:    c.cur.typ,
+			Bid:             c.quote.Bid,
+			DurationSeconds: c.quote.Duration.Seconds(),
+		})
+	}
+	return resp, lookups
+}
+
+// checkFleetOracle posts req and requires the handler's body to equal the
+// reference ranking's, byte for byte, and the handler to raise lookups
+// (drafts_predictor_surface_lookups_total) by the reference's lookups. It
+// returns the handler's page.
+func checkFleetOracle(t *testing.T, srv *Server, lookups *telemetry.Counter, req FleetRequest) FleetResponse {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lookups.Value()
+	code, got, body := postFleet(t, srv.Handler(), string(raw))
+	if code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", raw, code, body)
+	}
+	handlerLookups := lookups.Value() - before
+	want, wantLookups := sortFleet(t, srv.blobs.Load(), req)
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, want)
+	if !bytes.Equal(body, rec.Body.Bytes()) {
+		t.Fatalf("%s: handler and sort oracle disagree:\nhandler: %s\noracle:  %s", raw, body, rec.Body.Bytes())
+	}
+	if handlerLookups != uint64(wantLookups) {
+		t.Fatalf("%s: handler made %d surface lookups, the sort oracle %d", raw, handlerLookups, wantLookups)
+	}
+	return got
+}
+
+// TestFleetRankingMatchesSortOracle holds the one-pass page selection to
+// the sort-then-slice ranking on a catalog with bid ties across zones:
+// full cursor walks at several page sizes and filters, and cursors that
+// tie a row's tick or name a combo the epoch does not hold.
+func TestFleetRankingMatchesSortOracle(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	core.RegisterMetrics(reg)
+	t.Cleanup(func() { core.RegisterMetrics(nil) })
+	lookups := reg.Counter("drafts_predictor_surface_lookups_total", "")
+	srv := tiedFleetServer(t, 40)
+
+	full := checkFleetOracle(t, srv, lookups, FleetRequest{Duration: "1h", Probability: 0.95, Count: 100})
+	ties := 0
+	for i := 1; i < len(full.Results); i++ {
+		if a, b := full.Results[i-1], full.Results[i]; a.Bid == b.Bid && a.Zone != b.Zone {
+			ties++
+		}
+	}
+	if full.TotalCompliant < 24 || ties == 0 {
+		t.Fatalf("fixture too weak: %d compliant, %d cross-zone bid ties", full.TotalCompliant, ties)
+	}
+
+	filters := []struct{ zones, types []string }{
+		{},
+		{zones: []string{"us-east-1*"}},
+		{types: []string{"c4.*", "m4.large"}},
+		{zones: []string{"us-west-2a", "us-east-1*"}, types: []string{"m*"}},
+	}
+	for _, dur := range []string{"30m", "1h", "2h"} {
+		for _, f := range filters {
+			for _, count := range []int{1, 2, 10, 100} {
+				req := FleetRequest{Duration: dur, Probability: 0.95, Zones: f.zones, Types: f.types, Count: count}
+				for pages := 0; ; pages++ {
+					page := checkFleetOracle(t, srv, lookups, req)
+					if page.NextCursor == "" {
+						break
+					}
+					if pages > full.TotalCompliant {
+						t.Fatalf("%+v: cursor walk did not end", req)
+					}
+					req.Cursor = page.NextCursor
+				}
+			}
+		}
+	}
+
+	// Cursors at every row's tick: on the row itself, on absent combos
+	// just after it, before every zone and after every zone, and at a tick
+	// no surface quotes.
+	for _, r := range full.Results {
+		tick := spot.Ticks(r.Bid)
+		for _, c := range []fleetCursor{
+			{tick: tick, zone: r.Zone, typ: r.InstanceType},
+			{tick: tick, zone: r.Zone, typ: r.InstanceType + "0"},
+			{tick: tick, zone: r.Zone + "0", typ: "a"},
+			{tick: tick, zone: "a", typ: "a"},
+			{tick: tick, zone: "zz", typ: "a"},
+			{tick: tick + 5, zone: r.Zone, typ: r.InstanceType},
+		} {
+			for _, count := range []int{1, 2} {
+				checkFleetOracle(t, srv, lookups, FleetRequest{Duration: "1h", Probability: 0.95, Count: count, Cursor: encodeFleetCursor(c)})
+			}
+		}
+	}
+}
+
+// FuzzFleetPage checks fleetTop against sorting every compliant row and
+// slicing the page after the cursor. Each input byte is one row in scan
+// order: bytes from 0xf0 up are non-compliant, the rest quote tick b%8,
+// so ties are the rule.
+func FuzzFleetPage(f *testing.F) {
+	f.Add([]byte{3, 1, 0xf0, 1, 2, 9, 1, 0, 7, 3}, uint8(1), uint8(3), uint8(2), true)
+	f.Add([]byte{0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), false)
+	f.Fuzz(func(t *testing.T, rows []byte, fromTick, fromIdx, count uint8, paged bool) {
+		k := 1 + int(count)%maxFleetCount
+		top := fleetTop{k: k + 1}
+		if paged {
+			top.from = fleetPos{tick: int(fromTick % 9), idx: int(fromIdx)}
+		}
+		var all []fleetPos
+		for i, b := range rows {
+			if b >= 0xf0 {
+				continue
+			}
+			top.offer(int(b%8), i, core.Quote{Bid: float64(i)})
+			all = append(all, fleetPos{tick: int(b % 8), idx: i})
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].tick != all[j].tick {
+				return all[i].tick < all[j].tick
+			}
+			return all[i].idx < all[j].idx
+		})
+		start := 0
+		if paged {
+			start = sort.Search(len(all), func(i int) bool {
+				p := all[i]
+				return p.tick > top.from.tick || p.tick == top.from.tick && p.idx >= top.from.idx
+			})
+		}
+		want := all[start:]
+		if top.total != len(all) {
+			t.Fatalf("total %d, want %d", top.total, len(all))
+		}
+		if more := top.n > k; more != (len(want) > k) {
+			t.Fatalf("more pages %v, want %v", more, len(want) > k)
+		}
+		want = want[:min(len(want), k)]
+		got := top.rows[:min(top.n, k)]
+		if len(got) != len(want) {
+			t.Fatalf("page holds %d rows, want %d", len(got), len(want))
+		}
+		for i, r := range got {
+			if r.fleetPos != want[i] || r.quote.Bid != float64(r.idx) {
+				t.Fatalf("row %d: %+v, want %+v", i, r, want[i])
+			}
+		}
+	})
+}
+
+// TestFleetAllocsFlatInCatalog pins that a catalog-wide fleet page costs
+// the same allocations at 12 combos as at 240, in count and in bytes: the
+// handler keeps the page, not a row per combo.
+func TestFleetAllocsFlatInCatalog(t *testing.T) {
+	const body = `{"duration":"30m","probability":0.95,"count":10}`
+	perRequest := func(n int) (allocs, bytesPer float64) {
+		h := tiedFleetServer(t, n).Handler()
+		var rd bytes.Reader
+		req := httptest.NewRequest(http.MethodPost, "/v1/fleet", &rd)
+		rec := httptest.NewRecorder()
+		serve := func() {
+			rd.Reset([]byte(body))
+			rec.Body.Reset()
+			h.ServeHTTP(rec, req)
+		}
+		serve()
+		var page FleetResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || page.NextCursor == "" {
+			t.Fatalf("%d combos: want a full page with a next cursor, got %v: %s", n, err, rec.Body.Bytes())
+		}
+		allocs = testing.AllocsPerRun(200, serve)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 200
+		for i := 0; i < runs; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := perRequest(12)
+	largeAllocs, largeBytes := perRequest(240)
+	t.Logf("12 combos: %.0f allocs, %.0f B; 240 combos: %.0f allocs, %.0f B", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if largeAllocs > smallAllocs {
+		t.Errorf("allocs per fleet page grow with the catalog: %.0f at 12 combos, %.0f at 240", smallAllocs, largeAllocs)
+	}
+	// One 64-byte row per combo, as a sort over every compliant combo
+	// keeps, would add 14 KB here.
+	if largeBytes > smallBytes+512 {
+		t.Errorf("bytes per fleet page grow with the catalog: %.0f at 12 combos, %.0f at 240", smallBytes, largeBytes)
 	}
 }

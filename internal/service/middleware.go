@@ -31,12 +31,14 @@ const traceparentHeader = "Traceparent"
 const maxRequestIDLen = 64
 
 // fleetWeight is the admission weight of /v1/fleet: a fleet query looks
-// up a surface per catalog combo and ranks the results — tens of cached
-// reads' worth of work — so it consumes proportionally more of the
-// concurrency budget. Every other /v1 read, /v1/advise included (one
-// surface lookup), weighs 1. The value predates measured per-route costs
-// and is due to be re-derived from them.
-const fleetWeight = 4
+// up a surface per catalog combo, so it consumes proportionally more of
+// the concurrency budget. Every other /v1 read, /v1/advise included (one
+// surface lookup), weighs 1. The value is the measured cost ratio of
+// BenchmarkFleetCatalog (a 10-row page over 452 combos) to
+// BenchmarkPredictionsEncoded (a cached GET): 28.3, the median of 13
+// runs (25.3-33.2) on a 2-vCPU Xeon VM. The ratio grows with the
+// catalog, one lookup per combo.
+const fleetWeight = 28
 
 // requestID returns the correlation ID for r: the inbound X-Request-Id
 // when the caller sent one (a gateway's ID survives), the 32-hex trace ID

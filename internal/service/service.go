@@ -93,7 +93,7 @@ type Config struct {
 	// branch per instrumentation site.
 	Metrics *telemetry.Registry
 	// MaxConcurrent caps the weighted concurrency admitted to /v1/*
-	// (cached reads weigh 1, /v1/fleet weighs 4). 0 disables admission
+	// (cached reads weigh 1, /v1/fleet weighs fleetWeight). 0 disables admission
 	// control entirely — every request runs unbounded, as before.
 	MaxConcurrent int
 	// MaxQueue bounds how many requests may wait for admission once
